@@ -4,8 +4,8 @@ All operators are plain 2-D numpy arrays of complex128.  The two workhorses
 are deliberately self-contained so that their numerical behaviour is pinned
 by this module rather than by a LAPACK build:
 
-* ``herm_eig`` - cyclic Jacobi eigensolver for Hermitian matrices, with a
-  fixed sweep budget and a relative off-diagonal convergence test;
+* ``herm_eig`` - round-robin (Brent-Luk) Jacobi eigensolver for Hermitian
+  matrices, with a fixed sweep budget and relative off-diagonal convergence;
 * ``inverse`` - Gauss-Jordan elimination with partial pivoting and a
   relative pivot floor.
 
@@ -15,6 +15,7 @@ infrastructure, not part of the pinned numerics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -133,6 +134,25 @@ def _cluster_indices(vals, rel_tol):
     return tuple(tuple(g) for g in groups)
 
 
+@functools.lru_cache(maxsize=64)
+def _round_robin(n):
+    """Brent-Luk round-robin schedule: each unordered pair once per sweep.
+
+    n - 1 rounds of disjoint pairs for even n; odd n is padded with a dummy
+    index n whose partner sits the round out, giving n rounds.  Returns one
+    (p, q) pair of read-only index arrays with p < q per round.
+    """
+    m = n + n % 2
+    rounds = []
+    for r in range(m - 1):
+        order = [0] + [1 + (i + r) % (m - 1) for i in range(m - 1)]
+        pairs = [sorted(pq) for pq in zip(order[: m // 2], order[::-1]) if max(pq) < n]
+        idx = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
+        idx.setflags(write=False)
+        rounds.append(tuple(idx))
+    return tuple(rounds)
+
+
 def herm_eig(
     m,
     *,
@@ -141,7 +161,7 @@ def herm_eig(
     cluster_rel=CLUSTER_REL_TOL,
     hermitian_rel=HERMITIAN_REL_TOL,
 ):
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a Hermitian matrix by round-robin (Brent-Luk) Jacobi.
 
     Convergence: off-diagonal Frobenius norm <= conv_rel * ||M||_F.  Raises
     NotHermitian if ||M - M*||_F exceeds hermitian_rel * (1 + ||M||_F), and
@@ -156,8 +176,10 @@ def herm_eig(
     n = a0.shape[0]
     # symmetrize once so representational noise cannot bias the rotations
     a = 0.5 * (a0 + a0.conj().T)
-    v = np.eye(n, dtype=complex)
+    v = eye = np.eye(n, dtype=complex)
     target = conv_rel * scale
+    # entries already far below target cannot affect convergence this sweep
+    skip = target / max(1, 2 * n)
     converged = _offdiag_norm(a) <= target
     sweeps = 0
     while not converged:
@@ -166,41 +188,29 @@ def herm_eig(
                 f"Jacobi sweep budget {sweep_limit} exhausted; "
                 f"off-diagonal norm {_offdiag_norm(a):.3e} > {target:.3e}"
             )
-        # entries already far below target cannot affect convergence this sweep
-        skip = target / max(1, 2 * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                phase = apq / r
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = (t * c) * phase
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - np.conj(s) * cq
-                a[:, q] = s * cp + c * cq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = np.conj(s) * rp + c * rq
-                # exact zeros here by construction; keep diagonal real
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - np.conj(s) * vq
-                v[:, q] = s * vp + c * vq
+        for p, q in _round_robin(n):
+            apq = a[p, q]
+            r = np.abs(apq)
+            k = (r > skip).nonzero()[0]
+            if not k.size:
+                continue
+            p, q, apq, r = p[k], q[k], apq[k], r[k]
+            d = a.diagonal().real
+            tau = (d[q] - d[p]) / (2.0 * r)
+            # sign form: the tie tau = 0 takes t = +1 and no branch divides by zero
+            sign = np.where(tau >= 0.0, 1.0, -1.0)
+            t = sign / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = (t * c) * (apq / r)
+            # the pairs are disjoint, so one rotation matrix applies them all
+            rot = eye.copy()
+            rot[p, p] = rot[q, q] = c
+            rot[p, q], rot[q, p] = s, -s.conj()
+            a = rot.conj().T @ a @ rot
+            # exact zeros here by construction; keep diagonal real
+            a[p, q] = a[q, p] = 0.0
+            a.flat[:: n + 1] = a.diagonal().real
+            v = v @ rot
         sweeps += 1
         converged = _offdiag_norm(a) <= target
     vals = np.real(np.diag(a)).copy()

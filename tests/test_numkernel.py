@@ -1,10 +1,12 @@
-"""Kernel checks: Jacobi eigensolver, elimination inverse, frames, gaps.
+"""Kernel checks: Jacobi eigensolver (and its cyclic reference), elimination
+inverse, frames, gaps.
 
 numpy.linalg (eigh, inv, svd) appears here only as an independent oracle;
 the package code under test never calls it for these operations.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,13 @@ from jlab.errors import (
 )
 from jlab.numkernel import (
     CLUSTER_REL_TOL,
+    HERMITIAN_REL_TOL,
+    JACOBI_REL_TOL,
     JACOBI_SWEEP_LIMIT,
+    SpectralDecomp,
+    _cluster_indices,
+    _offdiag_norm,
+    _round_robin,
     as_matrix,
     as_square,
     as_vector,
@@ -41,6 +49,78 @@ LN2 = math.log(2.0)
 def random_hermitian(rng, n):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (z + z.conj().T)
+
+
+def _cyclic_herm_eig(
+    m,
+    *,
+    sweep_limit=JACOBI_SWEEP_LIMIT,
+    conv_rel=JACOBI_REL_TOL,
+    cluster_rel=CLUSTER_REL_TOL,
+    hermitian_rel=HERMITIAN_REL_TOL,
+):
+    """Reference: the row-by-row cyclic Jacobi solver, one rotation at a time."""
+    a0 = as_square(m)
+    scale = frobenius(a0)
+    if frobenius(a0 - a0.conj().T) > hermitian_rel * (1.0 + scale):
+        raise NotHermitian(
+            f"||M - M*||_F = {frobenius(a0 - a0.conj().T):.3e} exceeds tolerance"
+        )
+    n = a0.shape[0]
+    # symmetrize once so representational noise cannot bias the rotations
+    a = 0.5 * (a0 + a0.conj().T)
+    v = np.eye(n, dtype=complex)
+    target = conv_rel * scale
+    converged = _offdiag_norm(a) <= target
+    sweeps = 0
+    while not converged:
+        if sweeps >= sweep_limit:
+            raise NoConvergence(
+                f"Jacobi sweep budget {sweep_limit} exhausted; "
+                f"off-diagonal norm {_offdiag_norm(a):.3e} > {target:.3e}"
+            )
+        # entries already far below target cannot affect convergence this sweep
+        skip = target / max(1, 2 * n)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                r = abs(apq)
+                if r <= skip:
+                    continue
+                phase = apq / r
+                app = a[p, p].real
+                aqq = a[q, q].real
+                tau = (aqq - app) / (2.0 * r)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = (t * c) * phase
+                cp = a[:, p].copy()
+                cq = a[:, q].copy()
+                a[:, p] = c * cp - np.conj(s) * cq
+                a[:, q] = s * cp + c * cq
+                rp = a[p, :].copy()
+                rq = a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = np.conj(s) * rp + c * rq
+                # exact zeros here by construction; keep diagonal real
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                a[p, p] = a[p, p].real
+                a[q, q] = a[q, q].real
+                vp = v[:, p].copy()
+                vq = v[:, q].copy()
+                v[:, p] = c * vp - np.conj(s) * vq
+                v[:, q] = s * vp + c * vq
+        sweeps += 1
+        converged = _offdiag_norm(a) <= target
+    vals = np.real(np.diag(a)).copy()
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    vecs = v[:, order]
+    return SpectralDecomp(vals, vecs, _cluster_indices(vals, cluster_rel))
 
 
 def test_shape_coercions_reject_bad_input():
@@ -89,6 +169,69 @@ def test_herm_eig_matches_numpy_on_random_hermitians():
         )
 
 
+def _reference_cases(rng, n):
+    yield "random", random_hermitian(rng, n)
+    yield "zero", np.zeros((n, n), dtype=complex)
+    yield "diagonal", np.diag(rng.standard_normal(n)).astype(complex)
+    tied = random_hermitian(rng, n)
+    np.fill_diagonal(tied, 1.0)
+    yield "tied", tied  # tau = 0 on the first rotations
+    blocks = np.zeros((n, n), dtype=complex)
+    h = n // 2
+    blocks[:h, :h] = random_hermitian(rng, h)
+    blocks[h:, h:] = random_hermitian(rng, n - h)
+    yield "blocks", blocks  # exact zero couplings that stay zero
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    repeated = np.repeat([-1.0, 2.0, 2.0, 0.5], n)[:n]
+    yield "repeated", (u * repeated) @ u.conj().T
+    # a diagonal with strong couplings on some pairs and couplings far below
+    # the per-pair skip threshold on the rest
+    mixed = np.diag(np.arange(n, dtype=complex))
+    big = rng.random((n, n)) < 0.3
+    mixed[big] += rng.standard_normal(int(big.sum()))
+    mixed = 0.5 * (mixed + mixed.conj().T)
+    skip = JACOBI_REL_TOL * frobenius(mixed) / max(1, 2 * n)
+    tiny = ~big & ~big.T & ~np.eye(n, dtype=bool)
+    mixed[tiny] = 1e-3 * skip * (1.0 + 1j)
+    yield "mixed", 0.5 * (mixed + mixed.conj().T)
+
+
+def test_round_robin_matches_cyclic_reference():
+    rng = np.random.default_rng(2718)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (*range(1, 17), 24, 32, 48, 64):
+            for kind, m in _reference_cases(rng, n):
+                dec = herm_eig(m)
+                ref = _cyclic_herm_eig(m)
+                scale = 1.0 + frobenius(m)
+                where = f"n={n} {kind}"
+                gap = np.max(np.abs(dec.eigenvalues - ref.eigenvalues))
+                assert gap <= 1e-12 * scale, where
+                gram = dec.vectors.conj().T @ dec.vectors
+                assert frobenius(gram - np.eye(n)) <= 1e-12, where
+                recon = (dec.vectors * dec.eigenvalues) @ dec.vectors.conj().T
+                assert frobenius(m - recon) / scale <= 1e-12, where
+                assert dec.clusters == ref.clusters, where
+                if n == 2:  # one rotation: the same arithmetic as the reference
+                    np.testing.assert_allclose(dec.vectors, ref.vectors, atol=1e-15)
+
+
+def test_round_robin_schedule_covers_every_pair_once():
+    for n in range(1, 66):
+        rounds = _round_robin(n)
+        assert len(rounds) == (n - 1 if n % 2 == 0 else n)
+        seen = []
+        for p, q in rounds:
+            assert not p.flags.writeable and not q.flags.writeable
+            assert np.all(p < q)
+            members = np.concatenate([p, q])
+            assert len(set(members.tolist())) == members.size
+            seen.extend(zip(p.tolist(), q.tolist()))
+        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+        assert _round_robin(n) is rounds
+
+
 def test_herm_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
@@ -99,6 +242,12 @@ def test_herm_eig_sweep_budget_exhaustion():
     with pytest.raises(NoConvergence):
         herm_eig(m, sweep_limit=0)
     assert JACOBI_SWEEP_LIMIT == 60
+    big = random_hermitian(np.random.default_rng(16), 16)
+    with pytest.raises(NoConvergence, match="budget 1 exhausted"):
+        herm_eig(big, sweep_limit=1)
+    # an already diagonal input needs no sweep and no rotation
+    dec = herm_eig(np.diag([-2.0, 0.5, 3.0]).astype(complex), sweep_limit=0)
+    assert np.array_equal(dec.vectors, np.eye(3))
 
 
 def test_eigenvalue_clustering_merges_consecutive_near_ties():
