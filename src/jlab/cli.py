@@ -56,12 +56,12 @@ def _digest(path):
     return h.hexdigest()[:16]
 
 
-def _run_report(args, report, inputs, seed=None, elapsed=0.0):
+def _run_report(args, report, inputs, seed=None):
     doc = report.to_dict()
     doc["command"] = " ".join(args._echo)
     doc["inputs"] = {str(p): _digest(p) for p in inputs}
     doc["seed"] = seed
-    doc["elapsed_seconds"] = elapsed
+    doc["elapsed_seconds"] = time.perf_counter() - args._start
     if args.report:
         write_json(args.report, doc)
     return doc
@@ -93,7 +93,6 @@ def _print_report(report):
 
 
 def cmd_classify(args):
-    start = time.perf_counter()
     a = read_matrix(args.matrix)
     if a.shape[0] != a.shape[1]:
         raise JLabError(f"{args.matrix}: operator must be square, got {a.shape}")
@@ -112,12 +111,11 @@ def cmd_classify(args):
             rep.add(name, r, tol)
     cond = "n/a" if prof.cond is None else f"{prof.cond:.3e}"
     print(f"invertible: {'yes' if prof.invertible else 'no'} (cond {cond})")
-    _run_report(args, rep, [args.matrix], elapsed=time.perf_counter() - start)
+    _run_report(args, rep, [args.matrix])
     return 0
 
 
 def cmd_polar(args):
-    start = time.perf_counter()
     a = read_matrix(args.matrix)
     if a.shape[0] != a.shape[1]:
         raise JLabError(f"{args.matrix}: operator must be square, got {a.shape}")
@@ -127,12 +125,11 @@ def cmd_polar(args):
     write_matrix(f"{args.out}.B.json", parts.b)
     print(f"wrote {args.out}.U.json and {args.out}.B.json")
     _print_report(parts.report)
-    _run_report(args, parts.report, [args.matrix], elapsed=time.perf_counter() - start)
+    _run_report(args, parts.report, [args.matrix])
     return 0 if parts.report.passed else 1
 
 
 def cmd_extend(args):
-    start = time.perf_counter()
     t = read_partial_operator(args.operator)
     j = _load_conjugation(args, t.ambient)
     result = extend_op(j, t, retry_budget=args.retries, tol=_resolve_tol(args))
@@ -141,12 +138,11 @@ def cmd_extend(args):
     write_matrix(f"{args.out}.W.json", result.w)
     print(f"wrote {args.out}.A.json, {args.out}.V.json, {args.out}.W.json")
     _print_report(result.report)
-    _run_report(args, result.report, [args.operator], elapsed=time.perf_counter() - start)
+    _run_report(args, result.report, [args.operator])
     return 0 if result.report.passed else 1
 
 
 def cmd_demo_unbounded(args):
-    start = time.perf_counter()
     if args.levels < 1:
         raise JLabError(f"--levels must be at least 1, got {args.levels}")
     rows = growth_probe(args.levels)
@@ -164,12 +160,11 @@ def cmd_demo_unbounded(args):
     rep.add("norm_match", max(e for _, _, _, e in norms), tol)
     monotone = all(b[1] > a[1] for a, b in zip(rows, rows[1:]))
     rep.add("growth_monotone", 0.0 if monotone else 1.0, 0.5)
-    _run_report(args, rep, [], elapsed=time.perf_counter() - start)
+    _run_report(args, rep, [])
     return 0 if rep.passed else 1
 
 
 def cmd_demo_jacobi(args):
-    start = time.perf_counter()
     alphas = None
     if args.alphas:
         alphas = [float(x) for x in args.alphas.split(",")]
@@ -181,12 +176,11 @@ def cmd_demo_jacobi(args):
         write_matrix(f"{args.out}.A.json", result.a_tilde)
         print(f"wrote {args.out}.A.json")
     _print_report(result.report)
-    _run_report(args, result.report, [], elapsed=time.perf_counter() - start)
+    _run_report(args, result.report, [])
     return 0 if result.report.passed else 1
 
 
 def cmd_random(args):
-    start = time.perf_counter()
     if args.dim < 1:
         raise JLabError(f"--dim must be positive, got {args.dim}")
     kind = args.kind
@@ -209,12 +203,11 @@ def cmd_random(args):
             raise JLabError(f"unknown kind {kind}")
     print(f"wrote {args.out}")
     rep = ResidualReport(extras={"kind": kind, "dim": args.dim})
-    _run_report(args, rep, [args.out], seed=args.seed, elapsed=time.perf_counter() - start)
+    _run_report(args, rep, [args.out], seed=args.seed)
     return 0
 
 
 def cmd_verify_suite(args):
-    start = time.perf_counter()
     if args.trials < 0:
         raise JLabError(f"--trials must be non-negative, got {args.trials}")
     if args.maxdim < 1:
@@ -233,7 +226,7 @@ def cmd_verify_suite(args):
     _print_report(rep)
     for suite_name, seed, key, val in outcome["failures"]:
         print(f"FAIL {suite_name} trial seed {seed}: {key} = {val:.3e}")
-    _run_report(args, rep, [], seed=args.seed, elapsed=time.perf_counter() - start)
+    _run_report(args, rep, [], seed=args.seed)
     return 0 if outcome["passed"] else 1
 
 
@@ -324,6 +317,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     args._echo = ["jlab"] + list(argv)
+    args._start = time.perf_counter()
     try:
         return args.func(args)
     except MultivaluedRelation as exc:

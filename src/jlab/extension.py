@@ -163,9 +163,8 @@ def check_defect_j_invariance(j, t, tol=None):
     return rep
 
 
-def cayley_isometry(t):
-    """Partial isometry mapping (T - i)f to (T + i)f, zero on the defect N_i."""
-    defect = ranges_defects(t)
+def cayley_isometry(defect):
+    """Partial isometry (T - i)f -> (T + i)f from T's DefectData, zero on N_i."""
     q, r = orthonormal_columns(defect.m_plus, name="range of T - i")
     return (defect.m_minus @ inverse(r)) @ q.conj().T
 
@@ -198,7 +197,7 @@ def extend(j, t, retry_budget=None, tol=None):
         bad = ", ".join(it.name for it in rep0.items if not it.passed)
         raise NotJImaginary(f"operator gate failed: {bad}")
     defect = ranges_defects(t)
-    uop = cayley_isometry(t)
+    uop = cayley_isometry(defect)
     f_plus = fixed_basis(j, defect.n_plus)
     f_minus = fixed_basis(j, defect.n_minus)
     k = f_plus.shape[1]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,12 +70,17 @@ class ClassCheck:
 
 @dataclass
 class OperatorProfile:
-    """Per-class residuals and verdicts for one operator."""
+    """Per-class residuals and verdicts for one operator, with the inverse
+    its J-unitary residual used (None when A is singular)."""
 
     checks: dict
-    invertible: bool
+    inverse: np.ndarray | None = field(repr=False, compare=False)
     cond: float | None
     tol: float
+
+    @property
+    def invertible(self):
+        return self.inverse is not None
 
     def passes(self, name):
         return self.checks[name].passed
@@ -98,7 +103,7 @@ class OperatorProfile:
         }
 
 
-def _profile_from_residuals(res, invertible, cond, tol):
+def _profile_from_residuals(res, ainv, cond, tol):
     checks = {}
     for name in CLASS_NAMES:
         r = res[name]
@@ -106,7 +111,7 @@ def _profile_from_residuals(res, invertible, cond, tol):
             checks[name] = ClassCheck(None, False)
         else:
             checks[name] = ClassCheck(float(r), float(r) <= tol)
-    return OperatorProfile(checks, invertible, cond, tol)
+    return OperatorProfile(checks, ainv, cond, tol)
 
 
 def classify(j, a, tol=None):
@@ -145,14 +150,12 @@ def classify(j, a, tol=None):
     }
     if ainv is None:
         res["J-unitary"] = None
-        invertible = False
         cond = None
     else:
         ninv = frobenius(ainv)
         res["J-unitary"] = frobenius(ainv - sastar) / (den + ninv)
-        invertible = True
         cond = na * ninv
-    return _profile_from_residuals(res, invertible, cond, tol)
+    return _profile_from_residuals(res, ainv, cond, tol)
 
 
 def _rss(values):
@@ -223,11 +226,9 @@ def definitional_oracle(j, a, tol=None, cap=ORACLE_DIM_CAP):
     res = {name: _rss(dev[name]) / den for name in CLASS_NAMES if name != "J-unitary"}
     if ainv is None:
         res["J-unitary"] = None
-        invertible = False
         cond = None
     else:
         ninv = _rss(abs(ainv[i, k]) for i in range(n) for k in range(n))
         res["J-unitary"] = _rss(dev["J-unitary"]) / (den + ninv)
-        invertible = True
         cond = na * ninv
-    return _profile_from_residuals(res, invertible, cond, tol)
+    return _profile_from_residuals(res, ainv, cond, tol)

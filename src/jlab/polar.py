@@ -6,7 +6,9 @@ The factors inherit structure from A: J maps each eigenspace of G = A* A
 onto the eigenspace of the reciprocal eigenvalue, J B J = B^{-1}, and
 sqrt(G^{-1}) = (sqrt G)^{-1}.  Routines here compute the factorization,
 re-synthesize J-unitaries from structured factors, and verify the
-structural claims by independent routes.
+structural claims by independent routes.  ``refined_polar(j, a)`` gates A
+and decomposes G once; ``check_prop21``, ``check_unitary_equiv`` and
+``check_reciprocity`` take the ``PolarParts`` it returns and reuse both.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugation import as_seed_sequence, fixed_basis
-from .errors import BadFactor, DimensionMismatch, NotJUnitary
-from .jclass import classify, default_tol
+from .conjugation import Conjugation, as_seed_sequence, fixed_basis
+from .errors import BadFactor, DimensionMismatch, NotJUnitary, Singular
+from .jclass import OperatorProfile, classify, default_tol
 from .numkernel import (
+    SpectralDecomp,
     as_square,
     frobenius,
     herm_eig,
@@ -34,20 +37,18 @@ from .report import ResidualReport
 
 @dataclass
 class PolarParts:
-    """Factors of A = U B together with their structural residuals."""
+    """Gated analysis of a J-unitary A: gate profile, G = A* A and its
+    decomposition, factors A = U B and their residuals."""
 
+    j: Conjugation
+    a: np.ndarray
+    tol: float
+    profile: OperatorProfile
+    g: np.ndarray
+    dec: SpectralDecomp
     u: np.ndarray
     b: np.ndarray
     report: ResidualReport
-
-
-def _gate_j_unitary(j, a, tol):
-    prof = classify(j, a, tol)
-    if not prof.passes("J-unitary"):
-        r = prof.residual("J-unitary")
-        detail = "operator is singular" if r is None else f"residual {r:.3e} > {tol:.1e}"
-        raise NotJUnitary(f"J-unitary gate failed: {detail}")
-    return prof
 
 
 def refined_polar(j, a, tol=None):
@@ -60,7 +61,11 @@ def refined_polar(j, a, tol=None):
     if tol is None:
         tol = default_tol()
     a = as_square(a, "operator")
-    prof = _gate_j_unitary(j, a, tol)
+    prof = classify(j, a, tol)
+    if not prof.passes("J-unitary"):
+        r = prof.residual("J-unitary")
+        detail = "operator is singular" if r is None else f"residual {r:.3e} > {tol:.1e}"
+        raise NotJUnitary(f"J-unitary gate failed: {detail}")
     g = a.conj().T @ a
     dec = herm_eig(g)
     b = dec.apply(math.sqrt)
@@ -78,7 +83,7 @@ def refined_polar(j, a, tol=None):
     rep.add("b_hermitian", frobenius(b - b.conj().T) / (1.0 + nb), tol)
     rep.add("b_j_unitary", frobenius(j.sandwich(b) - binv) / (1.0 + nb + nbinv), tol)
     rep.add("b_positive", max(0.0, -float(dec.eigenvalues[0])), tol)
-    return PolarParts(u=u, b=b, report=rep)
+    return PolarParts(j, a, tol, prof, g, dec, u, b, rep)
 
 
 def synthesize(j, u, b, tol=None):
@@ -161,47 +166,48 @@ def random_j_unitary(j, dim, seed):
     return u @ b
 
 
-def check_prop21(j, a, tol=None):
+def _j_unitary_residual(parts, m, operand):
+    r = classify(parts.j, m, parts.tol).residual("J-unitary")
+    if r is None:
+        raise Singular(f"{operand} is singular; its J-unitary residual is undefined")
+    return r
+
+
+def check_prop21(parts):
     """Closure checks: inverse, adjoint and Gram matrix stay J-unitary.
 
-    Also verifies A maps onto the whole space (A A^{-1} = I both ways).
-    Raises NotJUnitary when A itself fails the gate.
+    Also verifies A maps onto the whole space (A A^{-1} = I both ways),
+    with the inverse the gate computed.  Raises Singular, naming the
+    operand, when A^{-1}, A* or G is singular to elimination.
     """
-    if tol is None:
-        tol = default_tol()
-    a = as_square(a, "operator")
-    prof = _gate_j_unitary(j, a, tol)
-    ainv = inverse(a)
+    a, tol = parts.a, parts.tol
+    ainv = parts.profile.inverse
     eye = np.eye(a.shape[0], dtype=complex)
     den = 1.0 + frobenius(a) + frobenius(ainv)
-    rep = ResidualReport(extras={"cond": prof.cond})
-    rep.add("inverse_j_unitary", classify(j, ainv, tol).residual("J-unitary"), tol)
-    rep.add("adjoint_j_unitary", classify(j, a.conj().T, tol).residual("J-unitary"), tol)
-    rep.add("gram_j_unitary", classify(j, a.conj().T @ a, tol).residual("J-unitary"), tol)
+    rep = ResidualReport(extras={"cond": parts.profile.cond})
+    rep.add("inverse_j_unitary", _j_unitary_residual(parts, ainv, "inverse A^-1"), tol)
+    rep.add("adjoint_j_unitary", _j_unitary_residual(parts, a.conj().T, "adjoint A*"), tol)
+    rep.add("gram_j_unitary", _j_unitary_residual(parts, parts.g, "Gram matrix A*A"), tol)
     rep.add("full_range", frobenius(a @ ainv - eye) / den, tol)
     rep.add("full_domain", frobenius(ainv @ a - eye) / den, tol)
     return rep
 
 
-def check_unitary_equiv(j, a, tol=None):
+def check_unitary_equiv(parts):
     """A A* equals U (A* A) U* with the polar unitary U; spectra must match."""
-    if tol is None:
-        tol = default_tol()
-    a = as_square(a, "operator")
-    parts = refined_polar(j, a, tol)
-    g = a.conj().T @ a
+    a, g, u = parts.a, parts.g, parts.u
     gstar = a @ a.conj().T
-    sim = frobenius(gstar - parts.u @ g @ parts.u.conj().T) / (1.0 + frobenius(g))
-    lam = herm_eig(g).eigenvalues
+    sim = frobenius(gstar - u @ g @ u.conj().T) / (1.0 + frobenius(g))
+    lam = parts.dec.eigenvalues
     mu = herm_eig(gstar).eigenvalues
     spectra_dev = max(abs(l - m) / (1.0 + abs(l)) for l, m in zip(lam, mu))
     rep = ResidualReport()
-    rep.add("similarity", sim, tol)
-    rep.add("spectra_match", spectra_dev, tol)
+    rep.add("similarity", sim, parts.tol)
+    rep.add("spectra_match", spectra_dev, parts.tol)
     return rep
 
 
-def check_reciprocity(j, a, tol=None):
+def check_reciprocity(parts):
     """Spectral reciprocity of G = A* A under J, and both sqrt identities.
 
     For each eigenvalue cluster lambda of G, J must map its eigenspace onto
@@ -210,12 +216,7 @@ def check_reciprocity(j, a, tol=None):
     B = sqrt(G), and sqrt(G^{-1}) computed spectrally must equal the
     elimination inverse of sqrt(G).
     """
-    if tol is None:
-        tol = default_tol()
-    a = as_square(a, "operator")
-    _gate_j_unitary(j, a, tol)
-    g = a.conj().T @ a
-    dec = herm_eig(g)
+    j, tol, dec, b = parts.j, parts.tol, parts.dec, parts.b
     worst_val = 0.0
     worst_gap = 0.0
     for c in range(len(dec.clusters)):
@@ -229,11 +230,10 @@ def check_reciprocity(j, a, tol=None):
         worst_val = max(worst_val, abs(mu - target) / (1.0 + abs(target)))
         jimage = j.apply(dec.cluster_basis(c))
         worst_gap = max(worst_gap, subspace_gap(jimage, dec.cluster_basis(cbest)))
-    b = dec.apply(math.sqrt)
     binv_elim = inverse(b)
     nb = frobenius(b)
     nbi = frobenius(binv_elim)
-    sqrt_of_ginv = herm_fn(inverse(g), math.sqrt)
+    sqrt_of_ginv = herm_fn(inverse(parts.g), math.sqrt)
     rep = ResidualReport(extras={"clusters": len(dec.clusters)})
     rep.add("eigenvalue_reciprocity", worst_val, tol)
     rep.add("eigenspace_reciprocity", worst_gap, tol)

@@ -156,11 +156,7 @@ def polar_trials(trials, maxdim, seed, corrupt_index=None):
             )
         except BadFactor:
             res["roundtrip"] = 1.0
-        for rep in (
-            check_prop21(j, a),
-            check_unitary_equiv(j, a),
-            check_reciprocity(j, a),
-        ):
+        for rep in (check_prop21(parts), check_unitary_equiv(parts), check_reciprocity(parts)):
             for item in rep.items:
                 res[item.name] = item.residual
         records.append(rec)

@@ -86,13 +86,13 @@ def test_ranges_defects_frozen_jacobi():
 
 def test_cayley_isometry_of_the_zero_operator():
     t = PartialSymmetricOperator(2, np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
-    np.testing.assert_allclose(cayley_isometry(t), -np.eye(2), atol=1e-13)
+    np.testing.assert_allclose(cayley_isometry(ranges_defects(t)), -np.eye(2), atol=1e-13)
 
 
 def test_cayley_isometry_spectral_mapping():
     a = np.array([[0.0, 1j], [-1j, 0.0]])
     t = PartialSymmetricOperator(2, np.eye(2, dtype=complex), a)
-    u = cayley_isometry(t)
+    u = cayley_isometry(ranges_defects(t))
     v_plus = np.array([1.0, -1j]) / math.sqrt(2.0)  # eigenvalue +1 of a
     v_minus = np.array([1.0, 1j]) / math.sqrt(2.0)  # eigenvalue -1 of a
     # lambda maps to (lambda + i) / (lambda - i)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import jlab.polar
 from jlab.conjugation import canonical, random_conjugation
-from jlab.errors import BadFactor, DimensionMismatch, NotJUnitary
+from jlab.errors import BadFactor, DimensionMismatch, NotJUnitary, Singular
 from jlab.jclass import classify
 from jlab.numkernel import frobenius, herm_eig, subspace_gap
 from jlab.polar import (
@@ -148,14 +149,14 @@ def test_check_prop21_closure_properties():
         n = int(rng.integers(1, 7))
         j = random_conjugation(n, seed)
         a = random_j_unitary(j, n, 5 * seed + 1)
-        rep = check_prop21(j, a)
+        rep = check_prop21(refined_polar(j, a))
         assert rep.passed, [it.name for it in rep.items if not it.passed]
 
 
 def test_check_unitary_equiv_frozen_spectra():
     j = canonical(2)
     a = R2 @ B2
-    rep = check_unitary_equiv(j, a)
+    rep = check_unitary_equiv(refined_polar(j, a))
     assert rep.passed
     gram = herm_eig(a.conj().T @ a)
     np.testing.assert_allclose(gram.eigenvalues, [0.25, 4.0], atol=1e-12)
@@ -165,7 +166,7 @@ def test_check_unitary_equiv_frozen_spectra():
 
 def test_check_reciprocity_swaps_eigenspaces():
     j = canonical(2)
-    rep = check_reciprocity(j, B2)
+    rep = check_reciprocity(refined_polar(j, B2))
     assert rep.passed, [it.name for it in rep.items if not it.passed]
     # J maps the eigenspace for 2 onto the eigenspace for 1/2
     v_two = np.array([[1.0], [-1.0j]]) / math.sqrt(2.0)
@@ -180,5 +181,39 @@ def test_check_reciprocity_on_random_j_unitaries():
         n = int(rng.integers(2, 7))
         j = random_conjugation(n, seed)
         a = random_j_unitary(j, n, 7 * seed)
-        rep = check_reciprocity(j, a)
+        rep = check_reciprocity(refined_polar(j, a))
         assert rep.passed, [it.name for it in rep.items if not it.passed]
+
+
+def test_check_prop21_singular_gram_raises_singular():
+    # the loose tol lets A = diag(1, 1e-7) through the gate and the
+    # factorization, but G = diag(1, 1e-14) is singular to elimination
+    j = canonical(2)
+    parts = refined_polar(j, np.diag([1.0, 1e-7]).astype(complex), tol=2.0)
+    with pytest.raises(Singular, match="Gram matrix"):
+        check_prop21(parts)
+
+
+def test_polar_checks_gate_once_and_decompose_g_once(monkeypatch):
+    j = random_conjugation(6, 11)
+    a = random_j_unitary(j, 6, 13)
+    g = a.conj().T @ a
+    eig_args, classify_args = [], []
+
+    def counting(calls, fn, pos):
+        def wrapped(*args, **kwargs):
+            calls.append(np.array(args[pos]))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(jlab.polar, "herm_eig", counting(eig_args, jlab.polar.herm_eig, 0))
+    monkeypatch.setattr(jlab.polar, "classify", counting(classify_args, jlab.polar.classify, 1))
+    parts = refined_polar(j, a)
+    for check in (check_prop21, check_unitary_equiv, check_reciprocity):
+        assert check(parts).passed
+    # G once, plus the independent A A*; A gated once, plus A^-1, A*, G
+    assert sum(np.array_equal(m, g) for m in eig_args) == 1
+    assert len(eig_args) == 2
+    assert sum(np.array_equal(m, a) for m in classify_args) == 1
+    assert len(classify_args) == 4
