@@ -150,12 +150,15 @@ def ranges_defects(t):
     return DefectData(m_plus, m_minus, n_plus, n_minus, (k, k))
 
 
-def check_defect_j_invariance(j, t, tol=None):
-    """Projector residuals ||P - J P J||_F for both defect spaces."""
+def check_defect_j_invariance(j, defect, tol=None):
+    """Projector residuals ||P - J P J||_F for both defect spaces of T's DefectData."""
     if tol is None:
         tol = default_tol()
-    _check_same_space(j, t)
-    defect = ranges_defects(t)
+    if defect.n_plus.shape[0] != j.dim:
+        raise DimensionMismatch(
+            f"defect spaces live in dimension {defect.n_plus.shape[0]}, "
+            f"conjugation in {j.dim}"
+        )
     rep = ResidualReport(extras={"defect_numbers": defect.defect_numbers})
     for name, basis in (("n_plus", defect.n_plus), ("n_minus", defect.n_minus)):
         proj = basis @ basis.conj().T

@@ -6,8 +6,8 @@ by this module rather than by a LAPACK build:
 
 * ``herm_eig`` - round-robin (Brent-Luk) Jacobi eigensolver for Hermitian
   matrices, with a fixed sweep budget and relative off-diagonal convergence;
-* ``inverse`` - Gauss-Jordan elimination with partial pivoting and a
-  relative pivot floor.
+* ``inverse`` - in-place Gauss-Jordan on an n x n working copy, partial
+  pivoting, relative pivot floor.
 
 numpy's QR is used for orthonormal frames and complements; that is container
 infrastructure, not part of the pinned numerics.
@@ -226,29 +226,40 @@ def herm_fn(m, f, **kwargs):
 
 
 def inverse(m, *, pivot_rel=PIVOT_REL_TOL):
-    """Matrix inverse by Gauss-Jordan elimination with partial pivoting.
+    """Matrix inverse: in-place Gauss-Jordan on an n x n working copy,
+    partial pivoting, relative pivot floor.
 
+    Each spent column of A takes over the inverse column that becomes live
+    at that step, so the work is that of [A | I] with half the columns.
     Raises Singular when the best available pivot falls at or below
     pivot_rel * ||M||_F.
     """
-    a = as_square(m)
+    a = as_square(m).copy()
     n = a.shape[0]
     floor = pivot_rel * frobenius(a)
-    aug = np.hstack([a.astype(complex, copy=True), np.eye(n, dtype=complex)])
+    rows = list(range(n))
     for k in range(n):
-        piv = int(np.argmax(np.abs(aug[k:, k]))) + k
-        mag = abs(aug[piv, k])
+        piv = int(np.argmax(np.abs(a[k:, k]))) + k
+        mag = abs(a[piv, k])
         if mag <= floor:
             raise Singular(
                 f"pivot {mag:.3e} at column {k} is at or below the floor {floor:.3e}"
             )
         if piv != k:
-            aug[[k, piv]] = aug[[piv, k]]
-        aug[k] = aug[k] / aug[k, k]
-        col = aug[:, k].copy()
+            a[[k, piv]] = a[[piv, k]]
+            rows[k], rows[piv] = rows[piv], rows[k]
+        pivot = a[k, k]
+        col = a[:, k].copy()
         col[k] = 0.0
-        aug -= np.outer(col, aug[k])
-    return aug[:, n:]
+        # column k is spent; it now carries the unit column e_k of the
+        # identity block, i.e. inverse column rows[k]
+        a[:, k] = 0.0
+        a[k, k] = 1.0
+        a[k] /= pivot
+        a -= col[:, None] * a[k]
+    out = np.empty_like(a)
+    out[:, rows] = a
+    return out
 
 
 def resolvent(m, z):

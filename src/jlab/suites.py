@@ -182,7 +182,7 @@ def extension_trials(trials, maxdim, seed):
         res = rec.residuals
         defect = ranges_defects(t)
         res["defect_match"] = 0.0 if defect.defect_numbers == (n - d, n - d) else 1.0
-        for item in check_defect_j_invariance(j, t).items:
+        for item in check_defect_j_invariance(j, defect).items:
             res[item.name] = item.residual
         try:
             result = extend(j, t)

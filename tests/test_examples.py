@@ -14,6 +14,7 @@ from jlab.examples import (
     truncation_family,
 )
 from jlab.extension import ranges_defects
+from jlab.jclass import default_tol
 from jlab.numkernel import frobenius, herm_eig, inverse
 
 
@@ -88,6 +89,14 @@ def test_norm_growth_frozen():
     rows = norm_growth(3)
     assert [row[2] for row in rows] == [1.0, 3.0, 5.0]
     assert max(row[3] for row in rows) < 1e-11
+
+
+def test_growth_and_norms_at_level_128():
+    # a 256 x 256 elimination: the largest worked example the tests run
+    tol = default_tol()
+    for rows in (growth_probe(128), norm_growth(128)):
+        assert [row[0] for row in rows] == list(range(1, 129))
+        assert all(row[3] <= tol for row in rows)
 
 
 def test_jacobi_imag_frozen_entries():

@@ -80,8 +80,10 @@ def test_ranges_defects_frozen_jacobi():
         assert frame.shape == (3, 2)
         assert frobenius(frame.conj().T @ frame - np.eye(2)) < 1e-12
         assert np.max(np.abs(frame.conj().T @ rng_col)) < 1e-12
-    rep = check_defect_j_invariance(j, t)
+    rep = check_defect_j_invariance(j, defect)
     assert rep.passed
+    with pytest.raises(DimensionMismatch):
+        check_defect_j_invariance(canonical(4), defect)
 
 
 def test_cayley_isometry_of_the_zero_operator():

@@ -1,5 +1,5 @@
 """Kernel checks: Jacobi eigensolver (and its cyclic reference), elimination
-inverse, frames, gaps.
+inverse (and its augmented-array reference), frames, gaps.
 
 numpy.linalg (eigh, inv, svd) appears here only as an independent oracle;
 the package code under test never calls it for these operations.
@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from jlab.examples import truncation_family
 from jlab.errors import (
     DimensionMismatch,
     DomainError,
@@ -24,6 +25,7 @@ from jlab.numkernel import (
     HERMITIAN_REL_TOL,
     JACOBI_REL_TOL,
     JACOBI_SWEEP_LIMIT,
+    PIVOT_REL_TOL,
     SpectralDecomp,
     _cluster_indices,
     _offdiag_norm,
@@ -121,6 +123,28 @@ def _cyclic_herm_eig(
     vals = vals[order]
     vecs = v[:, order]
     return SpectralDecomp(vals, vecs, _cluster_indices(vals, cluster_rel))
+
+
+def _augmented_inverse(m, *, pivot_rel=PIVOT_REL_TOL):
+    """Reference: Gauss-Jordan elimination on the n x 2n augmented array [A | I]."""
+    a = as_square(m)
+    n = a.shape[0]
+    floor = pivot_rel * frobenius(a)
+    aug = np.hstack([a.astype(complex, copy=True), np.eye(n, dtype=complex)])
+    for k in range(n):
+        piv = int(np.argmax(np.abs(aug[k:, k]))) + k
+        mag = abs(aug[piv, k])
+        if mag <= floor:
+            raise Singular(
+                f"pivot {mag:.3e} at column {k} is at or below the floor {floor:.3e}"
+            )
+        if piv != k:
+            aug[[k, piv]] = aug[[piv, k]]
+        aug[k] = aug[k] / aug[k, k]
+        col = aug[:, k].copy()
+        col[k] = 0.0
+        aug -= np.outer(col, aug[k])
+    return aug[:, n:]
 
 
 def test_shape_coercions_reject_bad_input():
@@ -309,6 +333,56 @@ def test_inverse_rejects_singular():
         inverse(np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex))
     with pytest.raises(Singular):
         inverse(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+def _inverse_reference_cases(rng):
+    for n in (*range(1, 17), 32, 64):
+        yield f"random n={n}", rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    tiny = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    tiny[0, 0] = 1e-14  # the swap takes another row
+    yield "tiny a[0, 0]", tiny
+    small = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    small[:, 0] *= 1e-10  # every first-column entry tiny, still above the floor
+    yield "tiny first column", small
+    for level in (16, 64):
+        fam = truncation_family(level)
+        eye = np.eye(2 * level, dtype=complex)
+        yield f"I + A, L={level}", eye + fam.operator
+        yield f"A - I, L={level}", fam.operator - eye
+
+
+def test_inplace_inverse_matches_augmented_reference():
+    rng = np.random.default_rng(1414)
+    for where, m in _inverse_reference_cases(rng):
+        ref = _augmented_inverse(m)
+        assert frobenius(inverse(m) - ref) <= 1e-14 * (1.0 + frobenius(ref)), where
+    # permutations swap rows at nearly every step; their inverses are exact
+    for n in (2, 3, 7, 16, 33):
+        for p in (np.eye(n)[::-1], np.eye(n)[rng.permutation(n)]):
+            p = p.astype(complex)
+            got = inverse(p)
+            assert np.array_equal(got, _augmented_inverse(p)), n
+            assert np.array_equal(got, p.T), n
+
+
+def test_inplace_inverse_singular_messages_match_reference():
+    rank_two = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 2.0]], dtype=complex)
+    for m, column in ((np.zeros((3, 3), dtype=complex), 0), (rank_two, 2)):
+        with pytest.raises(Singular) as got:
+            inverse(m)
+        with pytest.raises(Singular) as ref:
+            _augmented_inverse(m)
+        assert str(got.value) == str(ref.value)
+        assert f"at column {column} " in str(got.value)
+
+
+def test_inverse_leaves_the_callers_array_unchanged():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    before = a.copy()
+    assert np.shares_memory(as_square(a), a)  # the kernel must work on a copy
+    inverse(a)
+    assert np.array_equal(a, before)
 
 
 def test_resolvent_values_and_poles():
