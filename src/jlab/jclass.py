@@ -7,7 +7,8 @@ J-twisted sense (A* replaced by JA*J), or commute / anticommute with J
 itself (J-real / J-imaginary).  ``classify`` measures all of these at once,
 plus plain self-adjointness; ``definitional_oracle`` recomputes the same
 residuals from the definitions, one basis pair at a time, sharing no matrix
-algebra with classify.
+algebra with classify.  The oracle applies J once per basis vector and once
+per column of A, and reads each pair's form values against those images.
 
 For the canonical conjugation (C = I) the classes reduce to familiar matrix
 conditions: J-symmetric means A = A^T, J-unitary means A^T A = I (complex
@@ -168,7 +169,9 @@ def definitional_oracle(j, a, tol=None, cap=ORACLE_DIM_CAP):
     Evaluates each class condition on all standard-basis pairs using the
     bilinear form, J applications and matrix-vector products, aggregating
     deviations in root-sum-square form with the same denominators as
-    classify.  The inverse route uses numpy's solver, not the elimination
+    classify.  J is applied once per basis vector e_k and once per column
+    A e_k; each pair's form values [x, y] = (x, Jy) are read against those
+    images.  The inverse route uses numpy's solver, not the elimination
     code.  Quadratic in basis pairs, so capped: raises CapExceeded above
     dimension ``cap``.
     """
@@ -195,12 +198,15 @@ def definitional_oracle(j, a, tol=None, cap=ORACLE_DIM_CAP):
     except np.linalg.LinAlgError:
         ainv = None
 
+    jbasis = [j.apply(e) for e in basis]
+    jacols = [j.apply(c) for c in acols]
+
     dev = {name: [] for name in CLASS_NAMES}
     for i in range(n):
         ei = basis[i]
         aei = acols[i]
-        jei = j.apply(ei)
-        jaei = j.apply(aei)
+        jei = jbasis[i]
+        jaei = jacols[i]
         ajei = a @ jei
         jastar_jei = j.apply(astar @ jei)
         # per-column deviations (vector-valued conditions)
@@ -215,12 +221,12 @@ def definitional_oracle(j, a, tol=None, cap=ORACLE_DIM_CAP):
             ek = basis[k]
             aek = acols[k]
             dev["self-adjoint"].append(np.vdot(ek, aei) - np.vdot(aek, ei))
-            fwd = bilinear_form(j, aei, ek)
-            bwd = bilinear_form(j, ei, aek)
+            fwd = complex(np.vdot(jbasis[k], aei))  # [Ae_i, e_k]
+            bwd = complex(np.vdot(jacols[k], ei))  # [e_i, Ae_k]
             dev["J-symmetric"].append(fwd - bwd)
             dev["J-skew-symmetric"].append(fwd + bwd)
             dev["J-isometric"].append(
-                bilinear_form(j, aei, aek) - bilinear_form(j, ei, ek)
+                complex(np.vdot(jacols[k], aei)) - complex(np.vdot(jbasis[k], ei))
             )
 
     res = {name: _rss(dev[name]) / den for name in CLASS_NAMES if name != "J-unitary"}

@@ -219,14 +219,11 @@ def check_reciprocity(parts):
     j, tol, dec, b = parts.j, parts.tol, parts.dec, parts.b
     worst_val = 0.0
     worst_gap = 0.0
-    for c in range(len(dec.clusters)):
-        lam = dec.cluster_value(c)
+    values = [dec.cluster_value(c) for c in range(len(dec.clusters))]
+    for c, lam in enumerate(values):
         target = 1.0 / lam
-        cbest = min(
-            range(len(dec.clusters)),
-            key=lambda cc: abs(dec.cluster_value(cc) - target),
-        )
-        mu = dec.cluster_value(cbest)
+        cbest = min(range(len(values)), key=lambda cc: abs(values[cc] - target))
+        mu = values[cbest]
         worst_val = max(worst_val, abs(mu - target) / (1.0 + abs(target)))
         jimage = j.apply(dec.cluster_basis(c))
         worst_gap = max(worst_gap, subspace_gap(jimage, dec.cluster_basis(cbest)))

@@ -1,18 +1,24 @@
-"""Classification residuals, the definitional oracle, and the canonical bridge."""
+"""Classification residuals, the definitional oracle (and its pairwise
+reference), and the canonical bridge."""
 
 import numpy as np
 import pytest
 
-from jlab.conjugation import canonical, random_conjugation
+import jlab.jclass
+from jlab.conjugation import Conjugation, canonical, random_conjugation
 from jlab.errors import CapExceeded, DimensionMismatch
 from jlab.jclass import (
     CLASS_NAMES,
     ORACLE_DIM_CAP,
+    _profile_from_residuals,
+    _rss,
     bilinear_form,
     classify,
     default_tol,
     definitional_oracle,
 )
+from jlab.numkernel import as_square
+from jlab.suites import _ORACLE_KINDS, _oracle_matrix
 
 
 def test_default_tol_and_env_override(monkeypatch):
@@ -39,6 +45,16 @@ def test_bilinear_form_canonical_values():
     assert (
         abs(bilinear_form(j, lam * x, y) - lam * bilinear_form(j, x, y)) < 1e-13
     )
+
+
+def test_bilinear_form_rejects_bad_vectors():
+    j = canonical(3)
+    good = np.array([1.0, 2.0, 3.0j])
+    for bad in (np.ones(2), np.array([1.0, np.nan, 0.0]), np.array([np.inf, 0.0, 0.0])):
+        with pytest.raises(DimensionMismatch):
+            bilinear_form(j, bad, good)
+        with pytest.raises(DimensionMismatch):
+            bilinear_form(j, good, bad)
 
 
 def test_classify_identity_canonical():
@@ -148,3 +164,117 @@ def test_profile_to_dict_round_trip():
     assert doc["classes"]["J-real"]["passed"] is True
     assert doc["classes"]["J-imaginary"]["passed"] is False
     assert doc["tol"] == prof.tol
+
+
+def _pairwise_oracle(j, a, tol=None, cap=ORACLE_DIM_CAP):
+    """Reference: the oracle that calls the public bilinear_form on every
+    basis pair, re-applying J inside each call."""
+    if tol is None:
+        tol = default_tol()
+    a = as_square(a, "operator")
+    n = a.shape[0]
+    if a.shape[0] != j.dim:
+        raise DimensionMismatch(
+            f"operator is {n}-dimensional, conjugation is {j.dim}-dimensional"
+        )
+    if n > cap:
+        raise CapExceeded(f"definitional oracle is capped at dimension {cap}, got {n}")
+    basis = [np.eye(n, dtype=complex)[:, i] for i in range(n)]
+    acols = [a @ e for e in basis]
+    astar = a.conj().T
+    na = _rss(abs(a[i, k]) for i in range(n) for k in range(n))
+    den = 1.0 + na
+
+    try:
+        ainv = np.linalg.solve(a, np.eye(n, dtype=complex))
+        if not np.all(np.isfinite(ainv)):
+            ainv = None
+    except np.linalg.LinAlgError:
+        ainv = None
+
+    dev = {name: [] for name in CLASS_NAMES}
+    for i in range(n):
+        ei = basis[i]
+        aei = acols[i]
+        jei = j.apply(ei)
+        jaei = j.apply(aei)
+        ajei = a @ jei
+        jastar_jei = j.apply(astar @ jei)
+        # per-column deviations (vector-valued conditions)
+        dev["J-self-adjoint"].extend(aei - jastar_jei)
+        dev["J-skew-self-adjoint"].extend(aei + jastar_jei)
+        dev["J-real"].extend(ajei - jaei)
+        dev["J-imaginary"].extend(ajei + jaei)
+        if ainv is not None:
+            dev["J-unitary"].extend(ainv @ ei - jastar_jei)
+        # per-pair deviations (scalar conditions through the forms)
+        for k in range(n):
+            ek = basis[k]
+            aek = acols[k]
+            dev["self-adjoint"].append(np.vdot(ek, aei) - np.vdot(aek, ei))
+            fwd = bilinear_form(j, aei, ek)
+            bwd = bilinear_form(j, ei, aek)
+            dev["J-symmetric"].append(fwd - bwd)
+            dev["J-skew-symmetric"].append(fwd + bwd)
+            dev["J-isometric"].append(
+                bilinear_form(j, aei, aek) - bilinear_form(j, ei, ek)
+            )
+
+    res = {name: _rss(dev[name]) / den for name in CLASS_NAMES if name != "J-unitary"}
+    if ainv is None:
+        res["J-unitary"] = None
+        cond = None
+    else:
+        ninv = _rss(abs(ainv[i, k]) for i in range(n) for k in range(n))
+        res["J-unitary"] = _rss(dev["J-unitary"]) / (den + ninv)
+        cond = na * ninv
+    return _profile_from_residuals(res, ainv, cond, tol)
+
+
+def _assert_profiles_identical(got, ref, where):
+    for name in CLASS_NAMES:
+        assert got.residual(name) == ref.residual(name), (where, name)
+        assert got.passes(name) == ref.passes(name), (where, name)
+    assert got.cond == ref.cond, where
+    assert got.invertible == ref.invertible, where
+
+
+def test_oracle_matches_pairwise_reference():
+    for n in range(1, ORACLE_DIM_CAP + 1):
+        for t, kind in enumerate(_ORACLE_KINDS):
+            rng = np.random.default_rng(9000 + 10 * n + t)
+            for j in (canonical(n), random_conjugation(n, 700 + 10 * n + t)):
+                a = _oracle_matrix(kind, j, n, rng)
+                got = definitional_oracle(j, a)
+                _assert_profiles_identical(got, _pairwise_oracle(j, a), (n, kind))
+                assert got.invertible, (n, kind)
+                # a zero column makes A singular: no J-unitary residual
+                a[:, t % n] = 0.0
+                got = definitional_oracle(j, a)
+                _assert_profiles_identical(got, _pairwise_oracle(j, a), (n, kind, 0))
+                assert got.residual("J-unitary") is None, (n, kind)
+
+
+def test_oracle_applies_j_once_per_vector(monkeypatch):
+    applies, forms = [], []
+    apply, form = Conjugation.apply, jlab.jclass.bilinear_form
+
+    def counting_apply(self, x):
+        applies.append(1)
+        return apply(self, x)
+
+    def counting_form(*args):
+        forms.append(1)
+        return form(*args)
+
+    monkeypatch.setattr(Conjugation, "apply", counting_apply)
+    monkeypatch.setattr(jlab.jclass, "bilinear_form", counting_form)
+    n = 6
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for j in (canonical(n), random_conjugation(n, 5)):
+        applies.clear()
+        definitional_oracle(j, a)
+        # e_k, A e_k and J A* J e_k: three J images per basis index
+        assert 0 < len(applies) <= 3 * n
+        assert forms == []
