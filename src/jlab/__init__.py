@@ -60,6 +60,7 @@ from .numkernel import (
     herm_eig,
     herm_fn,
     inverse,
+    nonpositive_pivot,
     orth_complement,
     resolvent,
     spectral_norm,

@@ -4,7 +4,8 @@ A conjugation J is an antilinear involutive antiunitary map.  It is stored
 through its coefficient matrix C: J x = C conj(x), where C must be symmetric
 and unitary.  The linear map x -> J M J x then has matrix C conj(M) C*
 (``sandwich``), and conjugation-invariant subspaces admit orthonormal bases
-of J-fixed vectors (``fixed_basis``).
+of J-fixed vectors (``fixed_basis``); J's frame of the whole space is
+computed once per conjugation (``Conjugation.fixed_frame``).
 """
 
 from __future__ import annotations
@@ -64,6 +65,19 @@ class Conjugation:
                 f"sandwich argument is {a.shape[0]}-dimensional, expected {self.dim}"
             )
         return self.coeff @ np.conj(a) @ self.coeff.conj().T
+
+    def fixed_frame(self):
+        """fixed_basis(J, I): J-fixed orthonormal frame of the whole space.
+
+        Computed on first use and kept, read-only, on the instance (not a
+        dataclass field, so equality is unchanged).
+        """
+        frame = self.__dict__.get("_fixed_frame")
+        if frame is None:
+            frame = fixed_basis(self, np.eye(self.dim, dtype=complex))
+            frame.setflags(write=False)
+            object.__setattr__(self, "_fixed_frame", frame)
+        return frame
 
 
 def canonical(dim):

@@ -306,7 +306,7 @@ def random_jimaginary_partial(j, d, seed):
         raise BadShape(f"domain dimension {d} must lie in [1, {n}]")
     s_gen, s_rot = as_seed_sequence(seed).spawn(2)
     rng = np.random.default_rng(s_gen)
-    phi = fixed_basis(j, np.eye(n, dtype=complex))
+    phi = j.fixed_frame()
     r_sym = rng.uniform(-1.0, 1.0, (d, d))
     r_sym = r_sym - r_sym.T
     blocks = [r_sym]

@@ -9,6 +9,11 @@ by this module rather than by a LAPACK build:
 * ``inverse`` - in-place Gauss-Jordan on an n x n working copy, partial
   pivoting, relative pivot floor.
 
+Positive definiteness is a rule, not a spectrum: ``nonpositive_pivot`` runs a
+pinned Cholesky pivot scan (n numpy steps on a working copy) and reports the
+first pivot <= 0, which exists exactly when the matrix is not positive
+definite.
+
 numpy's QR is used for orthonormal frames and complements; that is container
 infrastructure, not part of the pinned numerics.
 """
@@ -69,6 +74,17 @@ def as_vector(x, dim=None, name="vector"):
 
 def frobenius(m):
     return float(np.linalg.norm(m))
+
+
+def _hermitian_part(m, hermitian_rel):
+    """(M + M*) / 2 and ||M||_F; NotHermitian when ||M - M*||_F exceeds
+    hermitian_rel * (1 + ||M||_F)."""
+    a0 = as_square(m)
+    scale = frobenius(a0)
+    skew = frobenius(a0 - a0.conj().T)
+    if skew > hermitian_rel * (1.0 + scale):
+        raise NotHermitian(f"||M - M*||_F = {skew:.3e} exceeds tolerance")
+    return 0.5 * (a0 + a0.conj().T), scale
 
 
 def _offdiag_norm(a):
@@ -167,15 +183,9 @@ def herm_eig(
     NotHermitian if ||M - M*||_F exceeds hermitian_rel * (1 + ||M||_F), and
     NoConvergence if the sweep budget runs out.
     """
-    a0 = as_square(m)
-    scale = frobenius(a0)
-    if frobenius(a0 - a0.conj().T) > hermitian_rel * (1.0 + scale):
-        raise NotHermitian(
-            f"||M - M*||_F = {frobenius(a0 - a0.conj().T):.3e} exceeds tolerance"
-        )
-    n = a0.shape[0]
     # symmetrize once so representational noise cannot bias the rotations
-    a = 0.5 * (a0 + a0.conj().T)
+    a, scale = _hermitian_part(m, hermitian_rel)
+    n = a.shape[0]
     v = eye = np.eye(n, dtype=complex)
     target = conv_rel * scale
     # entries already far below target cannot affect convergence this sweep
@@ -218,6 +228,25 @@ def herm_eig(
     vals = vals[order]
     vecs = v[:, order]
     return SpectralDecomp(vals, vecs, _cluster_indices(vals, cluster_rel))
+
+
+def nonpositive_pivot(m):
+    """First Cholesky pivot <= 0 of a Hermitian matrix, as (column, pivot).
+
+    Returns None when every pivot is positive, i.e. when M is positive
+    definite.  Right-looking Cholesky on a working copy of (M + M*) / 2:
+    step k takes the pivot d = A[k, k] and subtracts l l* from the trailing
+    block, l = A[k+1:, k] / sqrt(d); the factor itself is not kept.  Raises
+    NotHermitian on herm_eig's default rule.
+    """
+    a, _ = _hermitian_part(m, HERMITIAN_REL_TOL)
+    for k in range(a.shape[0]):
+        d = float(a[k, k].real)
+        if d <= 0.0:
+            return k, d
+        col = a[k + 1 :, k] / math.sqrt(d)
+        a[k + 1 :, k + 1 :] -= col[:, None] * col.conj()
+    return None
 
 
 def herm_fn(m, f, **kwargs):
@@ -343,7 +372,10 @@ def subspace_gap(u, v):
     """Sine of the largest principal angle between two column spans.
 
     Inputs must have orthonormal columns.  Returns 0.0 for two empty spans
-    and 1.0 when the column counts differ (the spans cannot coincide).
+    and 1.0 when the column counts differ (the spans cannot coincide).  For
+    equal column counts ||(I - U U*) V||_2 = ||(I - V V*) U||_2 = sin of the
+    largest angle, so one norm is taken: a vector 2-norm for one column, the
+    spectral norm otherwise.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -355,6 +387,7 @@ def subspace_gap(u, v):
         return 1.0
     if u.shape[1] == 0:
         return 0.0
-    ru = v - u @ (u.conj().T @ v)
-    rv = u - v @ (v.conj().T @ u)
-    return max(spectral_norm(ru), spectral_norm(rv))
+    r = v - u @ (u.conj().T @ v)
+    if r.shape[1] == 1:
+        return float(np.linalg.norm(r))
+    return spectral_norm(r)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugation import Conjugation, as_seed_sequence, fixed_basis
+from .conjugation import Conjugation, as_seed_sequence
 from .errors import BadFactor, DimensionMismatch, NotJUnitary, Singular
 from .jclass import OperatorProfile, classify, default_tol
 from .numkernel import (
@@ -29,7 +29,7 @@ from .numkernel import (
     herm_eig,
     herm_fn,
     inverse,
-    spectral_norm,
+    nonpositive_pivot,
     subspace_gap,
 )
 from .report import ResidualReport
@@ -91,7 +91,9 @@ def synthesize(j, u, b, tol=None):
 
     U must be unitary and J-real, B Hermitian positive definite and
     J-unitary; violations raise BadFactor naming the failed condition.
-    The result is then J-unitary by construction.
+    Positivity is the Cholesky rule: B is rejected at the first pivot <= 0,
+    which the message names with its column (``nonpositive_pivot``).  The
+    result is then J-unitary by construction.
     """
     if tol is None:
         tol = default_tol()
@@ -113,9 +115,12 @@ def synthesize(j, u, b, tol=None):
     r = frobenius(b - b.conj().T) / (1.0 + nb)
     if r > tol:
         raise BadFactor(f"B is not Hermitian: residual {r:.3e}")
-    floor = float(herm_eig(b).eigenvalues[0])
-    if floor <= 0.0:
-        raise BadFactor(f"B is not positive definite: smallest eigenvalue {floor:.3e}")
+    bad = nonpositive_pivot(b)
+    if bad is not None:
+        col, pivot = bad
+        raise BadFactor(
+            f"B is not positive definite: Cholesky pivot {pivot:.3e} at column {col}"
+        )
     prof = classify(j, b, tol)
     if not prof.passes("J-unitary"):
         rb = prof.residual("J-unitary")
@@ -131,7 +136,7 @@ def random_j_real_unitary(j, dim, seed):
     if dim != j.dim:
         raise DimensionMismatch(f"requested dimension {dim} but conjugation has {j.dim}")
     rng = np.random.default_rng(seed)
-    phi = fixed_basis(j, np.eye(dim, dtype=complex))
+    phi = j.fixed_frame()
     z = rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     o = q * np.sign(np.diag(r))
@@ -143,19 +148,21 @@ def random_positive_j_unitary(j, dim, seed):
 
     K is real antisymmetric with entries drawn uniformly from [-2, 2],
     rescaled when needed so its spectral norm stays at or below 2 (keeps
-    cond(B) <= e^4 at every dimension); Phi is a J-fixed orthonormal frame.
+    cond(B) <= e^4 at every dimension); Phi is J's fixed frame.  One
+    eigensolve serves both steps: h = Phi (i K) Phi* is Hermitian with
+    ||h||_2 = ||K||_2 = max(-lambda_min, lambda_max), so the rescale comes
+    from h's spectrum and B = exp(scale * h) is applied through it.
     """
     if dim != j.dim:
         raise DimensionMismatch(f"requested dimension {dim} but conjugation has {j.dim}")
     rng = np.random.default_rng(seed)
     k = rng.uniform(-2.0, 2.0, (dim, dim))
     k = 0.5 * (k - k.T)
-    top = spectral_norm(k.astype(complex))
-    if top > 2.0:
-        k *= 2.0 / top
-    phi = fixed_basis(j, np.eye(dim, dtype=complex))
-    h = phi @ (1j * k.astype(complex)) @ phi.conj().T
-    return herm_fn(h, math.exp)
+    phi = j.fixed_frame()
+    dec = herm_eig(phi @ (1j * k.astype(complex)) @ phi.conj().T)
+    top = max(-float(dec.eigenvalues[0]), float(dec.eigenvalues[-1]))
+    scale = 2.0 / top if top > 2.0 else 1.0
+    return dec.apply(lambda lam: math.exp(scale * lam))
 
 
 def random_j_unitary(j, dim, seed):

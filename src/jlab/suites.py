@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conjugation import canonical, fixed_basis, random_conjugation
+from .conjugation import canonical, random_conjugation
 from .errors import BadFactor, MultivaluedRelation, NotJUnitary
 from .extension import (
     PartialSymmetricOperator,
@@ -210,7 +210,7 @@ def zero_defect_trials(trials, maxdim, seed):
         gen = np.random.default_rng(s_m)
         r = gen.uniform(-1.0, 1.0, (n, n))
         r = r - r.T
-        phi = fixed_basis(j, np.eye(n, dtype=complex))
+        phi = j.fixed_frame()
         m = phi @ (1j * r.astype(complex)) @ phi.conj().T
         t = PartialSymmetricOperator(n, np.eye(n, dtype=complex), m)
         rec = TrialRecord(i, tseed, n)

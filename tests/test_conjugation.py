@@ -1,5 +1,7 @@
 """Conjugation axioms, seeded generators, and J-fixed basis extraction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,26 @@ def test_fixed_basis_rejects_non_invariant_span():
 def test_fixed_basis_empty_input():
     out = fixed_basis(canonical(3), np.zeros((3, 0), dtype=complex))
     assert out.shape == (3, 0)
+
+
+def test_fixed_frame_is_the_full_space_fixed_basis():
+    for dim, seed in ((1, 0), (2, 1), (5, 2), (9, 3)):
+        for j in (canonical(dim), random_conjugation(dim, seed)):
+            frame = j.fixed_frame()
+            assert np.array_equal(frame, fixed_basis(j, np.eye(dim, dtype=complex)))
+            assert j.fixed_frame() is frame
+            assert not frame.flags.writeable
+            with pytest.raises(ValueError):
+                frame[0, 0] = 0.0
+
+
+def test_fixed_frame_leaves_equality_unchanged():
+    assert [f.name for f in dataclasses.fields(Conjugation)] == ["dim", "coeff"]
+    a, b = canonical(1), canonical(1)
+    flipped = Conjugation(1, -np.eye(1, dtype=complex))
+    j = random_conjugation(4, 5)
+    before = (a == b, a == flipped, j == j, repr(j))
+    assert before[:3] == (True, False, True)
+    for c in (a, flipped, j):
+        c.fixed_frame()
+    assert (a == b, a == flipped, j == j, repr(j)) == before

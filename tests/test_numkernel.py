@@ -1,5 +1,6 @@
 """Kernel checks: Jacobi eigensolver (and its cyclic reference), elimination
-inverse (and its augmented-array reference), frames, gaps.
+inverse (and its augmented-array reference), the Cholesky positivity gate,
+frames, gaps.
 
 numpy.linalg (eigh, inv, svd) appears here only as an independent oracle;
 the package code under test never calls it for these operations.
@@ -37,6 +38,7 @@ from jlab.numkernel import (
     herm_eig,
     herm_fn,
     inverse,
+    nonpositive_pivot,
     orth_complement,
     orthonormal_columns,
     resolvent,
@@ -447,3 +449,66 @@ def test_subspace_gap_is_the_sine_of_the_angle():
     assert abs(subspace_gap(e0, tilted) - math.sin(theta)) < 1e-12
     assert subspace_gap(np.zeros((3, 0)), np.zeros((3, 0))) == 0.0
     assert subspace_gap(e0, np.eye(3, dtype=complex)[:, :2]) == 1.0
+
+
+def _gated_hermitians(rng, n):
+    """Hermitian test matrices around the positivity boundary at size n."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    out = [random_hermitian(rng, n)]
+    for sign in (1.0, -1.0):
+        for mag in (1.0, 1e-3, 1e-6, 2e-8 * n):
+            lam = rng.uniform(0.5, 4.0, n)
+            lam[rng.integers(n)] = sign * mag
+            out.append((q * lam) @ q.conj().T)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    out.append(z.conj().T @ z + 1e-3 * np.eye(n))
+    return out
+
+
+def test_cholesky_gate_agrees_with_smallest_eigenvalue():
+    rng = np.random.default_rng(606)
+    seen = {True: 0, False: 0}
+    for n in range(1, 17):
+        for _ in range(3):
+            for b in _gated_hermitians(rng, n):
+                lam_min = herm_eig(b).eigenvalues[0]
+                if abs(lam_min) < 1e-8 * frobenius(b):
+                    continue
+                accepted = nonpositive_pivot(b) is None
+                assert accepted == (lam_min > 0.0), (n, lam_min)
+                seen[accepted] += 1
+    assert min(seen.values()) > 100
+
+
+def test_nonpositive_pivot_names_the_failing_column():
+    assert nonpositive_pivot(np.diag([1.0, 2.0, -1.0, 3.0]).astype(complex)) == (2, -1.0)
+    assert nonpositive_pivot(np.zeros((3, 3), dtype=complex)) == (0, 0.0)
+    # leading 1x1 block positive, Schur complement 1 - 4 = -3
+    col, pivot = nonpositive_pivot(np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex))
+    assert col == 1 and abs(pivot + 3.0) < 1e-15
+    assert nonpositive_pivot(np.array([[2.0, 1j], [-1j, 2.0]])) is None
+    with pytest.raises(NotHermitian):
+        nonpositive_pivot(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+
+
+def test_nonpositive_pivot_leaves_the_callers_array_unchanged():
+    rng = np.random.default_rng(607)
+    for b in _gated_hermitians(rng, 7):
+        kept = b.copy()
+        nonpositive_pivot(b)
+        np.testing.assert_array_equal(b, kept)
+
+
+def test_one_norm_subspace_gap_matches_the_two_sided_max():
+    rng = np.random.default_rng(608)
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            u, _ = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+            near = u + 1e-6 * (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+            far = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+            for w in (u * 1j, near, far):
+                v, _ = np.linalg.qr(w)
+                ru = v - u @ (u.conj().T @ v)
+                rv = u - v @ (v.conj().T @ u)
+                two_sided = max(spectral_norm(ru), spectral_norm(rv))
+                assert abs(subspace_gap(u, v) - two_sided) <= 1e-14

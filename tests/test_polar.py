@@ -4,16 +4,18 @@ scipy.linalg.sqrtm is used as an independent oracle for the positive factor.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import jlab.numkernel
 import jlab.polar
 from jlab.conjugation import canonical, random_conjugation
 from jlab.errors import BadFactor, DimensionMismatch, NotJUnitary, Singular
 from jlab.jclass import classify
-from jlab.numkernel import frobenius, herm_eig, subspace_gap
+from jlab.numkernel import frobenius, herm_eig, herm_fn, spectral_norm, subspace_gap
 from jlab.polar import (
     check_prop21,
     check_reciprocity,
@@ -24,6 +26,7 @@ from jlab.polar import (
     refined_polar,
     synthesize,
 )
+from jlab.suites import polar_trials
 
 # positive J-unitary with eigenvalues {1/2, 2}: exp([[0, i ln2], [-i ln2, 0]])
 B2 = np.array([[1.25, 0.75j], [-0.75j, 1.25]])
@@ -111,6 +114,16 @@ def test_synthesize_rejects_bad_factors():
     np.testing.assert_allclose(synthesize(j, R2, B2), R2 @ B2, atol=0)
 
 
+def test_synthesize_names_the_failing_cholesky_pivot():
+    j = canonical(3)
+    u = np.eye(3, dtype=complex)
+    # leading 2 x 2 block is positive definite; the Schur complement is not
+    b = np.array([[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.25]], dtype=complex)
+    message = r"positive definite: Cholesky pivot -2\.500e-01 at column 2"
+    with pytest.raises(BadFactor, match=message):
+        synthesize(j, u, b)
+
+
 def test_random_j_real_unitary_properties():
     j = random_conjugation(5, 21)
     u = random_j_real_unitary(j, 5, 4)
@@ -132,6 +145,28 @@ def test_random_positive_j_unitary_properties():
     assert dec.eigenvalues[-1] < math.exp(2.0) + 1e-9
     assert classify(j, b).residual("J-unitary") < 1e-10
     np.testing.assert_array_equal(b, random_positive_j_unitary(j, 6, 8))
+
+
+def _two_solve_positive_j_unitary(j, dim, seed):
+    # the earlier route: spectral norm of K for the rescale, then exp of h
+    rng = np.random.default_rng(seed)
+    k = rng.uniform(-2.0, 2.0, (dim, dim))
+    k = 0.5 * (k - k.T)
+    top = spectral_norm(k.astype(complex))
+    if top > 2.0:
+        k *= 2.0 / top
+    phi = j.fixed_frame()
+    return herm_fn(phi @ (1j * k.astype(complex)) @ phi.conj().T, math.exp)
+
+
+def test_positive_j_unitary_draws_match_the_two_solve_route():
+    for dim, seed in ((1, 0), (2, 1), (5, 2), (12, 3), (16, 4)):
+        j = random_conjugation(dim, seed)
+        b = random_positive_j_unitary(j, dim, 40 + seed)
+        ref = _two_solve_positive_j_unitary(j, dim, 40 + seed)
+        assert frobenius(b - ref) <= 1e-12 * frobenius(ref)
+        lam = herm_eig(b).eigenvalues
+        assert lam[0] > math.exp(-2.0) - 1e-9 and lam[-1] < math.exp(2.0) + 1e-9
 
 
 def test_random_j_unitary_passes_the_gate():
@@ -217,3 +252,31 @@ def test_polar_checks_gate_once_and_decompose_g_once(monkeypatch):
     assert len(eig_args) == 2
     assert sum(np.array_equal(m, a) for m in classify_args) == 1
     assert len(classify_args) == 4
+
+
+def test_polar_program_decomposes_once_per_purpose(monkeypatch):
+    # per gated trial: the generator's h, G, A A* and sqrt(G^-1); the
+    # positivity gates take no eigensolve, and a subspace gap takes one
+    # only for a multi-column cluster
+    original = jlab.numkernel.herm_eig
+    eig_calls, multi = [], []
+
+    def counting_eig(*args, **kwargs):
+        eig_calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "jlab" and getattr(mod, "herm_eig", None) is original:
+            monkeypatch.setattr(mod, "herm_eig", counting_eig)
+    gap = jlab.polar.subspace_gap
+
+    def counting_gap(u, v):
+        if u.shape[1] > 1 and u.shape[1] == v.shape[1]:
+            multi.append(u.shape[1])
+        return gap(u, v)
+
+    monkeypatch.setattr(jlab.polar, "subspace_gap", counting_gap)
+    records = polar_trials(16, 16, 0)
+    gated = sum(rec.residuals["gate"] == 0.0 for rec in records)
+    assert gated == len(records) == 16
+    assert len(eig_calls) <= 4 * gated + len(multi)
