@@ -1,11 +1,16 @@
 """Dense complex-matrix kernel: spectral calculus and elimination.
 
-All operators are plain 2-D numpy arrays of complex128.  The two workhorses
+All operators are plain 2-D numpy arrays of complex128 (``herm_eig`` and
+``singular_extremes`` also take 3-D stacks of them).  The two workhorses
 are deliberately self-contained so that their numerical behaviour is pinned
 by this module rather than by a LAPACK build:
 
 * ``herm_eig`` - round-robin (Brent-Luk) Jacobi eigensolver for Hermitian
-  matrices, with a fixed sweep budget and relative off-diagonal convergence;
+  matrices, with a fixed sweep budget and relative off-diagonal convergence.
+  It takes one matrix or a (B, n, n) stack and applies each round's
+  disjoint rotations to the whole stack at once; every matrix keeps its own
+  gate, scale, skip threshold, convergence test and sweep count, so its
+  result is bit-identical whatever its stack mates;
 * ``inverse`` - in-place Gauss-Jordan on an n x n working copy, partial
   pivoting, relative pivot floor.
 
@@ -76,20 +81,49 @@ def frobenius(m):
     return float(np.linalg.norm(m))
 
 
-def _hermitian_part(m, hermitian_rel):
-    """(M + M*) / 2 and ||M||_F; NotHermitian when ||M - M*||_F exceeds
-    hermitian_rel * (1 + ||M||_F)."""
-    a0 = as_square(m)
-    scale = frobenius(a0)
-    skew = frobenius(a0 - a0.conj().T)
-    if skew > hermitian_rel * (1.0 + scale):
-        raise NotHermitian(f"||M - M*||_F = {skew:.3e} exceeds tolerance")
-    return 0.5 * (a0 + a0.conj().T), scale
+def _as_stack(m, square):
+    """A matrix as the stack of one, or a 3-D stack of matrices.
+
+    Returns (stack, single).  Every matrix must be finite with positive
+    dimensions, and square when square is set.
+    """
+    a = np.asarray(m, dtype=complex)
+    single = a.ndim == 2
+    if single:
+        a = a[None]
+    if a.ndim != 3 or 0 in a.shape or (square and a.shape[1] != a.shape[2]):
+        kind = "square matrix" if square else "matrix"
+        raise DimensionMismatch(
+            f"matrix: expected a {kind} or a non-empty stack of them, got shape {a.shape}"
+        )
+    if not np.isfinite(a).all():
+        raise DimensionMismatch("matrix: entries must be finite")
+    return a, single
+
+
+def _hermitian_part(a, hermitian_rel):
+    """(M + M*) / 2 and ||M||_F for each M of a (B, n, n) stack.
+
+    Raises NotHermitian, naming the stack index, when ||M - M*||_F exceeds
+    hermitian_rel * (1 + ||M||_F).
+    """
+    herm = np.empty_like(a)
+    scales = []
+    for i, x in enumerate(a):
+        adj = x.conj().T
+        scale = frobenius(x)
+        skew = frobenius(x - adj)
+        if skew > hermitian_rel * (1.0 + scale):
+            raise NotHermitian(f"stack index {i}: ||M - M*||_F = {skew:.3e} exceeds tolerance")
+        herm[i] = 0.5 * (x + adj)
+        scales.append(scale)
+    return herm, np.array(scales)
 
 
 def _offdiag_norm(a):
-    d = np.diag(np.diag(a))
-    return frobenius(a - d)
+    off = a.copy()
+    off.flat[:: a.shape[0] + 1] = 0.0
+    return frobenius(off)
 
 
 @dataclass(frozen=True)
@@ -120,6 +154,20 @@ class SpectralDecomp:
         v = self.cluster_basis(c)
         return v @ v.conj().T
 
+    def _projectors(self):
+        """Every cluster projector, in cluster order.
+
+        Computed on first use and kept, read-only, on the instance (not a
+        dataclass field, so equality is unchanged).
+        """
+        projs = self.__dict__.get("_projector_cache")
+        if projs is None:
+            projs = tuple(self.cluster_projector(c) for c in range(len(self.clusters)))
+            for p in projs:
+                p.setflags(write=False)
+            object.__setattr__(self, "_projector_cache", projs)
+        return projs
+
     def apply(self, f):
         """Sum of f(cluster mean) times the cluster projector.
 
@@ -127,7 +175,7 @@ class SpectralDecomp:
         non-real value on some cluster.
         """
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for c in range(len(self.clusters)):
+        for c, proj in enumerate(self._projectors()):
             lam = self.cluster_value(c)
             try:
                 val = float(f(lam))
@@ -135,7 +183,7 @@ class SpectralDecomp:
                 raise DomainError(f"f({lam!r}) failed: {exc}") from exc
             if not math.isfinite(val):
                 raise DomainError(f"f({lam!r}) = {val!r} is not finite")
-            out += val * self.cluster_projector(c)
+            out += val * proj
         return out
 
 
@@ -169,6 +217,30 @@ def _round_robin(n):
     return tuple(rounds)
 
 
+@functools.lru_cache(maxsize=64)
+def _flat_rounds(n, count):
+    """_round_robin(n) as flat indices into a C-ordered (count, n, n) stack.
+
+    Returns (rounds, diag, eye): per round one read-only (4, count * pairs)
+    array whose rows index a[p, q], a[q, p], a[p, p] and a[q, q] of every
+    matrix in stack order; the flat indices of every diagonal; and a
+    read-only identity stack.
+    """
+    base = np.arange(count)[:, None] * (n * n)
+    rounds = []
+    for p, q in _round_robin(n):
+        idx = np.stack([p * n + q, q * n + p, p * (n + 1), q * (n + 1)])
+        idx = (idx[:, None, :] + base).reshape(4, -1)
+        idx.setflags(write=False)
+        rounds.append(idx)
+    diag = (base + np.arange(n) * (n + 1)).reshape(-1)
+    eye = np.zeros((count, n, n), dtype=complex)
+    eye.reshape(-1)[diag] = 1.0
+    for arr in (diag, eye):
+        arr.setflags(write=False)
+    return tuple(rounds), diag, eye
+
+
 def herm_eig(
     m,
     *,
@@ -177,57 +249,83 @@ def herm_eig(
     cluster_rel=CLUSTER_REL_TOL,
     hermitian_rel=HERMITIAN_REL_TOL,
 ):
-    """Eigendecomposition of a Hermitian matrix by round-robin (Brent-Luk) Jacobi.
+    """Eigendecomposition of Hermitian matrices by round-robin (Brent-Luk) Jacobi.
+
+    Takes one n x n matrix and returns one SpectralDecomp, or a (B, n, n)
+    stack and returns a tuple of B; a matrix is the stack of one.  Every
+    round's disjoint rotations are applied to the whole stack at once, and
+    each matrix keeps its own gate, scale, skip threshold, convergence test
+    and sweep count: a skipped pair, or any pair of a matrix that has
+    converged and left the stack, gets no rotation, so a matrix's result is
+    bit-identical whatever its stack mates.
 
     Convergence: off-diagonal Frobenius norm <= conv_rel * ||M||_F.  Raises
     NotHermitian if ||M - M*||_F exceeds hermitian_rel * (1 + ||M||_F), and
-    NoConvergence if the sweep budget runs out.
+    NoConvergence if the sweep budget runs out; both name the stack index.
     """
+    stack, single = _as_stack(m, square=True)
     # symmetrize once so representational noise cannot bias the rotations
-    a, scale = _hermitian_part(m, hermitian_rel)
-    n = a.shape[0]
-    v = eye = np.eye(n, dtype=complex)
-    target = conv_rel * scale
+    a, scales = _hermitian_part(stack, hermitian_rel)
+    targets = conv_rel * scales
+    count, n = a.shape[:2]
+    rounds, diag, eye = _flat_rounds(n, count)
     # entries already far below target cannot affect convergence this sweep
-    skip = target / max(1, 2 * n)
-    converged = _offdiag_norm(a) <= target
+    skip = (targets / max(1, 2 * n)).repeat(n // 2)
+    act = list(range(count))
+    w, wv = a, eye.copy()
+    done = [None] * count
     sweeps = 0
-    while not converged:
+    while True:
+        # each matrix meets its own target; a converged one leaves the stack as it is
+        live = [_offdiag_norm(x) > targets[i] for x, i in zip(w, act)]
+        if not all(live):
+            for i, x, y, keep in zip(act, w, wv, live):
+                if not keep:
+                    done[i] = x, y
+            act = [i for i, keep in zip(act, live) if keep]
+            if not act:
+                break
+            w, wv = w[live], wv[live]
+            skip = skip.reshape(len(live), -1)[live].reshape(-1)
+            rounds, diag, eye = _flat_rounds(n, len(act))
         if sweeps >= sweep_limit:
+            i = act[0]
             raise NoConvergence(
-                f"Jacobi sweep budget {sweep_limit} exhausted; "
-                f"off-diagonal norm {_offdiag_norm(a):.3e} > {target:.3e}"
+                f"stack index {i}: Jacobi sweep budget {sweep_limit} exhausted; "
+                f"off-diagonal norm {_offdiag_norm(w[0]):.3e} > {targets[i]:.3e}"
             )
-        for p, q in _round_robin(n):
-            apq = a[p, q]
+        for idx in rounds:
+            wf = w.reshape(-1)
+            apq = wf[idx[0]]
             r = np.abs(apq)
             k = (r > skip).nonzero()[0]
             if not k.size:
                 continue
-            p, q, apq, r = p[k], q[k], apq[k], r[k]
-            d = a.diagonal().real
-            tau = (d[q] - d[p]) / (2.0 * r)
+            idx, apq, r = idx.take(k, axis=1), apq[k], r[k]
+            d = wf[idx[2:]].real
+            tau = (d[1] - d[0]) / (2.0 * r)
             # sign form: the tie tau = 0 takes t = +1 and no branch divides by zero
             sign = np.where(tau >= 0.0, 1.0, -1.0)
             t = sign / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = (t * c) * (apq / r)
-            # the pairs are disjoint, so one rotation matrix applies them all
+            # the pairs are disjoint, so one rotation per matrix applies them all
             rot = eye.copy()
-            rot[p, p] = rot[q, q] = c
-            rot[p, q], rot[q, p] = s, -s.conj()
-            a = rot.conj().T @ a @ rot
+            rot.reshape(-1)[idx.reshape(-1)] = np.concatenate((s, -s.conj(), c, c))
+            w = rot.conj().swapaxes(1, 2) @ w @ rot
+            wf = w.reshape(-1)
             # exact zeros here by construction; keep diagonal real
-            a[p, q] = a[q, p] = 0.0
-            a.flat[:: n + 1] = a.diagonal().real
-            v = v @ rot
+            wf[idx[:2].reshape(-1)] = 0.0
+            wf.imag[diag] = 0.0
+            wv = wv @ rot
         sweeps += 1
-        converged = _offdiag_norm(a) <= target
-    vals = np.real(np.diag(a)).copy()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = v[:, order]
-    return SpectralDecomp(vals, vecs, _cluster_indices(vals, cluster_rel))
+    out = []
+    for ai, vi in done:
+        vals = ai.diagonal().real.copy()
+        order = np.argsort(vals, kind="stable")
+        vals = vals[order]
+        out.append(SpectralDecomp(vals, vi[:, order], _cluster_indices(vals, cluster_rel)))
+    return out[0] if single else tuple(out)
 
 
 def nonpositive_pivot(m):
@@ -239,7 +337,7 @@ def nonpositive_pivot(m):
     block, l = A[k+1:, k] / sqrt(d); the factor itself is not kept.  Raises
     NotHermitian on herm_eig's default rule.
     """
-    a, _ = _hermitian_part(m, HERMITIAN_REL_TOL)
+    a = _hermitian_part(as_square(m)[None], HERMITIAN_REL_TOL)[0][0]
     for k in range(a.shape[0]):
         d = float(a[k, k].real)
         if d <= 0.0:
@@ -353,15 +451,19 @@ def orth_complement(basis, *, rank_rel=RANK_REL_TOL, name="basis"):
 
 
 def singular_extremes(m):
-    """(smallest, largest) singular value via the Hermitian spectrum of M*M."""
-    a = as_matrix(m)
-    if a.shape[1] == 0:
-        return 0.0, 0.0
-    g = a.conj().T @ a
-    vals = herm_eig(g).eigenvalues
-    lo = math.sqrt(max(0.0, float(vals[0])))
-    hi = math.sqrt(max(0.0, float(vals[-1])))
-    return lo, hi
+    """(smallest, largest) singular value via the Hermitian spectrum of M*M.
+
+    Takes a matrix, or a (B, r, c) stack and returns a tuple of B pairs
+    from one stacked herm_eig call; each pair is bit-identical to the
+    matrix's own call.
+    """
+    a, single = _as_stack(m, square=False)
+    pairs = []
+    for dec in herm_eig(a.conj().swapaxes(1, 2) @ a):
+        lo = math.sqrt(max(0.0, float(dec.eigenvalues[0])))
+        hi = math.sqrt(max(0.0, float(dec.eigenvalues[-1])))
+        pairs.append((lo, hi))
+    return pairs[0] if single else tuple(pairs)
 
 
 def spectral_norm(m):

@@ -7,8 +7,10 @@ onto the eigenspace of the reciprocal eigenvalue, J B J = B^{-1}, and
 sqrt(G^{-1}) = (sqrt G)^{-1}.  Routines here compute the factorization,
 re-synthesize J-unitaries from structured factors, and verify the
 structural claims by independent routes.  ``refined_polar(j, a)`` gates A
-and decomposes G once; ``check_prop21``, ``check_unitary_equiv`` and
-``check_reciprocity`` take the ``PolarParts`` it returns and reuse both.
+and decomposes G, A A* and G^{-1} = A^{-1} A^{-*} in one stacked eigensolve,
+A^{-1} being the gate's elimination inverse; ``check_prop21``,
+``check_unitary_equiv`` and ``check_reciprocity`` take the ``PolarParts`` it
+returns and reuse the gate and all three decompositions.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .numkernel import (
     as_square,
     frobenius,
     herm_eig,
-    herm_fn,
     inverse,
     nonpositive_pivot,
     subspace_gap,
@@ -37,8 +38,10 @@ from .report import ResidualReport
 
 @dataclass
 class PolarParts:
-    """Gated analysis of a J-unitary A: gate profile, G = A* A and its
-    decomposition, factors A = U B and their residuals."""
+    """Gated analysis of a J-unitary A: gate profile, G = A* A, factors
+    A = U B and their residuals, and the decompositions of G (dec), A A*
+    (dec_cogram) and G^-1 = A^-1 A^-* (dec_ginv), where A^-1 is the gate's
+    elimination inverse ``profile.inverse``."""
 
     j: Conjugation
     a: np.ndarray
@@ -46,6 +49,8 @@ class PolarParts:
     profile: OperatorProfile
     g: np.ndarray
     dec: SpectralDecomp
+    dec_cogram: SpectralDecomp
+    dec_ginv: SpectralDecomp
     u: np.ndarray
     b: np.ndarray
     report: ResidualReport
@@ -55,8 +60,10 @@ def refined_polar(j, a, tol=None):
     """Factor a J-unitary A as U B with U unitary J-real and B = sqrt(A*A).
 
     Raises NotJUnitary when A fails the classification gate at tol.  Both
-    factors come from a single spectral decomposition of G = A* A; the
-    report records reconstruction and structure residuals.
+    factors come from the spectral decomposition of G = A* A, taken in one
+    stacked herm_eig call with those of A A* and G^-1 = A^-1 A^-* that the
+    checks read (A^-1 exists once the gate passes); the report records
+    reconstruction and structure residuals.
     """
     if tol is None:
         tol = default_tol()
@@ -67,7 +74,8 @@ def refined_polar(j, a, tol=None):
         detail = "operator is singular" if r is None else f"residual {r:.3e} > {tol:.1e}"
         raise NotJUnitary(f"J-unitary gate failed: {detail}")
     g = a.conj().T @ a
-    dec = herm_eig(g)
+    ainv = prof.inverse
+    dec, dec_cogram, dec_ginv = herm_eig(np.stack([g, a @ a.conj().T, ainv @ ainv.conj().T]))
     b = dec.apply(math.sqrt)
     binv = dec.apply(lambda lam: 1.0 / math.sqrt(lam))
     u = a @ binv
@@ -83,7 +91,7 @@ def refined_polar(j, a, tol=None):
     rep.add("b_hermitian", frobenius(b - b.conj().T) / (1.0 + nb), tol)
     rep.add("b_j_unitary", frobenius(j.sandwich(b) - binv) / (1.0 + nb + nbinv), tol)
     rep.add("b_positive", max(0.0, -float(dec.eigenvalues[0])), tol)
-    return PolarParts(j, a, tol, prof, g, dec, u, b, rep)
+    return PolarParts(j, a, tol, prof, g, dec, dec_cogram, dec_ginv, u, b, rep)
 
 
 def synthesize(j, u, b, tol=None):
@@ -201,12 +209,15 @@ def check_prop21(parts):
 
 
 def check_unitary_equiv(parts):
-    """A A* equals U (A* A) U* with the polar unitary U; spectra must match."""
+    """A A* equals U (A* A) U* with the polar unitary U; spectra must match.
+
+    Both spectra are read from the decompositions in parts.
+    """
     a, g, u = parts.a, parts.g, parts.u
     gstar = a @ a.conj().T
     sim = frobenius(gstar - u @ g @ u.conj().T) / (1.0 + frobenius(g))
     lam = parts.dec.eigenvalues
-    mu = herm_eig(gstar).eigenvalues
+    mu = parts.dec_cogram.eigenvalues
     spectra_dev = max(abs(l - m) / (1.0 + abs(l)) for l, m in zip(lam, mu))
     rep = ResidualReport()
     rep.add("similarity", sim, parts.tol)
@@ -220,8 +231,9 @@ def check_reciprocity(parts):
     For each eigenvalue cluster lambda of G, J must map its eigenspace onto
     the eigenspace of the cluster nearest 1/lambda (compared as the sine of
     the largest principal angle).  Additionally J B J = B^{-1} for
-    B = sqrt(G), and sqrt(G^{-1}) computed spectrally must equal the
-    elimination inverse of sqrt(G).
+    B = sqrt(G), and sqrt(G^{-1}) must equal the elimination inverse of
+    sqrt(G); sqrt(G^{-1}) is taken through the decomposition of
+    G^{-1} = A^{-1} A^{-*}, with A^{-1} the gate's elimination inverse.
     """
     j, tol, dec, b = parts.j, parts.tol, parts.dec, parts.b
     worst_val = 0.0
@@ -237,7 +249,7 @@ def check_reciprocity(parts):
     binv_elim = inverse(b)
     nb = frobenius(b)
     nbi = frobenius(binv_elim)
-    sqrt_of_ginv = herm_fn(inverse(parts.g), math.sqrt)
+    sqrt_of_ginv = parts.dec_ginv.apply(math.sqrt)
     rep = ResidualReport(extras={"clusters": len(dec.clusters)})
     rep.add("eigenvalue_reciprocity", worst_val, tol)
     rep.add("eigenspace_reciprocity", worst_gap, tol)

@@ -15,7 +15,7 @@ from jlab.examples import (
 )
 from jlab.extension import ranges_defects
 from jlab.jclass import default_tol
-from jlab.numkernel import frobenius, herm_eig, inverse
+from jlab.numkernel import frobenius, herm_eig, inverse, spectral_norm
 
 
 def test_block_a0_frozen_entries_and_range():
@@ -97,6 +97,14 @@ def test_growth_and_norms_at_level_128():
     for rows in (growth_probe(128), norm_growth(128)):
         assert [row[0] for row in rows] == list(range(1, 129))
         assert all(row[3] <= tol for row in rows)
+
+
+def test_norm_growth_stack_matches_one_norm_per_block():
+    for level in (1, 5, 16):
+        v = cayley_v(level)
+        for k, computed, _, _ in norm_growth(level):
+            i = 2 * (k - 1)
+            assert computed == spectral_norm(v[i : i + 2, i : i + 2]), (level, k)
 
 
 def test_jacobi_imag_frozen_entries():

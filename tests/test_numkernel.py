@@ -1,6 +1,6 @@
-"""Kernel checks: Jacobi eigensolver (and its cyclic reference), elimination
-inverse (and its augmented-array reference), the Cholesky positivity gate,
-frames, gaps.
+"""Kernel checks: Jacobi eigensolver (its stacked form, its serial
+one-matrix reference and its cyclic reference), elimination inverse (and its
+augmented-array reference), the Cholesky positivity gate, frames, gaps.
 
 numpy.linalg (eigh, inv, svd) appears here only as an independent oracle;
 the package code under test never calls it for these operations.
@@ -127,6 +127,73 @@ def _cyclic_herm_eig(
     return SpectralDecomp(vals, vecs, _cluster_indices(vals, cluster_rel))
 
 
+def _serial_hermitian_part(m, hermitian_rel):
+    """(M + M*) / 2 and ||M||_F; NotHermitian when ||M - M*||_F exceeds
+    hermitian_rel * (1 + ||M||_F)."""
+    a0 = as_square(m)
+    scale = frobenius(a0)
+    skew = frobenius(a0 - a0.conj().T)
+    if skew > hermitian_rel * (1.0 + scale):
+        raise NotHermitian(f"||M - M*||_F = {skew:.3e} exceeds tolerance")
+    return 0.5 * (a0 + a0.conj().T), scale
+
+
+def _serial_herm_eig(
+    m,
+    *,
+    sweep_limit=JACOBI_SWEEP_LIMIT,
+    conv_rel=JACOBI_REL_TOL,
+    cluster_rel=CLUSTER_REL_TOL,
+    hermitian_rel=HERMITIAN_REL_TOL,
+):
+    """Reference: the one-matrix round-robin kernel, a dense rotation per round."""
+    # symmetrize once so representational noise cannot bias the rotations
+    a, scale = _serial_hermitian_part(m, hermitian_rel)
+    n = a.shape[0]
+    v = eye = np.eye(n, dtype=complex)
+    target = conv_rel * scale
+    # entries already far below target cannot affect convergence this sweep
+    skip = target / max(1, 2 * n)
+    converged = _offdiag_norm(a) <= target
+    sweeps = 0
+    while not converged:
+        if sweeps >= sweep_limit:
+            raise NoConvergence(
+                f"Jacobi sweep budget {sweep_limit} exhausted; "
+                f"off-diagonal norm {_offdiag_norm(a):.3e} > {target:.3e}"
+            )
+        for p, q in _round_robin(n):
+            apq = a[p, q]
+            r = np.abs(apq)
+            k = (r > skip).nonzero()[0]
+            if not k.size:
+                continue
+            p, q, apq, r = p[k], q[k], apq[k], r[k]
+            d = a.diagonal().real
+            tau = (d[q] - d[p]) / (2.0 * r)
+            # sign form: the tie tau = 0 takes t = +1 and no branch divides by zero
+            sign = np.where(tau >= 0.0, 1.0, -1.0)
+            t = sign / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = (t * c) * (apq / r)
+            # the pairs are disjoint, so one rotation matrix applies them all
+            rot = eye.copy()
+            rot[p, p] = rot[q, q] = c
+            rot[p, q], rot[q, p] = s, -s.conj()
+            a = rot.conj().T @ a @ rot
+            # exact zeros here by construction; keep diagonal real
+            a[p, q] = a[q, p] = 0.0
+            a.flat[:: n + 1] = a.diagonal().real
+            v = v @ rot
+        sweeps += 1
+        converged = _offdiag_norm(a) <= target
+    vals = np.real(np.diag(a)).copy()
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    vecs = v[:, order]
+    return SpectralDecomp(vals, vecs, _cluster_indices(vals, cluster_rel))
+
+
 def _augmented_inverse(m, *, pivot_rel=PIVOT_REL_TOL):
     """Reference: Gauss-Jordan elimination on the n x 2n augmented array [A | I]."""
     a = as_square(m)
@@ -241,6 +308,83 @@ def test_round_robin_matches_cyclic_reference():
                 assert dec.clusters == ref.clusters, where
                 if n == 2:  # one rotation: the same arithmetic as the reference
                     np.testing.assert_allclose(dec.vectors, ref.vectors, atol=1e-15)
+
+
+def _same_decomposition(d1, d2):
+    return (
+        np.array_equal(d1.eigenvalues, d2.eigenvalues)
+        and np.array_equal(d1.vectors, d2.vectors)
+        and d1.clusters == d2.clusters
+    )
+
+
+def test_stacked_herm_eig_is_bit_identical_to_serial():
+    rng = np.random.default_rng(2719)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (*range(1, 17), 24, 32):
+            kinds, mats = zip(*_reference_cases(rng, n))
+            stack = np.stack(mats)
+            forward = herm_eig(stack)
+            backward = herm_eig(stack[::-1])[::-1]
+            assert isinstance(forward, tuple) and len(forward) == len(mats)
+            for kind, m, dec, rev in zip(kinds, mats, forward, backward):
+                one = herm_eig(m)
+                assert isinstance(one, SpectralDecomp)
+                assert _same_decomposition(one, _serial_herm_eig(m)), f"n={n} {kind}"
+                assert _same_decomposition(dec, one), f"n={n} {kind}"
+                assert _same_decomposition(rev, one), f"n={n} {kind}"
+
+
+def test_stacked_herm_eig_errors_name_the_stack_index():
+    rng = np.random.default_rng(2720)
+    good = random_hermitian(rng, 4)
+    bad = good.copy()
+    bad[0, 1] += 1.0
+    with pytest.raises(NotHermitian, match="stack index 2:"):
+        herm_eig(np.stack([good, good, bad]))
+    diag = np.diag([3.0, -1.0, 0.5, 2.0]).astype(complex)
+    with pytest.raises(NoConvergence, match="stack index 1: Jacobi sweep budget 0"):
+        herm_eig(np.stack([diag, good, diag]), sweep_limit=0)
+    # the diagonal members need no sweep, so they alone pass at budget 0
+    for dec in herm_eig(np.stack([diag, diag]), sweep_limit=0):
+        assert np.array_equal(dec.vectors, np.eye(4)[:, [1, 2, 3, 0]])
+    for shape in ((3,), (0, 2, 2), (2, 2, 3), (1, 2, 2, 2)):
+        with pytest.raises(DimensionMismatch):
+            herm_eig(np.zeros(shape, dtype=complex))
+    with pytest.raises(DimensionMismatch):
+        herm_eig(np.stack([good, np.full((4, 4), np.nan)]))
+
+
+def test_stacked_singular_extremes_match_one_call_each():
+    rng = np.random.default_rng(2721)
+    for shape in ((7, 2, 2), (3, 5, 2), (2, 2, 5), (1, 4, 4)):
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        pairs = singular_extremes(stack)
+        assert pairs == tuple(singular_extremes(m) for m in stack)
+
+
+def test_apply_builds_the_projectors_once(monkeypatch):
+    rng = np.random.default_rng(2722)
+    u = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+    dec = herm_eig((u * np.array([1.0, 1.0, 2.0, 3.0, 3.0, 3.0])) @ u.conj().T)
+    assert len(dec.clusters) == 3
+    # reference: rebuild each projector, same accumulation order
+    ref = np.zeros((6, 6), dtype=complex)
+    for c in range(len(dec.clusters)):
+        ref += math.sqrt(dec.cluster_value(c)) * dec.cluster_projector(c)
+    built = []
+    projector = SpectralDecomp.cluster_projector
+
+    def counting(self, c):
+        built.append(c)
+        return projector(self, c)
+
+    monkeypatch.setattr(SpectralDecomp, "cluster_projector", counting)
+    assert np.array_equal(dec.apply(math.sqrt), ref)
+    assert np.array_equal(dec.apply(math.sqrt), ref)
+    assert built == [0, 1, 2]
+    assert all(not p.flags.writeable for p in dec.__dict__["_projector_cache"])
 
 
 def test_round_robin_schedule_covers_every_pair_once():

@@ -3,6 +3,7 @@
 scipy.linalg.sqrtm is used as an independent oracle for the positive factor.
 """
 
+import dataclasses
 import math
 import sys
 
@@ -245,19 +246,38 @@ def test_polar_checks_gate_once_and_decompose_g_once(monkeypatch):
     monkeypatch.setattr(jlab.polar, "herm_eig", counting(eig_args, jlab.polar.herm_eig, 0))
     monkeypatch.setattr(jlab.polar, "classify", counting(classify_args, jlab.polar.classify, 1))
     parts = refined_polar(j, a)
+    # one stacked eigensolve: G, then A A* and G^-1 = A^-1 A^-* from the gate
+    ainv = parts.profile.inverse
+    assert len(eig_args) == 1
+    assert eig_args[0].shape == (3, 6, 6)
+    assert np.array_equal(eig_args[0][0], g)
+    assert np.array_equal(eig_args[0][1], a @ a.conj().T)
+    assert np.array_equal(eig_args[0][2], ainv @ ainv.conj().T)
     for check in (check_prop21, check_unitary_equiv, check_reciprocity):
         assert check(parts).passed
-    # G once, plus the independent A A*; A gated once, plus A^-1, A*, G
-    assert sum(np.array_equal(m, g) for m in eig_args) == 1
-    assert len(eig_args) == 2
+    assert len(eig_args) == 1
+    # A gated once, plus A^-1, A*, G
     assert sum(np.array_equal(m, a) for m in classify_args) == 1
     assert len(classify_args) == 4
 
 
+def test_checks_read_the_stacked_decompositions():
+    j = random_conjugation(5, 21)
+    a = random_j_unitary(j, 5, 22)
+    parts = refined_polar(j, a)
+    assert check_unitary_equiv(parts).passed and check_reciprocity(parts).passed
+    # a wrong decomposition in parts must show in the residual that reads it
+    wrong = herm_eig(2.0 * parts.g)
+    rep = check_unitary_equiv(dataclasses.replace(parts, dec_cogram=wrong))
+    assert [it.name for it in rep.items if not it.passed] == ["spectra_match"]
+    rep = check_reciprocity(dataclasses.replace(parts, dec_ginv=wrong))
+    assert [it.name for it in rep.items if not it.passed] == ["sqrt_inverse_commute"]
+
+
 def test_polar_program_decomposes_once_per_purpose(monkeypatch):
-    # per gated trial: the generator's h, G, A A* and sqrt(G^-1); the
-    # positivity gates take no eigensolve, and a subspace gap takes one
-    # only for a multi-column cluster
+    # per gated trial: the generator's h and the one stack of G, A A* and
+    # G^-1; the positivity gates take no eigensolve, and a subspace gap
+    # takes one only for a multi-column cluster
     original = jlab.numkernel.herm_eig
     eig_calls, multi = [], []
 
@@ -279,4 +299,4 @@ def test_polar_program_decomposes_once_per_purpose(monkeypatch):
     records = polar_trials(16, 16, 0)
     gated = sum(rec.residuals["gate"] == 0.0 for rec in records)
     assert gated == len(records) == 16
-    assert len(eig_calls) <= 4 * gated + len(multi)
+    assert len(eig_calls) <= 2 * gated + len(multi)
