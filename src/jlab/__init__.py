@@ -10,7 +10,6 @@ transform (``extend``).
 from .conjugation import (
     Conjugation,
     canonical,
-    direct_sum,
     fixed_basis,
     random_conjugation,
 )
@@ -38,10 +37,8 @@ from .extension import (
     DefectData,
     ExtensionResult,
     PartialSymmetricOperator,
-    build_w,
     cayley_isometry,
     check_defect_j_invariance,
-    double,
     extend,
     random_jimaginary_partial,
     ranges_defects,
@@ -58,11 +55,9 @@ from .jclass import (
 from .numkernel import (
     SpectralDecomp,
     herm_eig,
-    herm_fn,
     inverse,
     nonpositive_pivot,
     orth_complement,
-    resolvent,
     spectral_norm,
     subspace_gap,
 )

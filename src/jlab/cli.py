@@ -13,8 +13,6 @@ import hashlib
 import sys
 import time
 
-import numpy as np
-
 from . import suites
 from .conjugation import canonical, random_conjugation, verify
 from .errors import (
@@ -37,7 +35,7 @@ from .fileio import (
     write_matrix,
     write_partial_operator,
 )
-from .jclass import CLASS_NAMES, classify, default_tol
+from .jclass import classify, default_tol
 from .polar import (
     random_j_real_unitary,
     random_j_unitary,
@@ -100,18 +98,16 @@ def cmd_classify(args):
     tol = _resolve_tol(args)
     prof = classify(j, a, tol)
     print(f"dimension {a.shape[0]}, tolerance {tol:.1e}")
-    rep = ResidualReport(extras={"invertible": prof.invertible, "cond": prof.cond})
-    for name in CLASS_NAMES:
-        r = prof.residual(name)
-        if r is None:
-            print(f"{name:<22}          n/a  fail (singular)")
+    for item in prof.items:
+        if item.residual is None:
+            print(f"{item.name:<22}          n/a  fail (singular)")
         else:
-            verdict = "pass" if prof.passes(name) else "fail"
-            print(f"{name:<22} {r:12.3e}  {verdict}")
-            rep.add(name, r, tol)
-    cond = "n/a" if prof.cond is None else f"{prof.cond:.3e}"
-    print(f"invertible: {'yes' if prof.invertible else 'no'} (cond {cond})")
-    _run_report(args, rep, [args.matrix])
+            verdict = "pass" if item.passed else "fail"
+            print(f"{item.name:<22} {item.residual:12.3e}  {verdict}")
+    cond = prof.extras["cond"]
+    cond = "n/a" if cond is None else f"{cond:.3e}"
+    print(f"invertible: {'yes' if prof.extras['invertible'] else 'no'} (cond {cond})")
+    _run_report(args, prof, [args.matrix])
     return 0
 
 
@@ -215,19 +211,12 @@ def cmd_verify_suite(args):
     outcome = suites.run_verify_program(
         args.trials, args.maxdim, args.seed, corrupt_index=args.corrupt_trial
     )
-    rep = ResidualReport(extras={"trials": args.trials, "seed": args.seed})
-    for suite_name, entry in outcome["summary"].items():
-        if suite_name == "extension_multivalued_fraction":
-            frac, cap, ok = entry
-            rep.add("extension_multivalued_fraction", frac, cap)
-            continue
-        for key, (worst, thr, _ok) in entry.items():
-            rep.add(f"{suite_name}.{key}", worst, thr)
+    rep = outcome["report"]
     _print_report(rep)
     for suite_name, seed, key, val in outcome["failures"]:
         print(f"FAIL {suite_name} trial seed {seed}: {key} = {val:.3e}")
     _run_report(args, rep, [], seed=args.seed)
-    return 0 if outcome["passed"] else 1
+    return 0 if rep.passed else 1
 
 
 def build_parser():

@@ -122,15 +122,6 @@ def random_conjugation(dim, seed):
     return Conjugation(int(dim), q @ q.T)
 
 
-def direct_sum(j1, j2):
-    """Block-diagonal conjugation on the direct sum of the two spaces."""
-    n1, n2 = j1.dim, j2.dim
-    c = np.zeros((n1 + n2, n1 + n2), dtype=complex)
-    c[:n1, :n1] = j1.coeff
-    c[n1:, n1:] = j2.coeff
-    return Conjugation(n1 + n2, c)
-
-
 def fixed_basis(
     j,
     basis,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugation import as_seed_sequence, direct_sum, fixed_basis
+from .conjugation import as_seed_sequence, fixed_basis
 from .errors import (
     BadShape,
     DimensionMismatch,
@@ -172,13 +172,6 @@ def cayley_isometry(defect):
     return (defect.m_minus @ inverse(r)) @ q.conj().T
 
 
-def build_w(j, defect):
-    """Pairing of J-fixed orthonormal defect bases: W = sum f-_k (f+_k)*."""
-    f_plus = fixed_basis(j, defect.n_plus)
-    f_minus = fixed_basis(j, defect.n_minus)
-    return f_minus @ f_plus.conj().T
-
-
 def extend(j, t, retry_budget=None, tol=None):
     """Self-adjoint J-imaginary extension of T through the Cayley transform.
 
@@ -277,20 +270,6 @@ def extend(j, t, retry_budget=None, tol=None):
     rep.add("atilde_j_imaginary", frobenius(a_tilde + j.sandwich(a_tilde)) / (1.0 + na), tol)
     rep.add("extends_action", frobenius(a_tilde @ q - act) / (1.0 + frobenius(act)), tol)
     return ExtensionResult(v=v, a_tilde=a_tilde, w=w, report=rep)
-
-
-def double(j, t):
-    """Doubled problem: conjugation J + J and operator T + (-T)."""
-    n = t.ambient
-    d = t.domain_dim
-    j2 = direct_sum(j, j)
-    q2 = np.zeros((2 * n, 2 * d), dtype=complex)
-    a2 = np.zeros((2 * n, 2 * d), dtype=complex)
-    q2[:n, :d] = t.domain_basis
-    q2[n:, d:] = t.domain_basis
-    a2[:n, :d] = t.action
-    a2[n:, d:] = -t.action
-    return j2, PartialSymmetricOperator(2 * n, q2, a2)
 
 
 def random_jimaginary_partial(j, d, seed):

@@ -9,6 +9,11 @@ plus plain self-adjointness; ``definitional_oracle`` recomputes the same
 residuals from the definitions, one basis pair at a time, sharing no matrix
 algebra with classify.  The oracle applies J once per basis vector and once
 per column of A, and reads each pair's form values against those images.
+Both return an ``OperatorProfile``: a ``ResidualReport`` with one item per
+class, in ``CLASS_NAMES`` order at threshold tol, and extras ``invertible``
+and ``cond``.  The J-unitary item of a singular A is undefined (residual
+None, failing).  The profile also keeps the inverse that residual used, so
+``refined_polar`` reuses the gate's elimination inverse.
 
 For the canonical conjugation (C = I) the classes reduce to familiar matrix
 conditions: J-symmetric means A = A^T, J-unitary means A^T A = I (complex
@@ -26,6 +31,7 @@ import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, Singular
 from .numkernel import as_square, as_vector, frobenius, inverse
+from .report import ResidualReport
 
 CLASS_NAMES = (
     "self-adjoint",
@@ -63,64 +69,29 @@ def bilinear_form(j, x, y):
     return complex(np.vdot(j.apply(yv), xv))
 
 
-@dataclass(frozen=True)
-class ClassCheck:
-    residual: float | None
-    passed: bool
-
-
 @dataclass
-class OperatorProfile:
-    """Per-class residuals and verdicts for one operator, with the inverse
-    its J-unitary residual used (None when A is singular)."""
+class OperatorProfile(ResidualReport):
+    """Class report of one operator: one item per CLASS_NAMES entry at
+    threshold tol, extras ``invertible`` and ``cond``, and the inverse its
+    J-unitary residual used (None when A is singular; not serialised)."""
 
-    checks: dict
-    inverse: np.ndarray | None = field(repr=False, compare=False)
-    cond: float | None
-    tol: float
-
-    @property
-    def invertible(self):
-        return self.inverse is not None
-
-    def passes(self, name):
-        return self.checks[name].passed
-
-    def residual(self, name):
-        return self.checks[name].residual
-
-    def passing_classes(self):
-        return tuple(n for n in CLASS_NAMES if self.checks[n].passed)
-
-    def to_dict(self):
-        return {
-            "tol": self.tol,
-            "invertible": self.invertible,
-            "cond": self.cond,
-            "classes": {
-                name: {"residual": c.residual, "passed": c.passed}
-                for name, c in self.checks.items()
-            },
-        }
+    inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _profile_from_residuals(res, ainv, cond, tol):
-    checks = {}
+    prof = OperatorProfile(extras={"invertible": ainv is not None, "cond": cond}, inverse=ainv)
     for name in CLASS_NAMES:
-        r = res[name]
-        if r is None:
-            checks[name] = ClassCheck(None, False)
-        else:
-            checks[name] = ClassCheck(float(r), float(r) <= tol)
-    return OperatorProfile(checks, ainv, cond, tol)
+        prof.add(name, res[name], tol)
+    return prof
 
 
 def classify(j, a, tol=None):
     """Residuals and verdicts for all nine classes of A relative to J.
 
+    Returns an OperatorProfile with one item per class at threshold tol.
     Residuals are Frobenius norms scaled by 1 + ||A||_F (J-unitary adds
     ||A^{-1}||_F to the denominator).  When A is singular the J-unitary
-    entry carries residual None and verdict False.
+    item is undefined: residual None and verdict False.
     """
     if tol is None:
         tol = default_tol()
@@ -164,7 +135,7 @@ def _rss(values):
 
 
 def definitional_oracle(j, a, tol=None, cap=ORACLE_DIM_CAP):
-    """Recompute the classify profile straight from the definitions.
+    """Recompute the classify report straight from the definitions.
 
     Evaluates each class condition on all standard-basis pairs using the
     bilinear form, J applications and matrix-vector products, aggregating

@@ -144,8 +144,7 @@ class SpectralDecomp:
         return self.vectors.shape[0]
 
     def cluster_value(self, c):
-        idx = list(self.clusters[c])
-        return float(np.mean(self.eigenvalues[idx]))
+        return self._clusters()[0][c]
 
     def cluster_basis(self, c):
         return self.vectors[:, list(self.clusters[c])]
@@ -154,19 +153,21 @@ class SpectralDecomp:
         v = self.cluster_basis(c)
         return v @ v.conj().T
 
-    def _projectors(self):
-        """Every cluster projector, in cluster order.
+    def _clusters(self):
+        """Every cluster's mean eigenvalue and projector, in cluster order.
 
         Computed on first use and kept, read-only, on the instance (not a
         dataclass field, so equality is unchanged).
         """
-        projs = self.__dict__.get("_projector_cache")
-        if projs is None:
+        cache = self.__dict__.get("_cluster_cache")
+        if cache is None:
+            values = tuple(float(np.mean(self.eigenvalues[list(c)])) for c in self.clusters)
             projs = tuple(self.cluster_projector(c) for c in range(len(self.clusters)))
             for p in projs:
                 p.setflags(write=False)
-            object.__setattr__(self, "_projector_cache", projs)
-        return projs
+            cache = values, projs
+            object.__setattr__(self, "_cluster_cache", cache)
+        return cache
 
     def apply(self, f):
         """Sum of f(cluster mean) times the cluster projector.
@@ -175,8 +176,7 @@ class SpectralDecomp:
         non-real value on some cluster.
         """
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for c, proj in enumerate(self._projectors()):
-            lam = self.cluster_value(c)
+        for lam, proj in zip(*self._clusters()):
             try:
                 val = float(f(lam))
             except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
@@ -347,11 +347,6 @@ def nonpositive_pivot(m):
     return None
 
 
-def herm_fn(m, f, **kwargs):
-    """Apply a real scalar function to a Hermitian matrix spectrally."""
-    return herm_eig(m, **kwargs).apply(f)
-
-
 def inverse(m, *, pivot_rel=PIVOT_REL_TOL):
     """Matrix inverse: in-place Gauss-Jordan on an n x n working copy,
     partial pivoting, relative pivot floor.
@@ -387,15 +382,6 @@ def inverse(m, *, pivot_rel=PIVOT_REL_TOL):
     out = np.empty_like(a)
     out[:, rows] = a
     return out
-
-
-def resolvent(m, z):
-    """(M - z I)^{-1}; raises Singular when z is (numerically) an eigenvalue."""
-    a = as_square(m)
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DimensionMismatch("resolvent point must be finite")
-    return inverse(a - z * np.eye(a.shape[0], dtype=complex))
 
 
 def orthonormal_columns(b, *, rank_rel=RANK_REL_TOL, name="frame"):

@@ -8,9 +8,10 @@ sqrt(G^{-1}) = (sqrt G)^{-1}.  Routines here compute the factorization,
 re-synthesize J-unitaries from structured factors, and verify the
 structural claims by independent routes.  ``refined_polar(j, a)`` gates A
 and decomposes G, A A* and G^{-1} = A^{-1} A^{-*} in one stacked eigensolve,
-A^{-1} being the gate's elimination inverse; ``check_prop21``,
+A^{-1} being the gate's elimination inverse.  ``check_prop21``,
 ``check_unitary_equiv`` and ``check_reciprocity`` take the ``PolarParts`` it
-returns and reuse the gate and all three decompositions.
+returns: A, that inverse, G, the three decompositions, the factors and the
+factor report, whose extras carry the gate's condition number.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .conjugation import Conjugation, as_seed_sequence
 from .errors import BadFactor, DimensionMismatch, NotJUnitary, Singular
-from .jclass import OperatorProfile, classify, default_tol
+from .jclass import classify, default_tol
 from .numkernel import (
     SpectralDecomp,
     as_square,
@@ -38,15 +39,15 @@ from .report import ResidualReport
 
 @dataclass
 class PolarParts:
-    """Gated analysis of a J-unitary A: gate profile, G = A* A, factors
-    A = U B and their residuals, and the decompositions of G (dec), A A*
-    (dec_cogram) and G^-1 = A^-1 A^-* (dec_ginv), where A^-1 is the gate's
-    elimination inverse ``profile.inverse``."""
+    """Gated analysis of a J-unitary A: the gate's elimination inverse ainv,
+    G = A* A, factors A = U B and their residuals (extras: B's smallest
+    eigenvalue and the gate's cond), and the decompositions of G (dec),
+    A A* (dec_cogram) and G^-1 = A^-1 A^-* (dec_ginv)."""
 
     j: Conjugation
     a: np.ndarray
     tol: float
-    profile: OperatorProfile
+    ainv: np.ndarray
     g: np.ndarray
     dec: SpectralDecomp
     dec_cogram: SpectralDecomp
@@ -69,8 +70,9 @@ def refined_polar(j, a, tol=None):
         tol = default_tol()
     a = as_square(a, "operator")
     prof = classify(j, a, tol)
-    if not prof.passes("J-unitary"):
-        r = prof.residual("J-unitary")
+    gate = prof.item("J-unitary")
+    if not gate.passed:
+        r = gate.residual
         detail = "operator is singular" if r is None else f"residual {r:.3e} > {tol:.1e}"
         raise NotJUnitary(f"J-unitary gate failed: {detail}")
     g = a.conj().T @ a
@@ -84,14 +86,14 @@ def refined_polar(j, a, tol=None):
     nbinv = frobenius(binv)
     nu = frobenius(u)
     floor = math.sqrt(max(0.0, float(dec.eigenvalues[0])))
-    rep = ResidualReport(extras={"b_floor": floor, "cond": prof.cond})
+    rep = ResidualReport(extras={"b_floor": floor, "cond": prof.extras["cond"]})
     rep.add("reconstruct", frobenius(a - u @ b) / (1.0 + frobenius(a)), tol)
     rep.add("u_unitary", frobenius(u.conj().T @ u - eye) / (1.0 + nu), tol)
     rep.add("u_j_real", frobenius(u - j.sandwich(u)) / (1.0 + nu), tol)
     rep.add("b_hermitian", frobenius(b - b.conj().T) / (1.0 + nb), tol)
     rep.add("b_j_unitary", frobenius(j.sandwich(b) - binv) / (1.0 + nb + nbinv), tol)
     rep.add("b_positive", max(0.0, -float(dec.eigenvalues[0])), tol)
-    return PolarParts(j, a, tol, prof, g, dec, dec_cogram, dec_ginv, u, b, rep)
+    return PolarParts(j, a, tol, ainv, g, dec, dec_cogram, dec_ginv, u, b, rep)
 
 
 def synthesize(j, u, b, tol=None):
@@ -129,9 +131,9 @@ def synthesize(j, u, b, tol=None):
         raise BadFactor(
             f"B is not positive definite: Cholesky pivot {pivot:.3e} at column {col}"
         )
-    prof = classify(j, b, tol)
-    if not prof.passes("J-unitary"):
-        rb = prof.residual("J-unitary")
+    gate = classify(j, b, tol).item("J-unitary")
+    if not gate.passed:
+        rb = gate.residual
         raise BadFactor(
             "B is not J-unitary: "
             + ("singular" if rb is None else f"residual {rb:.3e}")
@@ -195,11 +197,10 @@ def check_prop21(parts):
     with the inverse the gate computed.  Raises Singular, naming the
     operand, when A^{-1}, A* or G is singular to elimination.
     """
-    a, tol = parts.a, parts.tol
-    ainv = parts.profile.inverse
+    a, ainv, tol = parts.a, parts.ainv, parts.tol
     eye = np.eye(a.shape[0], dtype=complex)
     den = 1.0 + frobenius(a) + frobenius(ainv)
-    rep = ResidualReport(extras={"cond": parts.profile.cond})
+    rep = ResidualReport(extras={"cond": parts.report.extras["cond"]})
     rep.add("inverse_j_unitary", _j_unitary_residual(parts, ainv, "inverse A^-1"), tol)
     rep.add("adjoint_j_unitary", _j_unitary_residual(parts, a.conj().T, "adjoint A*"), tol)
     rep.add("gram_j_unitary", _j_unitary_residual(parts, parts.g, "Gram matrix A*A"), tol)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 @dataclass(frozen=True)
 class CheckItem:
     name: str
-    residual: float
+    residual: float | None
     threshold: float
     passed: bool
 
@@ -26,8 +26,10 @@ class ResidualReport:
     extras: dict = field(default_factory=dict)
 
     def add(self, name, residual, threshold):
-        residual = float(residual)
-        ok = math.isfinite(residual) and residual <= threshold
+        """Record residual <= threshold; None records an undefined, failed check."""
+        if residual is not None:
+            residual = float(residual)
+        ok = residual is not None and math.isfinite(residual) and residual <= threshold
         self.items.append(CheckItem(name, residual, float(threshold), ok))
         return self
 
@@ -35,28 +37,31 @@ class ResidualReport:
     def passed(self):
         return all(item.passed for item in self.items)
 
-    def residual(self, name):
-        for item in self.items:
-            if item.name == name:
-                return item.residual
-        raise KeyError(name)
-
     def item(self, name):
         for item in self.items:
             if item.name == name:
                 return item
         raise KeyError(name)
 
+    def residual(self, name):
+        return self.item(name).residual
+
     def worst(self):
-        return max((item.residual for item in self.items), default=0.0)
+        """Largest defined residual (undefined checks are skipped), 0.0 if none."""
+        return max(
+            (item.residual for item in self.items if item.residual is not None), default=0.0
+        )
 
     def to_dict(self):
+        """JSON-ready form; an undefined or non-finite residual is written as null."""
         return {
             "passed": self.passed,
             "checks": [
                 {
                     "name": it.name,
-                    "residual": it.residual,
+                    "residual": it.residual
+                    if it.residual is not None and math.isfinite(it.residual)
+                    else None,
                     "threshold": it.threshold,
                     "passed": it.passed,
                 }

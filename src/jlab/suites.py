@@ -8,6 +8,7 @@ the same numbers the same way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ from .extension import (
     random_jimaginary_partial,
     ranges_defects,
 )
-from .jclass import CLASS_NAMES, classify, default_tol, definitional_oracle
+from .jclass import classify, default_tol, definitional_oracle
 from .numkernel import frobenius
 from .polar import (
     check_prop21,
@@ -32,6 +33,7 @@ from .polar import (
     refined_polar,
     synthesize,
 )
+from .report import CheckItem, ResidualReport
 
 POLAR_THRESHOLDS = {
     "gate": 0.5,
@@ -91,19 +93,23 @@ class TrialRecord:
 
 
 def worst_residuals(records):
+    """Largest value of each residual key; a NaN, once seen, is the worst."""
     out = {}
     for rec in records:
         for key, val in rec.residuals.items():
-            out[key] = max(out.get(key, 0.0), float(val))
+            worst = out.get(key, 0.0)
+            val = float(val)
+            # NaN compares false: it replaces any worst value and is never replaced
+            out[key] = worst if val <= worst or math.isnan(worst) else val
     return out
 
 
 def suite_failures(records, thresholds):
-    """(record, key, value) triples exceeding their thresholds."""
+    """(record, key, value) triples not within their thresholds (NaN included)."""
     bad = []
     for rec in records:
         for key, val in rec.residuals.items():
-            if val > thresholds.get(key, 0.0):
+            if not val <= thresholds.get(key, 0.0):
                 bad.append((rec, key, float(val)))
     return bad
 
@@ -261,24 +267,24 @@ def oracle_trials(trials, maxdim, seed):
         orac = definitional_oracle(j, a)
         mismatch = 0.0
         gap = 0.0
-        for name in CLASS_NAMES:
-            if prof.passes(name) != orac.passes(name):
+        for c, o in zip(prof.items, orac.items):
+            if c.passed != o.passed:
                 mismatch = 1.0
-            rc, ro = prof.residual(name), orac.residual(name)
+            rc, ro = c.residual, o.residual
             if (rc is None) != (ro is None):
                 mismatch = 1.0
             elif rc is not None:
                 gap = max(gap, abs(rc - ro))
-        if prof.invertible != orac.invertible:
+        if prof.extras["invertible"] != orac.extras["invertible"]:
             mismatch = 1.0
         # even trials were already classified against canonical(n)
         prof_can = prof if i % 2 == 0 else classify(canonical(n), a)
         eye = np.eye(n, dtype=complex)
         direct = (
-            prof_can.invertible
+            prof_can.extras["invertible"]
             and frobenius(a.T @ a - eye) / (1.0 + frobenius(a)) <= tol
         )
-        bridge = 0.0 if direct == prof_can.passes("J-unitary") else 1.0
+        bridge = 0.0 if direct == prof_can.item("J-unitary").passed else 1.0
         rec = TrialRecord(i, tseed, n, notes={"kind": kind})
         rec.residuals.update(
             {"verdict_mismatch": mismatch, "residual_gap": gap, "bridge_mismatch": bridge}
@@ -288,10 +294,13 @@ def oracle_trials(trials, maxdim, seed):
 
 
 def run_verify_program(trials, maxdim, seed, corrupt_index=None):
-    """The whole property program; returns per-suite records and a summary.
+    """The whole property program; returns per-suite records, the failing
+    (suite, seed, key, value) tuples and the program's report.
 
-    Summary maps suite name to {key: (worst, threshold, passed)}, plus the
-    failing (seed, key, value) triples and the multivalued fraction.
+    The report holds one item "suite.key" per measured residual key, at its
+    worst value against the suite threshold, and the extension suite's
+    multivalued fraction, which must stay strictly below its cap; the
+    report's verdict is the program's.
     """
     trials = int(trials)
     program = {
@@ -312,29 +321,20 @@ def run_verify_program(trials, maxdim, seed, corrupt_index=None):
             ORACLE_THRESHOLDS,
         ),
     }
-    summary = {}
+    report = ResidualReport(extras={"trials": trials, "seed": int(seed)})
     failures = []
     for name, (records, thresholds) in program.items():
         worst = worst_residuals(records)
-        entry = {}
         for key, thr in thresholds.items():
             if key in worst:
-                entry[key] = (worst[key], thr, worst[key] <= thr)
-        summary[name] = entry
+                report.add(f"{name}.{key}", worst[key], thr)
         for rec, key, val in suite_failures(records, thresholds):
             failures.append((name, rec.seed, key, val))
     frac = multivalued_fraction(program["extension"][0])
-    summary["extension_multivalued_fraction"] = (
-        frac,
-        MULTIVALUED_FRACTION_CAP,
-        frac < MULTIVALUED_FRACTION_CAP or not program["extension"][0],
-    )
-    passed = not failures and (
-        frac < MULTIVALUED_FRACTION_CAP or not program["extension"][0]
-    )
+    cap = MULTIVALUED_FRACTION_CAP
+    report.items.append(CheckItem("extension_multivalued_fraction", frac, cap, frac < cap))
     return {
         "records": {name: recs for name, (recs, _) in program.items()},
-        "summary": summary,
         "failures": failures,
-        "passed": passed,
+        "report": report,
     }

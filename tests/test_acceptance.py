@@ -47,7 +47,7 @@ def _threshold_problems(records, thresholds, keys):
         value = worst.get(key)
         if value is None:
             problems.append(f"{key}: never measured")
-        elif value > thresholds[key]:
+        elif not value <= thresholds[key]:
             problems.append(f"{key}: worst {value:.3e} > {thresholds[key]:.1e}")
     return problems
 

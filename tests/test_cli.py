@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from jlab import suites
 from jlab.cli import main
 from jlab.conjugation import Conjugation, random_conjugation
 from jlab.examples import block_a0, jacobi_imag
@@ -20,6 +21,8 @@ from jlab.fileio import (
     write_matrix,
     write_partial_operator,
 )
+from jlab.jclass import CLASS_NAMES
+from jlab.suites import MULTIVALUED_FRACTION_CAP, TrialRecord
 
 B2 = np.array([[1.25, 0.75j], [-0.75j, 1.25]])
 
@@ -212,3 +215,62 @@ def test_verify_suite_corruption_hook(capsys):
 def test_verify_suite_bad_parameters():
     assert run(["verify-suite", "--trials", -1]) == 2
     assert run(["verify-suite", "--trials", 4, "--maxdim", 0]) == 2
+
+
+def test_verify_suite_multivalued_fraction_at_the_cap_fails(tmp_path, capsys, monkeypatch):
+    records = [
+        TrialRecord(i, 100 + i, 3, {"defect_match": 0.0}, {"multivalued": i == 0})
+        for i in range(20)
+    ]
+    assert 1 / len(records) == MULTIVALUED_FRACTION_CAP
+    monkeypatch.setattr(suites, "extension_trials", lambda *args: records)
+    report = tmp_path / "run.json"
+    code = run(["verify-suite", "--trials", 4, "--maxdim", 3, "--seed", 7, "--report", report])
+    assert code == 1
+    line = next(
+        ln for ln in capsys.readouterr().out.splitlines()
+        if ln.startswith("extension_multivalued_fraction")
+    )
+    assert line.endswith("FAIL")
+    doc = json.loads(report.read_text())
+    assert doc["passed"] is False
+    (check,) = [c for c in doc["checks"] if c["name"] == "extension_multivalued_fraction"]
+    assert check["passed"] is False
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"non-finite number {token} in {path}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_every_report_is_strict_json(tmp_path, a0_file):
+    singular = tmp_path / "n.json"
+    write_matrix(singular, np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    b2 = tmp_path / "b.json"
+    write_matrix(b2, B2)
+    partial = tmp_path / "t.json"
+    write_partial_operator(partial, jacobi_imag(2, 1)[1])
+    commands = {
+        "classify": ["classify", a0_file, "--canonical"],
+        "classify-singular": ["classify", singular, "--canonical"],
+        "polar": ["polar", b2, "--canonical", "--out", tmp_path / "p"],
+        "extend": ["extend", partial, "--canonical", "--out", tmp_path / "e"],
+        "unbounded": ["demo", "unbounded", "--levels", 3],
+        "jacobi": ["demo", "jacobi", "--n", 3, "--d", 1],
+        "random": ["random", "--kind", "j-unitary", "--dim", 3, "--seed", 1, "--out", tmp_path / "r.json"],
+        "verify-suite": ["verify-suite", "--trials", 4, "--maxdim", 4],
+    }
+    docs = {}
+    for name, args in commands.items():
+        report = tmp_path / f"{name}.report.json"
+        assert run(args + ["--report", report]) == 0, name
+        docs[name] = _strict_json(report)
+    assert [c["name"] for c in docs["classify"]["checks"]] == list(CLASS_NAMES)
+    checks = {c["name"]: c for c in docs["classify-singular"]["checks"]}
+    assert list(checks) == list(CLASS_NAMES)
+    assert checks["J-unitary"]["residual"] is None
+    assert checks["J-unitary"]["passed"] is False
+    assert checks["self-adjoint"]["residual"] > 0.1
+    assert docs["classify-singular"]["extras"] == {"invertible": False, "cond": None}

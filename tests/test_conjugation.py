@@ -9,7 +9,6 @@ from jlab.conjugation import (
     Conjugation,
     as_seed_sequence,
     canonical,
-    direct_sum,
     fixed_basis,
     random_conjugation,
     random_unitary,
@@ -89,14 +88,6 @@ def test_as_seed_sequence_coercion():
     ss = np.random.SeedSequence(9)
     assert as_seed_sequence(ss) is ss
     assert as_seed_sequence(9).entropy == 9
-
-
-def test_direct_sum_blocks():
-    j = direct_sum(canonical(2), random_conjugation(3, 1))
-    assert j.dim == 5
-    assert verify(j).passed
-    np.testing.assert_allclose(j.coeff[:2, :2], np.eye(2), atol=0)
-    assert np.max(np.abs(j.coeff[:2, 2:])) == 0.0
 
 
 def test_fixed_basis_full_space_canonical():

@@ -1,6 +1,8 @@
 """Classification residuals, the definitional oracle (and its pairwise
 reference), and the canonical bridge."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,10 @@ def test_bilinear_form_rejects_bad_vectors():
             bilinear_form(j, good, bad)
 
 
+def _passing(prof):
+    return {item.name for item in prof.items if item.passed}
+
+
 def test_classify_identity_canonical():
     prof = classify(canonical(2), np.eye(2, dtype=complex))
     expected = {
@@ -67,9 +73,10 @@ def test_classify_identity_canonical():
         "J-unitary",
         "J-real",
     }
-    assert set(prof.passing_classes()) == expected
-    assert prof.invertible
-    assert abs(prof.cond - 2.0) < 1e-12  # Frobenius-based, so n for the identity
+    assert _passing(prof) == expected
+    assert [item.name for item in prof.items] == list(CLASS_NAMES)
+    assert prof.extras["invertible"]
+    assert abs(prof.extras["cond"] - 2.0) < 1e-12  # Frobenius-based, so n for the identity
 
 
 def test_classify_rotation_canonical():
@@ -82,7 +89,7 @@ def test_classify_rotation_canonical():
         "J-real",
         "J-skew-self-adjoint",
     }
-    assert set(prof.passing_classes()) == expected
+    assert _passing(prof) == expected
 
 
 def test_classify_imaginary_hermitian_block():
@@ -94,17 +101,19 @@ def test_classify_imaginary_hermitian_block():
         "J-skew-self-adjoint",
         "J-imaginary",
     }
-    assert set(prof.passing_classes()) == expected
+    assert _passing(prof) == expected
 
 
 def test_classify_singular_operator():
     prof = classify(canonical(2), np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-    assert not prof.invertible
-    assert prof.cond is None
+    assert not prof.extras["invertible"]
+    assert prof.extras["cond"] is None
+    assert prof.inverse is None
     assert prof.residual("J-unitary") is None
-    assert not prof.passes("J-unitary")
-    # the other residuals are still measured
+    assert not prof.item("J-unitary").passed
+    # the other residuals are still measured, and worst() skips the undefined one
     assert prof.residual("self-adjoint") > 0.1
+    assert prof.worst() == max(it.residual for it in prof.items if it.name != "J-unitary")
 
 
 def test_classify_dimension_mismatch():
@@ -116,16 +125,15 @@ def test_canonical_bridge_matrix_conditions():
     j = canonical(2)
     rng = np.random.default_rng(6)
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    assert classify(j, 0.5 * (z + z.T)).passes("J-symmetric")
-    assert classify(j, z.real.astype(complex)).passes("J-real")
-    assert classify(j, (1j * z.real).astype(complex)).passes("J-imaginary")
+    assert classify(j, 0.5 * (z + z.T)).item("J-symmetric").passed
+    assert classify(j, z.real.astype(complex)).item("J-real").passed
+    assert classify(j, (1j * z.real).astype(complex)).item("J-imaginary").passed
     # complex orthogonal: rotation by a complex angle
     w = 0.3 + 0.2j
     q = np.array([[np.cos(w), np.sin(w)], [-np.sin(w), np.cos(w)]])
     prof = classify(j, q)
-    assert prof.passes("J-isometric")
-    assert prof.passes("J-unitary")
-    assert not prof.passes("self-adjoint")
+    assert _passing(prof) >= {"J-isometric", "J-unitary"}
+    assert not prof.item("self-adjoint").passed
 
 
 def test_oracle_matches_classify_on_random_matrices():
@@ -138,32 +146,41 @@ def test_oracle_matches_classify_on_random_matrices():
             z = 0.5 * (z + z.conj().T)
         prof = classify(j, z)
         orac = definitional_oracle(j, z)
-        for name in CLASS_NAMES:
-            assert prof.passes(name) == orac.passes(name), name
-            rc, ro = prof.residual(name), orac.residual(name)
-            assert (rc is None) == (ro is None), name
-            if rc is not None:
-                assert abs(rc - ro) < 1e-12, f"{name}: {rc} vs {ro}"
-        assert prof.invertible == orac.invertible
+        for c, o in zip(prof.items, orac.items, strict=True):
+            assert c.name == o.name
+            assert c.passed == o.passed, c.name
+            assert (c.residual is None) == (o.residual is None), c.name
+            if c.residual is not None:
+                assert abs(c.residual - o.residual) < 1e-12, f"{c.name}: {c.residual} vs {o.residual}"
+        assert prof.extras["invertible"] == orac.extras["invertible"]
 
 
 def test_oracle_handles_singular_and_caps_dimension():
     j = canonical(2)
     orac = definitional_oracle(j, np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
     assert orac.residual("J-unitary") is None
-    assert not orac.invertible
+    assert not orac.item("J-unitary").passed
+    assert not orac.extras["invertible"]
     assert ORACLE_DIM_CAP == 8
     with pytest.raises(CapExceeded):
         definitional_oracle(canonical(9), np.eye(9, dtype=complex))
 
 
 def test_profile_to_dict_round_trip():
-    prof = classify(canonical(2), np.eye(2, dtype=complex))
-    doc = prof.to_dict()
-    assert doc["invertible"] is True
-    assert doc["classes"]["J-real"]["passed"] is True
-    assert doc["classes"]["J-imaginary"]["passed"] is False
-    assert doc["tol"] == prof.tol
+    prof = classify(canonical(2), np.eye(2, dtype=complex), tol=1e-9)
+    doc = json.loads(json.dumps(prof.to_dict(), allow_nan=False))
+    assert doc["extras"] == {"invertible": True, "cond": prof.extras["cond"]}
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert list(checks) == list(CLASS_NAMES)
+    assert checks["J-real"]["passed"] is True
+    assert checks["J-imaginary"]["passed"] is False
+    assert {c["threshold"] for c in doc["checks"]} == {1e-9}
+    assert "inverse" not in doc
+    singular = classify(canonical(2), np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    doc = json.loads(json.dumps(singular.to_dict(), allow_nan=False))
+    unitary = next(c for c in doc["checks"] if c["name"] == "J-unitary")
+    assert unitary["residual"] is None and unitary["passed"] is False
+    assert doc["extras"] == {"invertible": False, "cond": None}
 
 
 def _pairwise_oracle(j, a, tol=None, cap=ORACLE_DIM_CAP):
@@ -234,9 +251,8 @@ def _pairwise_oracle(j, a, tol=None, cap=ORACLE_DIM_CAP):
 def _assert_profiles_identical(got, ref, where):
     for name in CLASS_NAMES:
         assert got.residual(name) == ref.residual(name), (where, name)
-        assert got.passes(name) == ref.passes(name), (where, name)
-    assert got.cond == ref.cond, where
-    assert got.invertible == ref.invertible, where
+        assert got.item(name).passed == ref.item(name).passed, (where, name)
+    assert got.extras == ref.extras, where
 
 
 def test_oracle_matches_pairwise_reference():
@@ -247,7 +263,7 @@ def test_oracle_matches_pairwise_reference():
                 a = _oracle_matrix(kind, j, n, rng)
                 got = definitional_oracle(j, a)
                 _assert_profiles_identical(got, _pairwise_oracle(j, a), (n, kind))
-                assert got.invertible, (n, kind)
+                assert got.extras["invertible"], (n, kind)
                 # a zero column makes A singular: no J-unitary residual
                 a[:, t % n] = 0.0
                 got = definitional_oracle(j, a)

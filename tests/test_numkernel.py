@@ -36,12 +36,10 @@ from jlab.numkernel import (
     as_vector,
     frobenius,
     herm_eig,
-    herm_fn,
     inverse,
     nonpositive_pivot,
     orth_complement,
     orthonormal_columns,
-    resolvent,
     singular_extremes,
     spectral_norm,
     subspace_gap,
@@ -369,10 +367,11 @@ def test_apply_builds_the_projectors_once(monkeypatch):
     u = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
     dec = herm_eig((u * np.array([1.0, 1.0, 2.0, 3.0, 3.0, 3.0])) @ u.conj().T)
     assert len(dec.clusters) == 3
-    # reference: rebuild each projector, same accumulation order
+    # reference: rebuild each mean and projector, same accumulation order
     ref = np.zeros((6, 6), dtype=complex)
-    for c in range(len(dec.clusters)):
-        ref += math.sqrt(dec.cluster_value(c)) * dec.cluster_projector(c)
+    for idx in dec.clusters:
+        v = dec.vectors[:, list(idx)]
+        ref += math.sqrt(float(np.mean(dec.eigenvalues[list(idx)]))) * (v @ v.conj().T)
     built = []
     projector = SpectralDecomp.cluster_projector
 
@@ -384,7 +383,11 @@ def test_apply_builds_the_projectors_once(monkeypatch):
     assert np.array_equal(dec.apply(math.sqrt), ref)
     assert np.array_equal(dec.apply(math.sqrt), ref)
     assert built == [0, 1, 2]
-    assert all(not p.flags.writeable for p in dec.__dict__["_projector_cache"])
+    values, projs = dec.__dict__["_cluster_cache"]
+    assert all(not p.flags.writeable for p in projs)
+    # cluster_value reads the same cache
+    assert [dec.cluster_value(c) for c in range(3)] == list(values)
+    assert built == [0, 1, 2]
 
 
 def test_round_robin_schedule_covers_every_pair_once():
@@ -437,7 +440,7 @@ def test_eigenvalue_clustering_merges_consecutive_near_ties():
 def test_herm_fn_exponential_frozen_value():
     m = np.array([[0.0, 1j * LN2], [-1j * LN2, 0.0]])
     expected = np.array([[1.25, 0.75j], [-0.75j, 1.25]])
-    np.testing.assert_allclose(herm_fn(m, math.exp), expected, atol=1e-13)
+    np.testing.assert_allclose(herm_eig(m).apply(math.exp), expected, atol=1e-13)
 
 
 def test_herm_fn_reciprocal_agrees_with_elimination_inverse():
@@ -445,17 +448,17 @@ def test_herm_fn_reciprocal_agrees_with_elimination_inverse():
     for n in (1, 3, 6):
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         g = z @ z.conj().T + np.eye(n)
-        diff = herm_fn(g, lambda u: 1.0 / u) - inverse(g)
+        diff = herm_eig(g).apply(lambda u: 1.0 / u) - inverse(g)
         assert frobenius(diff) / (1.0 + frobenius(g)) < 1e-11
 
 
 def test_herm_fn_domain_errors():
     with pytest.raises(DomainError):
-        herm_fn(np.diag([-1.0, 1.0]).astype(complex), math.sqrt)
+        herm_eig(np.diag([-1.0, 1.0]).astype(complex)).apply(math.sqrt)
     with pytest.raises(DomainError):
-        herm_fn(np.diag([0.0, 1.0]).astype(complex), lambda u: 1.0 / u)
+        herm_eig(np.diag([0.0, 1.0]).astype(complex)).apply(lambda u: 1.0 / u)
     with pytest.raises(DomainError):
-        herm_fn(np.eye(2, dtype=complex), lambda u: float("nan"))
+        herm_eig(np.eye(2, dtype=complex)).apply(lambda u: float("nan"))
 
 
 def test_inverse_frozen_two_by_two():
@@ -529,15 +532,6 @@ def test_inverse_leaves_the_callers_array_unchanged():
     assert np.shares_memory(as_square(a), a)  # the kernel must work on a copy
     inverse(a)
     assert np.array_equal(a, before)
-
-
-def test_resolvent_values_and_poles():
-    m = np.diag([1.0, 2.0]).astype(complex)
-    np.testing.assert_allclose(resolvent(m, 3.0), np.diag([-0.5, -1.0]), atol=1e-13)
-    with pytest.raises(Singular):
-        resolvent(m, 1.0)
-    with pytest.raises(DimensionMismatch):
-        resolvent(m, complex(np.inf))
 
 
 def test_orthonormal_columns_properties():

@@ -1,0 +1,68 @@
+"""Verdict helpers of the property program and the report it returns."""
+
+import math
+
+from jlab import suites
+from jlab.suites import (
+    MULTIVALUED_FRACTION_CAP,
+    POLAR_THRESHOLDS,
+    TrialRecord,
+    run_verify_program,
+    suite_failures,
+    worst_residuals,
+)
+
+
+def _records(values, key="reconstruct"):
+    return [TrialRecord(i, 10 + i, 2, {key: v}) for i, v in enumerate(values)]
+
+
+def test_non_finite_residuals_fail_and_are_the_worst():
+    nan = float("nan")
+    records = _records([1e-12, nan, 2e-12])
+    assert math.isnan(worst_residuals(records)["reconstruct"])
+    # a NaN, once seen, is never replaced by a later finite value
+    assert math.isnan(worst_residuals(records[1:])["reconstruct"])
+    assert worst_residuals(_records([1e-12, math.inf, 2e-12]))["reconstruct"] == math.inf
+    assert worst_residuals(_records([3e-12, 1e-12]))["reconstruct"] == 3e-12
+    bad = suite_failures(records, POLAR_THRESHOLDS)
+    assert [(rec.seed, key) for rec, key, _ in bad] == [(11, "reconstruct")]
+    assert math.isnan(bad[0][2])
+    assert suite_failures(_records([POLAR_THRESHOLDS["reconstruct"]]), POLAR_THRESHOLDS) == []
+
+
+def test_verify_program_report_is_its_verdict(monkeypatch):
+    polar = _records([1e-12, float("nan")])
+    extension = [
+        TrialRecord(i, 100 + i, 3, {"defect_match": 0.0}, {"multivalued": i == 0})
+        for i in range(20)
+    ]
+    monkeypatch.setattr(suites, "polar_trials", lambda *args: polar)
+    monkeypatch.setattr(suites, "extension_trials", lambda *args: extension)
+    monkeypatch.setattr(suites, "zero_defect_trials", lambda *args: [])
+    monkeypatch.setattr(suites, "oracle_trials", lambda *args, **kwargs: [])
+    outcome = run_verify_program(4, 3, 0)
+    report = outcome["report"]
+    assert [it.name for it in report.items] == [
+        "polar.reconstruct",
+        "extension.defect_match",
+        "extension_multivalued_fraction",
+    ]
+    assert math.isnan(report.residual("polar.reconstruct"))
+    assert not report.item("polar.reconstruct").passed
+    # strict JSON has no NaN: the failing residual is written as null
+    assert report.to_dict()["checks"][0] == {
+        "name": "polar.reconstruct",
+        "residual": None,
+        "threshold": POLAR_THRESHOLDS["reconstruct"],
+        "passed": False,
+    }
+    assert report.item("extension.defect_match").passed
+    # one in twenty sits at the cap, and the cap is strict
+    frac = report.item("extension_multivalued_fraction")
+    assert frac.residual == MULTIVALUED_FRACTION_CAP and not frac.passed
+    assert [(name, seed, key) for name, seed, key, _ in outcome["failures"]] == [
+        ("polar", 11, "reconstruct")
+    ]
+    assert not report.passed
+    assert report.extras == {"trials": 4, "seed": 0}
