@@ -7,8 +7,14 @@ a J-real unitary V: on the range of T - i it maps (T - i)f to (T + i)f, and
 on the defect space N_i it is completed by a pairing W of J-fixed
 orthonormal bases of N_i and N_{-i}.  Inverting the Cayley transform,
 A~ = iI + 2i (V - I)^{-1}, yields a self-adjoint J-imaginary extension of T.
-When V - I is singular the relation is multivalued; sign flips on the
-J-fixed basis of N_{-i} are retried before giving up.
+When V - I is singular the relation is multivalued unless a sign flip on
+the J-fixed basis of N_{-i} clears the kernel.  The flips follow a parity
+rule.  In a J-fixed frame V is real orthogonal, so with m = dim ker(V - I)
+det V = (-1)^n exactly when m is even.  Negating column i of f_- multiplies
+V by the reflection I - 2 p_i p_i*, p_i column i of f_+, which changes that
+parity; a flip set S can clear the kernel only if |S| >= m and
+|S| = m (mod 2).  So the one retry flips the m columns whose f_+ partners
+overlap ker(V - I) most.
 """
 
 from __future__ import annotations
@@ -176,12 +182,14 @@ def extend(j, t, retry_budget=None, tol=None):
     """Self-adjoint J-imaginary extension of T through the Cayley transform.
 
     Builds V = U + W from the Cayley isometry U and a J-fixed defect pairing
-    W, then inverts: A~ = iI + 2i (V - I)^{-1}.  When V - I is singular,
-    retries flip signs on columns of the J-fixed basis of N_{-i}: the first
-    retry flips exactly the columns whose partner directions in N_i overlap
-    ker(V - I) (each such channel feeds the kernel, so all must move at
-    once), later retries sweep single columns.  The budget counts attempts
-    including the first and defaults to defect + 1.  Raises
+    W, then inverts: A~ = iI + 2i (V - I)^{-1}.  When the unflipped V - I is
+    singular with m = dim ker(V - I), one retry negates m columns of the
+    J-fixed basis f_- of N_{-i}: those whose partners in f_+ overlap
+    ker(V - I) most (row norms of f_+* K, ties in stable order).  Each flip
+    multiplies the real orthogonal V by a reflection, so a flip set S can
+    clear the kernel only if |S| >= m and |S| = m (mod 2); the rule takes
+    the smallest such set.  There is no further retry.  The budget counts
+    attempts including the first and defaults to both.  Raises
     MultivaluedRelation if every attempt leaves V - I singular, reporting
     ker(V - I) of the unflipped attempt.
     """
@@ -196,8 +204,7 @@ def extend(j, t, retry_budget=None, tol=None):
     uop = cayley_isometry(defect)
     f_plus = fixed_basis(j, defect.n_plus)
     f_minus = fixed_basis(j, defect.n_minus)
-    k = f_plus.shape[1]
-    budget = k + 1 if retry_budget is None else int(retry_budget)
+    budget = 2 if retry_budget is None else int(retry_budget)
     if budget < 1:
         raise OutOfRange(f"retry budget must be at least 1, got {budget}")
     n = t.ambient
@@ -211,46 +218,32 @@ def extend(j, t, retry_budget=None, tol=None):
         vm = v - eye
         dec = herm_eig(vm.conj().T @ vm)
         svals = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-        kernel = dec.vectors[:, svals <= SINGULAR_FLOOR]
-        return w, v, float(svals[0]), kernel
-
-    base_kernel = 0
-    plan = [()]
-    chosen = None
-    attempts = 0
-    tried = set()
-    while plan and attempts < budget:
-        flips = plan.pop(0)
-        if flips in tried:
-            continue
-        tried.add(flips)
-        attempts += 1
-        w, v, smin, kernel = attempt_v(list(flips))
-        if not flips:
-            base_kernel = kernel.shape[1]
-            if kernel.shape[1] and k:
-                overlap = np.linalg.norm(f_plus.conj().T @ kernel, axis=1)
-                guided = tuple(int(i) for i in np.nonzero(overlap > 1e-8)[0])
-                if guided:
-                    plan.append(guided)
-            plan.extend((i,) for i in range(k))
+        smin = float(svals[0])
+        vm_inv = None
         if smin > SINGULAR_FLOOR:
             try:
-                vm_inv = inverse(v - eye)
+                vm_inv = inverse(vm)
             except Singular:
                 # the floor screens this out in practice, but elimination
                 # has the final word on whether V - I is usable
-                continue
-            chosen = (flips, attempts, w, v, smin, vm_inv)
-            break
-    if chosen is None:
+                pass
+        return w, v, smin, dec.vectors[:, svals <= SINGULAR_FLOOR], vm_inv
+
+    flips = []
+    attempts = 1
+    w, v, smin, kernel, vm_inv = attempt_v(flips)
+    base_kernel = kernel.shape[1]
+    if vm_inv is None and base_kernel and budget > 1:
+        overlap = np.linalg.norm(f_plus.conj().T @ kernel, axis=1)
+        flips = sorted(np.argsort(-overlap, kind="stable")[:base_kernel].tolist())
+        attempts = 2
+        w, v, smin, _, vm_inv = attempt_v(flips)
+    if vm_inv is None:
         raise MultivaluedRelation(
             f"V - I stayed singular through {attempts} attempt(s); "
             f"kernel dimension {base_kernel} on the unflipped pairing",
             base_kernel,
         )
-    flips, attempts, w, v, smin, vm_inv = chosen
-    flip = list(flips) if flips else None
     a_tilde = 1j * eye + 2j * vm_inv
     q = t.domain_basis
     act = t.action
@@ -259,7 +252,7 @@ def extend(j, t, retry_budget=None, tol=None):
     rep = ResidualReport(
         extras={
             "defect_numbers": defect.defect_numbers,
-            "flipped_columns": flip,
+            "flipped_columns": flips or None,
             "attempts": attempts,
             "min_singular_value": smin,
         }

@@ -6,6 +6,16 @@ import math
 from dataclasses import dataclass, field
 
 
+def worst_of(values):
+    """Largest of the values, 0.0 if none; a NaN, once seen, is the worst."""
+    worst = 0.0
+    for val in values:
+        val = float(val)
+        # NaN compares false: it replaces any worst value and is never replaced
+        worst = worst if val <= worst or math.isnan(worst) else val
+    return worst
+
+
 @dataclass(frozen=True)
 class CheckItem:
     name: str
@@ -48,9 +58,7 @@ class ResidualReport:
 
     def worst(self):
         """Largest defined residual (undefined checks are skipped), 0.0 if none."""
-        return max(
-            (item.residual for item in self.items if item.residual is not None), default=0.0
-        )
+        return worst_of(item.residual for item in self.items if item.residual is not None)
 
     def to_dict(self):
         """JSON-ready form; an undefined or non-finite residual is written as null."""

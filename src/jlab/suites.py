@@ -8,7 +8,6 @@ the same numbers the same way.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +32,7 @@ from .polar import (
     refined_polar,
     synthesize,
 )
-from .report import CheckItem, ResidualReport
+from .report import CheckItem, ResidualReport, worst_of
 
 POLAR_THRESHOLDS = {
     "gate": 0.5,
@@ -94,14 +93,11 @@ class TrialRecord:
 
 def worst_residuals(records):
     """Largest value of each residual key; a NaN, once seen, is the worst."""
-    out = {}
-    for rec in records:
-        for key, val in rec.residuals.items():
-            worst = out.get(key, 0.0)
-            val = float(val)
-            # NaN compares false: it replaces any worst value and is never replaced
-            out[key] = worst if val <= worst or math.isnan(worst) else val
-    return out
+    keys = dict.fromkeys(key for rec in records for key in rec.residuals)
+    return {
+        key: worst_of(rec.residuals[key] for rec in records if key in rec.residuals)
+        for key in keys
+    }
 
 
 def suite_failures(records, thresholds):

@@ -127,17 +127,44 @@ def test_extend_jacobi_two_frozen():
     assert res.report.extras["min_singular_value"] > 1.0
 
 
-def test_extend_jacobi_three_needs_multicolumn_flip():
-    j, t = jacobi_imag(3, 1)
-    res = extend(j, t)
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(2, 9) for d in range(1, n)])
+def test_extend_jacobi_three_needs_multicolumn_flip(n, d):
+    j, t = jacobi_imag(n, d)
+    res = extend(j, t, retry_budget=2)
     assert res.report.passed
-    # the unflipped pairing leaves two independent unit-eigenvalue channels,
-    # so the kernel-guided retry must flip both defect columns at once
-    assert res.report.extras["flipped_columns"] == [0, 1]
+    # the unflipped pairing leaves one unit-eigenvalue channel per defect
+    # direction, so the parity rule must flip every defect column at once
+    assert res.report.extras["flipped_columns"] == list(range(n - d))
     assert res.report.extras["attempts"] == 2
-    np.testing.assert_allclose(res.a_tilde[:, 0], np.array([0.0, -1j, 0.0]), atol=1e-12)
+    if (n, d) == (3, 1):
+        np.testing.assert_allclose(res.a_tilde[:, 0], np.array([0.0, -1j, 0.0]), atol=1e-12)
     assert frobenius(res.a_tilde - res.a_tilde.conj().T) < 1e-12
     assert np.max(np.abs(res.a_tilde.real)) < 1e-12
+
+
+def test_extend_flips_by_the_kernel_parity_rule():
+    # the first 100 inputs of extension_trials(..., maxdim=12, seed=100_000)
+    for tseed in range(100_000, 100_100):
+        rng = np.random.default_rng(tseed)
+        n = int(rng.integers(2, 13))
+        d = int(rng.integers(1, n))
+        s_j, s_t = np.random.SeedSequence(tseed).spawn(2)
+        j = random_conjugation(n, s_j)
+        t = random_jimaginary_partial(j, d, s_t)
+        res = extend(j, t)
+        attempts = res.report.extras["attempts"]
+        assert attempts <= 2, tseed
+        kernel_dim = 0
+        if attempts == 2:
+            with pytest.raises(MultivaluedRelation) as info:
+                extend(j, t, retry_budget=1)
+            kernel_dim = info.value.kernel_dim
+            assert len(res.report.extras["flipped_columns"]) == kernel_dim, tseed
+        # V is real orthogonal in a J-fixed frame: det V (-1)^n = (-1)^dim ker(V - I)
+        defect = ranges_defects(t)
+        w = fixed_basis(j, defect.n_minus) @ fixed_basis(j, defect.n_plus).conj().T
+        det = np.linalg.det(cayley_isometry(defect) + w)
+        assert abs(det * (-1) ** n - (-1) ** kernel_dim) < 1e-8, tseed
 
 
 def test_extend_exhausted_budget_reports_kernel():

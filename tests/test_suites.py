@@ -3,6 +3,7 @@
 import math
 
 from jlab import suites
+from jlab.report import ResidualReport
 from jlab.suites import (
     MULTIVALUED_FRACTION_CAP,
     POLAR_THRESHOLDS,
@@ -29,6 +30,18 @@ def test_non_finite_residuals_fail_and_are_the_worst():
     assert [(rec.seed, key) for rec, key, _ in bad] == [(11, "reconstruct")]
     assert math.isnan(bad[0][2])
     assert suite_failures(_records([POLAR_THRESHOLDS["reconstruct"]]), POLAR_THRESHOLDS) == []
+
+
+def test_report_worst_is_order_free_with_nan():
+    nan = float("nan")
+    for values in ((nan, 2.0), (2.0, nan), (1.0, nan, None, 3.0)):
+        rep = ResidualReport()
+        for i, val in enumerate(values):
+            rep.add(f"c{i}", val, 1.0)
+        assert math.isnan(rep.worst()), values
+    rep = ResidualReport().add("a", 2.0, 1.0).add("b", None, 1.0).add("c", 0.5, 1.0)
+    assert rep.worst() == 2.0
+    assert ResidualReport().add("a", None, 1.0).add("b", None, 1.0).worst() == 0.0
 
 
 def test_verify_program_report_is_its_verdict(monkeypatch):
