@@ -12,7 +12,12 @@ by this module rather than by a LAPACK build:
   gate, scale, skip threshold, convergence test and sweep count, so its
   result is bit-identical whatever its stack mates;
 * ``inverse`` - in-place Gauss-Jordan on an n x n working copy, partial
-  pivoting, relative pivot floor.
+  pivoting, relative pivot floor, in column panels of INVERSE_PANEL.  The
+  pivot rule, the floor, the elimination order and the Singular messages
+  are pinned as in the column-by-column kernel.  Only the updates of the
+  columns outside a finished panel are grouped: one matrix product per
+  side, as each Jacobi round is one matrix product.  n <= INVERSE_PANEL
+  is one panel and no product.
 
 Positive definiteness is a rule, not a spectrum: ``nonpositive_pivot`` runs a
 pinned Cholesky pivot scan (n numpy steps on a working copy) and reports the
@@ -47,6 +52,9 @@ CLUSTER_REL_TOL = 1e-8
 PIVOT_REL_TOL = 1e-13
 RANK_REL_TOL = 1e-10
 HERMITIAN_REL_TOL = 1e-10
+# Columns per elimination panel in inverse.  At least 16, so the verify
+# program's operators (n <= 16) take one panel, step for step the classic kernel.
+INVERSE_PANEL = 32
 
 
 def as_matrix(m, name="matrix"):
@@ -348,11 +356,20 @@ def nonpositive_pivot(m):
 
 
 def inverse(m, *, pivot_rel=PIVOT_REL_TOL):
-    """Matrix inverse: in-place Gauss-Jordan on an n x n working copy,
+    """Matrix inverse: panelled in-place Gauss-Jordan on an n x n working copy,
     partial pivoting, relative pivot floor.
 
-    Each spent column of A takes over the inverse column that becomes live
-    at that step, so the work is that of [A | I] with half the columns.
+    Columns are eliminated in order, in panels of INVERSE_PANEL.  Within a
+    panel each step is the classic one restricted to the panel's columns:
+    the largest pivot at or below the diagonal, a whole-row swap, and the
+    rank-1 update.  Each spent column of A takes over the inverse column
+    that becomes live at that step, so the work is that of [A | I] with half
+    the columns, and a finished panel P holds T[:, P], where T is the product
+    of its steps' transforms.  T differs from I only in columns P, so each
+    block of columns to either side is updated in one matrix product: rows P
+    are zeroed, then T[:, P] @ (their old rows P) is added.  For
+    n <= INVERSE_PANEL there is one panel and no product.
+
     Raises Singular when the best available pivot falls at or below
     pivot_rel * ||M||_F.
     """
@@ -360,25 +377,36 @@ def inverse(m, *, pivot_rel=PIVOT_REL_TOL):
     n = a.shape[0]
     floor = pivot_rel * frobenius(a)
     rows = list(range(n))
-    for k in range(n):
-        piv = int(np.argmax(np.abs(a[k:, k]))) + k
-        mag = abs(a[piv, k])
-        if mag <= floor:
-            raise Singular(
-                f"pivot {mag:.3e} at column {k} is at or below the floor {floor:.3e}"
-            )
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            rows[k], rows[piv] = rows[piv], rows[k]
-        pivot = a[k, k]
-        col = a[:, k].copy()
-        col[k] = 0.0
-        # column k is spent; it now carries the unit column e_k of the
-        # identity block, i.e. inverse column rows[k]
-        a[:, k] = 0.0
-        a[k, k] = 1.0
-        a[k] /= pivot
-        a -= col[:, None] * a[k]
+    for k0 in range(0, n, INVERSE_PANEL):
+        k1 = min(k0 + INVERSE_PANEL, n)
+        t = a[:, k0:k1]
+        for k in range(k0, k1):
+            j = k - k0
+            piv = int(np.argmax(np.abs(t[k:, j]))) + k
+            mag = abs(t[piv, j])
+            if mag <= floor:
+                raise Singular(
+                    f"pivot {mag:.3e} at column {k} is at or below the floor {floor:.3e}"
+                )
+            if piv != k:
+                a[[k, piv]] = a[[piv, k]]
+                rows[k], rows[piv] = rows[piv], rows[k]
+            pivot = t[k, j]
+            col = t[:, j].copy()
+            col[k] = 0.0
+            # column k is spent; it now carries the unit column e_k of the
+            # identity block, i.e. inverse column rows[k]
+            t[:, j] = 0.0
+            t[k, j] = 1.0
+            t[k] /= pivot
+            t -= col[:, None] * t[k]
+        # the swaps already reached every column; the transforms reach the
+        # columns either side of the panel here
+        for side in (a[:, :k0], a[:, k1:]):
+            if side.size:
+                old = side[k0:k1].copy()
+                side[k0:k1] = 0.0
+                side += t @ old
     out = np.empty_like(a)
     out[:, rows] = a
     return out

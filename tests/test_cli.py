@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from jlab import suites
+from jlab import cli, suites
 from jlab.cli import main
 from jlab.conjugation import Conjugation, random_conjugation
 from jlab.examples import block_a0, jacobi_imag
@@ -159,6 +159,22 @@ def test_demo_unbounded_csv(tmp_path, capsys):
     assert abs(float(first[1]) - 1.0) < 1e-12
     assert csv.read_text().splitlines()[:5] == out_lines[:5]
     assert run(["demo", "unbounded", "--levels", 0]) == 2
+
+
+def test_demo_unbounded_nan_in_a_later_row_fails(tmp_path, monkeypatch):
+    def norms(levels):
+        rows = [(k, 2.0 * k - 1.0, 2.0 * k - 1.0, 0.0) for k in range(1, levels + 1)]
+        rows[1] = (2, float("nan"), 3.0, float("nan"))
+        return rows
+
+    monkeypatch.setattr(cli, "norm_growth", norms)
+    report = tmp_path / "u.report.json"
+    assert run(["demo", "unbounded", "--levels", 3, "--report", report]) == 1
+    doc = _strict_json(report)
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert checks["norm_match"]["passed"] is False
+    assert checks["norm_match"]["residual"] is None
+    assert checks["growth_match"]["passed"] is True
 
 
 def test_demo_jacobi(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Kernel checks: Jacobi eigensolver (its stacked form, its serial
-one-matrix reference and its cyclic reference), elimination inverse (and its
-augmented-array reference), the Cholesky positivity gate, frames, gaps.
+one-matrix reference and its cyclic reference), elimination inverse (its
+unpanelled reference and its augmented-array reference), the Cholesky
+positivity gate, frames, gaps.
 
 numpy.linalg (eigh, inv, svd) appears here only as an independent oracle;
 the package code under test never calls it for these operations.
@@ -24,6 +25,7 @@ from jlab.errors import (
 from jlab.numkernel import (
     CLUSTER_REL_TOL,
     HERMITIAN_REL_TOL,
+    INVERSE_PANEL,
     JACOBI_REL_TOL,
     JACOBI_SWEEP_LIMIT,
     PIVOT_REL_TOL,
@@ -190,6 +192,37 @@ def _serial_herm_eig(
     vals = vals[order]
     vecs = v[:, order]
     return SpectralDecomp(vals, vecs, _cluster_indices(vals, cluster_rel))
+
+
+def _unpanelled_inverse(m, *, pivot_rel=PIVOT_REL_TOL):
+    """Reference: in-place Gauss-Jordan with one rank-1 pass over the whole
+    n x n working copy per column (the kernel before panelling)."""
+    a = as_square(m).copy()
+    n = a.shape[0]
+    floor = pivot_rel * frobenius(a)
+    rows = list(range(n))
+    for k in range(n):
+        piv = int(np.argmax(np.abs(a[k:, k]))) + k
+        mag = abs(a[piv, k])
+        if mag <= floor:
+            raise Singular(
+                f"pivot {mag:.3e} at column {k} is at or below the floor {floor:.3e}"
+            )
+        if piv != k:
+            a[[k, piv]] = a[[piv, k]]
+            rows[k], rows[piv] = rows[piv], rows[k]
+        pivot = a[k, k]
+        col = a[:, k].copy()
+        col[k] = 0.0
+        # column k is spent; it now carries the unit column e_k of the
+        # identity block, i.e. inverse column rows[k]
+        a[:, k] = 0.0
+        a[k, k] = 1.0
+        a[k] /= pivot
+        a -= col[:, None] * a[k]
+    out = np.empty_like(a)
+    out[:, rows] = a
+    return out
 
 
 def _augmented_inverse(m, *, pivot_rel=PIVOT_REL_TOL):
@@ -505,8 +538,9 @@ def test_inplace_inverse_matches_augmented_reference():
     for where, m in _inverse_reference_cases(rng):
         ref = _augmented_inverse(m)
         assert frobenius(inverse(m) - ref) <= 1e-14 * (1.0 + frobenius(ref)), where
-    # permutations swap rows at nearly every step; their inverses are exact
-    for n in (2, 3, 7, 16, 33):
+    # permutations swap rows at nearly every step, across panels from
+    # INVERSE_PANEL + 1 on; their inverses are exact
+    for n in (2, 3, 7, 16, INVERSE_PANEL + 1, 2 * INVERSE_PANEL + 3, 100):
         for p in (np.eye(n)[::-1], np.eye(n)[rng.permutation(n)]):
             p = p.astype(complex)
             got = inverse(p)
@@ -527,11 +561,72 @@ def test_inplace_inverse_singular_messages_match_reference():
 
 def test_inverse_leaves_the_callers_array_unchanged():
     rng = np.random.default_rng(7)
-    a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    before = a.copy()
-    assert np.shares_memory(as_square(a), a)  # the kernel must work on a copy
-    inverse(a)
-    assert np.array_equal(a, before)
+    # one panel, and several panels with side products
+    for n in (9, 2 * INVERSE_PANEL + 5):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        before = a.copy()
+        assert np.shares_memory(as_square(a), a)  # the kernel must work on a copy
+        inverse(a)
+        assert np.array_equal(a, before), n
+
+
+def test_single_panel_inverse_is_the_unpanelled_kernel():
+    assert INVERSE_PANEL >= 16
+    rng = np.random.default_rng(2024)
+    cases = [
+        (f"random n={n}", rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        for n in range(1, INVERSE_PANEL + 1)
+    ]
+    cases += [(w, m) for w, m in _inverse_reference_cases(rng) if w.startswith("tiny")]
+    for where, m in cases:
+        assert np.array_equal(inverse(m), _unpanelled_inverse(m)), where
+
+
+def test_truncation_inverses_are_bit_identical_across_panels():
+    # 2 x 2 blocks never straddle an even panel edge, so the side products
+    # only add exact zeros
+    for level in (1, 2, 3, 8, 15, 16, 17, 33, 64, 100, 128):
+        fam = truncation_family(level)
+        eye = np.eye(2 * level, dtype=complex)
+        for m in (eye + fam.operator, fam.operator - eye):
+            assert np.array_equal(inverse(m), _unpanelled_inverse(m)), level
+
+
+def test_panelled_inverse_matches_the_unpanelled_kernel():
+    rng = np.random.default_rng(31)
+    p = INVERSE_PANEL
+    for n in (p + 1, 2 * p, 2 * p + 1, 100):
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        # dense with cond <= 3, rows shuffled so pivots come from other panels
+        well = (3.0 * np.eye(n) + z / math.sqrt(2 * n))[rng.permutation(n)]
+        ref = _unpanelled_inverse(well)
+        assert frobenius(inverse(well) - ref) <= 1e-14 * (1.0 + frobenius(ref)), n
+        # reordered sums move a Gaussian matrix's inverse by about eps * cond
+        ref = _unpanelled_inverse(z)
+        bound = 1e-15 * np.linalg.cond(z) * (1.0 + frobenius(ref))
+        assert frobenius(inverse(z) - ref) <= bound, n
+
+
+def test_singular_column_in_a_later_panel_matches_the_reference():
+    rng = np.random.default_rng(17)
+    n = 2 * INVERSE_PANEL + 7
+    column = INVERSE_PANEL + 3
+    zero = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    zero[:, column] = 0.0
+    # a dependent column leaves rounding noise far below the floor
+    dependent = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    dependent[:, column] = dependent[:, 0] - 2.0 * dependent[:, 5]
+    for m in (zero, dependent):
+        with pytest.raises(Singular) as got:
+            inverse(m)
+        with pytest.raises(Singular) as ref:
+            _unpanelled_inverse(m)
+        assert f"at column {column} " in str(got.value)
+        if m is zero:
+            # an exact zero column keeps an exact zero pivot in both kernels
+            assert str(got.value) == str(ref.value)
+        else:
+            assert f"at column {column} " in str(ref.value)
 
 
 def test_orthonormal_columns_properties():
