@@ -58,7 +58,6 @@ from .numkernel import (
     inverse,
     nonpositive_pivot,
     orth_complement,
-    spectral_norm,
     subspace_gap,
 )
 from .polar import (

@@ -45,6 +45,12 @@ from .polar import (
 from .report import ResidualReport, worst_of
 
 GATE_ERRORS = (NotJUnitary, NotJImaginary, DomainNotJInvariant, NotInvariant)
+# seeded generators of `jlab random` that write a matrix, by --kind
+RANDOM_MATRICES = {
+    "j-real-unitary": random_j_real_unitary,
+    "positive-j-unitary": random_positive_j_unitary,
+    "j-unitary": random_j_unitary,
+}
 
 
 def _digest(path):
@@ -82,6 +88,14 @@ def _load_conjugation(args, dim):
     return j
 
 
+def _read_operator(args):
+    """The square operator in args.matrix and the conjugation it is judged against."""
+    a = read_matrix(args.matrix)
+    if a.shape[0] != a.shape[1]:
+        raise JLabError(f"{args.matrix}: operator must be square, got {a.shape}")
+    return _load_conjugation(args, a.shape[0]), a
+
+
 def _print_report(report):
     for item in report.items:
         verdict = "pass" if item.passed else "FAIL"
@@ -90,11 +104,19 @@ def _print_report(report):
         print(f"{key}: {val}")
 
 
+def _finish(args, report, inputs, outputs):
+    """Write each (suffix, matrix) output, print and file the report; the exit code."""
+    for suffix, m in outputs:
+        write_matrix(f"{args.out}.{suffix}.json", m)
+    if outputs:
+        print("wrote " + ", ".join(f"{args.out}.{suffix}.json" for suffix, _ in outputs))
+    _print_report(report)
+    _run_report(args, report, inputs)
+    return 0 if report.passed else 1
+
+
 def cmd_classify(args):
-    a = read_matrix(args.matrix)
-    if a.shape[0] != a.shape[1]:
-        raise JLabError(f"{args.matrix}: operator must be square, got {a.shape}")
-    j = _load_conjugation(args, a.shape[0])
+    j, a = _read_operator(args)
     tol = _resolve_tol(args)
     prof = classify(j, a, tol)
     print(f"dimension {a.shape[0]}, tolerance {tol:.1e}")
@@ -112,30 +134,17 @@ def cmd_classify(args):
 
 
 def cmd_polar(args):
-    a = read_matrix(args.matrix)
-    if a.shape[0] != a.shape[1]:
-        raise JLabError(f"{args.matrix}: operator must be square, got {a.shape}")
-    j = _load_conjugation(args, a.shape[0])
+    j, a = _read_operator(args)
     parts = refined_polar(j, a, _resolve_tol(args))
-    write_matrix(f"{args.out}.U.json", parts.u)
-    write_matrix(f"{args.out}.B.json", parts.b)
-    print(f"wrote {args.out}.U.json and {args.out}.B.json")
-    _print_report(parts.report)
-    _run_report(args, parts.report, [args.matrix])
-    return 0 if parts.report.passed else 1
+    return _finish(args, parts.report, [args.matrix], [("U", parts.u), ("B", parts.b)])
 
 
 def cmd_extend(args):
     t = read_partial_operator(args.operator)
     j = _load_conjugation(args, t.ambient)
     result = extend_op(j, t, retry_budget=args.retries, tol=_resolve_tol(args))
-    write_matrix(f"{args.out}.A.json", result.a_tilde)
-    write_matrix(f"{args.out}.V.json", result.v)
-    write_matrix(f"{args.out}.W.json", result.w)
-    print(f"wrote {args.out}.A.json, {args.out}.V.json, {args.out}.W.json")
-    _print_report(result.report)
-    _run_report(args, result.report, [args.operator])
-    return 0 if result.report.passed else 1
+    outputs = [("A", result.a_tilde), ("V", result.v), ("W", result.w)]
+    return _finish(args, result.report, [args.operator], outputs)
 
 
 def cmd_demo_unbounded(args):
@@ -168,12 +177,7 @@ def cmd_demo_jacobi(args):
     defect = ranges_defects(t)
     print(f"defect numbers {defect.defect_numbers}")
     result = extend_op(j, t, retry_budget=args.retries, tol=_resolve_tol(args))
-    if args.out:
-        write_matrix(f"{args.out}.A.json", result.a_tilde)
-        print(f"wrote {args.out}.A.json")
-    _print_report(result.report)
-    _run_report(args, result.report, [])
-    return 0 if result.report.passed else 1
+    return _finish(args, result.report, [], [("A", result.a_tilde)] if args.out else [])
 
 
 def cmd_random(args):
@@ -182,21 +186,12 @@ def cmd_random(args):
     kind = args.kind
     if kind == "conjugation":
         write_conjugation(args.out, random_conjugation(args.dim, args.seed))
-    else:
-        j = canonical(args.dim)
-        if kind == "j-real-unitary":
-            write_matrix(args.out, random_j_real_unitary(j, args.dim, args.seed))
-        elif kind == "positive-j-unitary":
-            write_matrix(args.out, random_positive_j_unitary(j, args.dim, args.seed))
-        elif kind == "j-unitary":
-            write_matrix(args.out, random_j_unitary(j, args.dim, args.seed))
-        elif kind == "j-imaginary-partial":
-            d = args.domain if args.domain is not None else max(1, args.dim // 2)
-            write_partial_operator(
-                args.out, random_jimaginary_partial(j, d, args.seed)
-            )
-        else:  # argparse choices make this unreachable
-            raise JLabError(f"unknown kind {kind}")
+    elif kind == "j-imaginary-partial":
+        d = args.domain if args.domain is not None else max(1, args.dim // 2)
+        t = random_jimaginary_partial(canonical(args.dim), d, args.seed)
+        write_partial_operator(args.out, t)
+    else:  # argparse choices leave only the matrix kinds
+        write_matrix(args.out, RANDOM_MATRICES[kind](canonical(args.dim), args.dim, args.seed))
     print(f"wrote {args.out}")
     rep = ResidualReport(extras={"kind": kind, "dim": args.dim})
     _run_report(args, rep, [args.out], seed=args.seed)
@@ -274,13 +269,7 @@ def build_parser():
     p.add_argument(
         "--kind",
         required=True,
-        choices=[
-            "conjugation",
-            "j-real-unitary",
-            "positive-j-unitary",
-            "j-unitary",
-            "j-imaginary-partial",
-        ],
+        choices=["conjugation", *RANDOM_MATRICES, "j-imaginary-partial"],
     )
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)

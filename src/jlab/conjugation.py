@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotInvariant, RankLoss
 from .numkernel import (
-    RANK_REL_TOL,
     as_matrix,
     as_square,
     as_vector,
@@ -25,6 +24,7 @@ from .numkernel import (
 )
 from .report import ResidualReport
 
+AXIOM_TOL = 1e-10
 FIXED_DISCARD_TOL = 1e-10
 INVARIANCE_TOL = 1e-8
 
@@ -87,14 +87,14 @@ def canonical(dim):
     return Conjugation(int(dim), np.eye(int(dim), dtype=complex))
 
 
-def verify(j, tol=1e-10):
-    """Residuals for the conjugation axioms of J's coefficient matrix."""
+def verify(j):
+    """Residuals for the conjugation axioms of J's coefficient matrix, at AXIOM_TOL."""
     c = j.coeff
     eye = np.eye(j.dim, dtype=complex)
     rep = ResidualReport()
-    rep.add("involution", frobenius(c @ np.conj(c) - eye), tol)
-    rep.add("unitarity", frobenius(c.conj().T @ c - eye), tol)
-    rep.add("symmetry", frobenius(c - c.T), tol)
+    rep.add("involution", frobenius(c @ np.conj(c) - eye), AXIOM_TOL)
+    rep.add("unitarity", frobenius(c.conj().T @ c - eye), AXIOM_TOL)
+    rep.add("symmetry", frobenius(c - c.T), AXIOM_TOL)
     return rep
 
 
@@ -122,23 +122,17 @@ def random_conjugation(dim, seed):
     return Conjugation(int(dim), q @ q.T)
 
 
-def fixed_basis(
-    j,
-    basis,
-    *,
-    invariance_tol=INVARIANCE_TOL,
-    discard_tol=FIXED_DISCARD_TOL,
-    rank_rel=RANK_REL_TOL,
-):
+def fixed_basis(j, basis):
     """Orthonormal basis of J-fixed vectors spanning a J-invariant subspace.
 
     basis is an n x k matrix whose columns span the subspace (k = 0 allowed,
     returning an n x 0 result).  Candidates are generated deterministically:
     v + Jv for each input column v in order, then i(v - Jv), orthonormalized
     with real coefficients (which preserves J-fixedness) and discarded when
-    the residual norm falls below discard_tol.
+    the residual norm falls below FIXED_DISCARD_TOL.
 
-    Raises NotInvariant when the span is not J-invariant at invariance_tol
+    Raises RankDeficient on dependent columns (numkernel.RANK_REL_TOL),
+    NotInvariant when the span is not J-invariant at INVARIANCE_TOL
     (projector residual ||P - J P J||_F), and RankLoss if fewer than k fixed
     vectors survive, which cannot happen for a genuinely invariant span.
     """
@@ -150,10 +144,10 @@ def fixed_basis(
     n, k = b.shape
     if k == 0:
         return np.zeros((n, 0), dtype=complex)
-    q0, _ = orthonormal_columns(b, rank_rel=rank_rel, name="fixed_basis input")
+    q0, _ = orthonormal_columns(b, name="fixed_basis input")
     proj = q0 @ q0.conj().T
     inv_res = frobenius(proj - j.sandwich(proj))
-    if inv_res > invariance_tol:
+    if inv_res > INVARIANCE_TOL:
         raise NotInvariant(
             f"span is not conjugation-invariant: projector residual {inv_res:.3e}"
         )
@@ -167,7 +161,7 @@ def fixed_basis(
             for g in out:
                 w = w - np.real(np.vdot(g, w)) * g
         nrm = np.linalg.norm(w)
-        if nrm > discard_tol:
+        if nrm > FIXED_DISCARD_TOL:
             out.append(w / nrm)
         if len(out) == k:
             break

@@ -134,7 +134,7 @@ def _rss(values):
     return math.sqrt(sum(float(abs(v)) ** 2 for v in values))
 
 
-def definitional_oracle(j, a, tol=None, cap=ORACLE_DIM_CAP):
+def definitional_oracle(j, a, tol=None):
     """Recompute the classify report straight from the definitions.
 
     Evaluates each class condition on all standard-basis pairs using the
@@ -144,7 +144,7 @@ def definitional_oracle(j, a, tol=None, cap=ORACLE_DIM_CAP):
     A e_k; each pair's form values [x, y] = (x, Jy) are read against those
     images.  The inverse route uses numpy's solver, not the elimination
     code.  Quadratic in basis pairs, so capped: raises CapExceeded above
-    dimension ``cap``.
+    dimension ORACLE_DIM_CAP.
     """
     if tol is None:
         tol = default_tol()
@@ -154,8 +154,10 @@ def definitional_oracle(j, a, tol=None, cap=ORACLE_DIM_CAP):
         raise DimensionMismatch(
             f"operator is {n}-dimensional, conjugation is {j.dim}-dimensional"
         )
-    if n > cap:
-        raise CapExceeded(f"definitional oracle is capped at dimension {cap}, got {n}")
+    if n > ORACLE_DIM_CAP:
+        raise CapExceeded(
+            f"definitional oracle is capped at dimension {ORACLE_DIM_CAP}, got {n}"
+        )
     basis = [np.eye(n, dtype=complex)[:, i] for i in range(n)]
     acols = [a @ e for e in basis]
     astar = a.conj().T

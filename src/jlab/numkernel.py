@@ -109,11 +109,11 @@ def _as_stack(m, square):
     return a, single
 
 
-def _hermitian_part(a, hermitian_rel):
+def _hermitian_part(a):
     """(M + M*) / 2 and ||M||_F for each M of a (B, n, n) stack.
 
     Raises NotHermitian, naming the stack index, when ||M - M*||_F exceeds
-    hermitian_rel * (1 + ||M||_F).
+    HERMITIAN_REL_TOL * (1 + ||M||_F).
     """
     herm = np.empty_like(a)
     scales = []
@@ -121,7 +121,7 @@ def _hermitian_part(a, hermitian_rel):
         adj = x.conj().T
         scale = frobenius(x)
         skew = frobenius(x - adj)
-        if skew > hermitian_rel * (1.0 + scale):
+        if skew > HERMITIAN_REL_TOL * (1.0 + scale):
             raise NotHermitian(f"stack index {i}: ||M - M*||_F = {skew:.3e} exceeds tolerance")
         herm[i] = 0.5 * (x + adj)
         scales.append(scale)
@@ -249,14 +249,7 @@ def _flat_rounds(n, count):
     return tuple(rounds), diag, eye
 
 
-def herm_eig(
-    m,
-    *,
-    sweep_limit=JACOBI_SWEEP_LIMIT,
-    conv_rel=JACOBI_REL_TOL,
-    cluster_rel=CLUSTER_REL_TOL,
-    hermitian_rel=HERMITIAN_REL_TOL,
-):
+def herm_eig(m):
     """Eigendecomposition of Hermitian matrices by round-robin (Brent-Luk) Jacobi.
 
     Takes one n x n matrix and returns one SpectralDecomp, or a (B, n, n)
@@ -267,14 +260,15 @@ def herm_eig(
     converged and left the stack, gets no rotation, so a matrix's result is
     bit-identical whatever its stack mates.
 
-    Convergence: off-diagonal Frobenius norm <= conv_rel * ||M||_F.  Raises
-    NotHermitian if ||M - M*||_F exceeds hermitian_rel * (1 + ||M||_F), and
-    NoConvergence if the sweep budget runs out; both name the stack index.
+    Convergence: off-diagonal Frobenius norm <= JACOBI_REL_TOL * ||M||_F
+    within JACOBI_SWEEP_LIMIT sweeps; clusters at CLUSTER_REL_TOL.  Raises
+    NotHermitian if ||M - M*||_F exceeds HERMITIAN_REL_TOL * (1 + ||M||_F),
+    and NoConvergence if the sweep budget runs out; both name the stack index.
     """
     stack, single = _as_stack(m, square=True)
     # symmetrize once so representational noise cannot bias the rotations
-    a, scales = _hermitian_part(stack, hermitian_rel)
-    targets = conv_rel * scales
+    a, scales = _hermitian_part(stack)
+    targets = JACOBI_REL_TOL * scales
     count, n = a.shape[:2]
     rounds, diag, eye = _flat_rounds(n, count)
     # entries already far below target cannot affect convergence this sweep
@@ -296,10 +290,10 @@ def herm_eig(
             w, wv = w[live], wv[live]
             skip = skip.reshape(len(live), -1)[live].reshape(-1)
             rounds, diag, eye = _flat_rounds(n, len(act))
-        if sweeps >= sweep_limit:
+        if sweeps >= JACOBI_SWEEP_LIMIT:
             i = act[0]
             raise NoConvergence(
-                f"stack index {i}: Jacobi sweep budget {sweep_limit} exhausted; "
+                f"stack index {i}: Jacobi sweep budget {JACOBI_SWEEP_LIMIT} exhausted; "
                 f"off-diagonal norm {_offdiag_norm(w[0]):.3e} > {targets[i]:.3e}"
             )
         for idx in rounds:
@@ -332,7 +326,7 @@ def herm_eig(
         vals = ai.diagonal().real.copy()
         order = np.argsort(vals, kind="stable")
         vals = vals[order]
-        out.append(SpectralDecomp(vals, vi[:, order], _cluster_indices(vals, cluster_rel)))
+        out.append(SpectralDecomp(vals, vi[:, order], _cluster_indices(vals, CLUSTER_REL_TOL)))
     return out[0] if single else tuple(out)
 
 
@@ -343,9 +337,9 @@ def nonpositive_pivot(m):
     definite.  Right-looking Cholesky on a working copy of (M + M*) / 2:
     step k takes the pivot d = A[k, k] and subtracts l l* from the trailing
     block, l = A[k+1:, k] / sqrt(d); the factor itself is not kept.  Raises
-    NotHermitian on herm_eig's default rule.
+    NotHermitian on herm_eig's rule.
     """
-    a = _hermitian_part(as_square(m)[None], HERMITIAN_REL_TOL)[0][0]
+    a = _hermitian_part(as_square(m)[None])[0][0]
     for k in range(a.shape[0]):
         d = float(a[k, k].real)
         if d <= 0.0:
@@ -355,7 +349,7 @@ def nonpositive_pivot(m):
     return None
 
 
-def inverse(m, *, pivot_rel=PIVOT_REL_TOL):
+def inverse(m):
     """Matrix inverse: panelled in-place Gauss-Jordan on an n x n working copy,
     partial pivoting, relative pivot floor.
 
@@ -371,11 +365,11 @@ def inverse(m, *, pivot_rel=PIVOT_REL_TOL):
     n <= INVERSE_PANEL there is one panel and no product.
 
     Raises Singular when the best available pivot falls at or below
-    pivot_rel * ||M||_F.
+    PIVOT_REL_TOL * ||M||_F.
     """
     a = as_square(m).copy()
     n = a.shape[0]
-    floor = pivot_rel * frobenius(a)
+    floor = PIVOT_REL_TOL * frobenius(a)
     rows = list(range(n))
     for k0 in range(0, n, INVERSE_PANEL):
         k1 = min(k0 + INVERSE_PANEL, n)
@@ -412,20 +406,16 @@ def inverse(m, *, pivot_rel=PIVOT_REL_TOL):
     return out
 
 
-def orthonormal_columns(b, *, rank_rel=RANK_REL_TOL, name="frame"):
-    """QR-orthonormalize independent columns; returns (Q, R) with B = Q R.
-
-    Raises RankDeficient when some R diagonal entry falls at or below
-    rank_rel times the largest column norm.
-    """
-    b = as_matrix(b, name)
+def _rank_checked_qr(b, mode, name):
+    """numpy QR of an n x k matrix in mode "reduced" or "complete"; raises
+    RankDeficient when k > n or some |R[i, i]| <= RANK_REL_TOL * max column norm."""
     n, k = b.shape
     if k > n:
         raise RankDeficient(f"{name}: {k} columns cannot be independent in dimension {n}")
-    q, r = np.linalg.qr(b, mode="reduced")
+    q, r = np.linalg.qr(b, mode=mode)
     colmax = float(np.max(np.linalg.norm(b, axis=0)))
     diag = np.abs(np.diag(r))
-    if np.any(diag <= rank_rel * colmax):
+    if np.any(diag <= RANK_REL_TOL * colmax):
         j = int(np.argmin(diag))
         raise RankDeficient(
             f"{name}: column {j} is dependent (R diagonal {diag[j]:.3e} "
@@ -434,7 +424,16 @@ def orthonormal_columns(b, *, rank_rel=RANK_REL_TOL, name="frame"):
     return q, r
 
 
-def orth_complement(basis, *, rank_rel=RANK_REL_TOL, name="basis"):
+def orthonormal_columns(b, *, name="frame"):
+    """QR-orthonormalize independent columns; returns (Q, R) with B = Q R.
+
+    Raises RankDeficient when some R diagonal entry falls at or below
+    RANK_REL_TOL times the largest column norm.
+    """
+    return _rank_checked_qr(as_matrix(b, name), "reduced", name)
+
+
+def orth_complement(basis, *, name="basis"):
     """Orthonormal basis of the orthogonal complement of the column span.
 
     Accepts an n x k matrix with independent columns, 0 <= k <= n; returns
@@ -450,18 +449,7 @@ def orth_complement(basis, *, rank_rel=RANK_REL_TOL, name="basis"):
         return np.eye(n, dtype=complex)
     if not np.all(np.isfinite(b)):
         raise DimensionMismatch(f"{name}: entries must be finite")
-    if k > n:
-        raise RankDeficient(f"{name}: {k} columns cannot be independent in dimension {n}")
-    q, r = np.linalg.qr(b, mode="complete")
-    colmax = float(np.max(np.linalg.norm(b, axis=0)))
-    diag = np.abs(np.diag(r[:k, :]))
-    if np.any(diag <= rank_rel * colmax):
-        j = int(np.argmin(diag))
-        raise RankDeficient(
-            f"{name}: column {j} is dependent (R diagonal {diag[j]:.3e} "
-            f"vs scale {colmax:.3e})"
-        )
-    return q[:, k:]
+    return _rank_checked_qr(b, "complete", name)[0][:, k:]
 
 
 def singular_extremes(m):
@@ -478,10 +466,6 @@ def singular_extremes(m):
         hi = math.sqrt(max(0.0, float(dec.eigenvalues[-1])))
         pairs.append((lo, hi))
     return pairs[0] if single else tuple(pairs)
-
-
-def spectral_norm(m):
-    return singular_extremes(m)[1]
 
 
 def subspace_gap(u, v):
@@ -506,4 +490,4 @@ def subspace_gap(u, v):
     r = v - u @ (u.conj().T @ v)
     if r.shape[1] == 1:
         return float(np.linalg.norm(r))
-    return spectral_norm(r)
+    return singular_extremes(r)[1]

@@ -34,7 +34,7 @@ from .numkernel import (
     nonpositive_pivot,
     subspace_gap,
 )
-from .report import ResidualReport
+from .report import ResidualReport, worst_of
 
 
 @dataclass
@@ -92,7 +92,7 @@ def refined_polar(j, a, tol=None):
     rep.add("u_j_real", frobenius(u - j.sandwich(u)) / (1.0 + nu), tol)
     rep.add("b_hermitian", frobenius(b - b.conj().T) / (1.0 + nb), tol)
     rep.add("b_j_unitary", frobenius(j.sandwich(b) - binv) / (1.0 + nb + nbinv), tol)
-    rep.add("b_positive", max(0.0, -float(dec.eigenvalues[0])), tol)
+    rep.add("b_positive", worst_of([-float(dec.eigenvalues[0])]), tol)
     return PolarParts(j, a, tol, ainv, g, dec, dec_cogram, dec_ginv, u, b, rep)
 
 
@@ -219,7 +219,7 @@ def check_unitary_equiv(parts):
     sim = frobenius(gstar - u @ g @ u.conj().T) / (1.0 + frobenius(g))
     lam = parts.dec.eigenvalues
     mu = parts.dec_cogram.eigenvalues
-    spectra_dev = max(abs(l - m) / (1.0 + abs(l)) for l, m in zip(lam, mu))
+    spectra_dev = worst_of(abs(l - m) / (1.0 + abs(l)) for l, m in zip(lam, mu))
     rep = ResidualReport()
     rep.add("similarity", sim, parts.tol)
     rep.add("spectra_match", spectra_dev, parts.tol)
@@ -237,23 +237,23 @@ def check_reciprocity(parts):
     G^{-1} = A^{-1} A^{-*}, with A^{-1} the gate's elimination inverse.
     """
     j, tol, dec, b = parts.j, parts.tol, parts.dec, parts.b
-    worst_val = 0.0
-    worst_gap = 0.0
+    val_devs = []
+    gaps = []
     values = [dec.cluster_value(c) for c in range(len(dec.clusters))]
     for c, lam in enumerate(values):
         target = 1.0 / lam
         cbest = min(range(len(values)), key=lambda cc: abs(values[cc] - target))
         mu = values[cbest]
-        worst_val = max(worst_val, abs(mu - target) / (1.0 + abs(target)))
+        val_devs.append(abs(mu - target) / (1.0 + abs(target)))
         jimage = j.apply(dec.cluster_basis(c))
-        worst_gap = max(worst_gap, subspace_gap(jimage, dec.cluster_basis(cbest)))
+        gaps.append(subspace_gap(jimage, dec.cluster_basis(cbest)))
     binv_elim = inverse(b)
     nb = frobenius(b)
     nbi = frobenius(binv_elim)
     sqrt_of_ginv = parts.dec_ginv.apply(math.sqrt)
     rep = ResidualReport(extras={"clusters": len(dec.clusters)})
-    rep.add("eigenvalue_reciprocity", worst_val, tol)
-    rep.add("eigenspace_reciprocity", worst_gap, tol)
+    rep.add("eigenvalue_reciprocity", worst_of(val_devs), tol)
+    rep.add("eigenspace_reciprocity", worst_of(gaps), tol)
     rep.add("sqrt_conjugation", frobenius(j.sandwich(b) - binv_elim) / (1.0 + nb + nbi), tol)
     rep.add("sqrt_inverse_commute", frobenius(sqrt_of_ginv - binv_elim) / (1.0 + nbi), tol)
     return rep

@@ -117,6 +117,17 @@ def multivalued_fraction(records):
     return hits / len(records)
 
 
+def _trials(trials, seed, low, high, children):
+    """The drivers' seed rule: trial i uses tseed = seed + i, whose generator
+    rng draws the dimension from [low, high] first; yields (i, tseed, rng,
+    dim, children spawned from SeedSequence(tseed)) per trial."""
+    for i in range(int(trials)):
+        tseed = int(seed) + i
+        rng = np.random.default_rng(tseed)
+        dim = int(rng.integers(low, int(high) + 1))
+        yield i, tseed, rng, dim, np.random.SeedSequence(tseed).spawn(children)
+
+
 def polar_trials(trials, maxdim, seed, corrupt_index=None):
     """Synthesis / refined-polar / closure / reciprocity program.
 
@@ -127,11 +138,7 @@ def polar_trials(trials, maxdim, seed, corrupt_index=None):
     must fail (harness self-test).
     """
     records = []
-    for i in range(int(trials)):
-        tseed = int(seed) + i
-        rng = np.random.default_rng(tseed)
-        dim = int(rng.integers(1, int(maxdim) + 1))
-        s_j, s_u, s_b = np.random.SeedSequence(tseed).spawn(3)
+    for i, tseed, _, dim, (s_j, s_u, s_b) in _trials(trials, seed, 1, maxdim, 3):
         j = random_conjugation(dim, s_j)
         u0 = random_j_real_unitary(j, dim, s_u)
         b0 = random_positive_j_unitary(j, dim, s_b)
@@ -172,12 +179,8 @@ def extension_trials(trials, maxdim, seed):
     failures; callers compare multivalued_fraction against the cap.
     """
     records = []
-    for i in range(int(trials)):
-        tseed = int(seed) + i
-        rng = np.random.default_rng(tseed)
-        n = int(rng.integers(2, int(maxdim) + 1))
+    for i, tseed, rng, n, (s_j, s_t) in _trials(trials, seed, 2, maxdim, 2):
         d = int(rng.integers(1, n))
-        s_j, s_t = np.random.SeedSequence(tseed).spawn(2)
         j = random_conjugation(n, s_j)
         t = random_jimaginary_partial(j, d, s_t)
         rec = TrialRecord(i, tseed, n, notes={"domain_dim": d, "multivalued": False})
@@ -203,11 +206,7 @@ def extension_trials(trials, maxdim, seed):
 def zero_defect_trials(trials, maxdim, seed):
     """Full-domain purely imaginary Hermitian operators must round-trip."""
     records = []
-    for i in range(int(trials)):
-        tseed = int(seed) + i
-        rng = np.random.default_rng(tseed)
-        n = int(rng.integers(1, int(maxdim) + 1))
-        s_j, s_m = np.random.SeedSequence(tseed).spawn(2)
+    for i, tseed, _, n, (s_j, s_m) in _trials(trials, seed, 1, maxdim, 2):
         j = random_conjugation(n, s_j)
         gen = np.random.default_rng(s_m)
         r = gen.uniform(-1.0, 1.0, (n, n))
@@ -249,20 +248,15 @@ def _oracle_matrix(kind, j, n, rng):
 def oracle_trials(trials, maxdim, seed):
     """classify versus the definitional oracle, plus the canonical bridge."""
     tol = default_tol()
-    cap = min(int(maxdim), 6)
     records = []
-    for i in range(int(trials)):
-        tseed = int(seed) + i
-        rng = np.random.default_rng(tseed)
-        n = int(rng.integers(1, cap + 1))
-        s_j = np.random.SeedSequence(tseed).spawn(1)[0]
+    for i, tseed, rng, n, (s_j,) in _trials(trials, seed, 1, min(int(maxdim), 6), 1):
         j = canonical(n) if i % 2 == 0 else random_conjugation(n, s_j)
         kind = _ORACLE_KINDS[i % len(_ORACLE_KINDS)]
         a = _oracle_matrix(kind, j, n, rng)
         prof = classify(j, a)
         orac = definitional_oracle(j, a)
         mismatch = 0.0
-        gap = 0.0
+        gaps = []
         for c, o in zip(prof.items, orac.items):
             if c.passed != o.passed:
                 mismatch = 1.0
@@ -270,9 +264,10 @@ def oracle_trials(trials, maxdim, seed):
             if (rc is None) != (ro is None):
                 mismatch = 1.0
             elif rc is not None:
-                gap = max(gap, abs(rc - ro))
+                gaps.append(abs(rc - ro))
         if prof.extras["invertible"] != orac.extras["invertible"]:
             mismatch = 1.0
+        gap = worst_of(gaps)
         # even trials were already classified against canonical(n)
         prof_can = prof if i % 2 == 0 else classify(canonical(n), a)
         eye = np.eye(n, dtype=complex)

@@ -7,12 +7,14 @@ numpy.linalg (eigh, inv, svd) appears here only as an independent oracle;
 the package code under test never calls it for these operations.
 """
 
+import inspect
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from jlab import conjugation, jclass, numkernel
 from jlab.examples import truncation_family
 from jlab.errors import (
     DimensionMismatch,
@@ -43,7 +45,6 @@ from jlab.numkernel import (
     orth_complement,
     orthonormal_columns,
     singular_extremes,
-    spectral_norm,
     subspace_gap,
 )
 
@@ -367,7 +368,7 @@ def test_stacked_herm_eig_is_bit_identical_to_serial():
                 assert _same_decomposition(rev, one), f"n={n} {kind}"
 
 
-def test_stacked_herm_eig_errors_name_the_stack_index():
+def test_stacked_herm_eig_errors_name_the_stack_index(monkeypatch):
     rng = np.random.default_rng(2720)
     good = random_hermitian(rng, 4)
     bad = good.copy()
@@ -375,10 +376,11 @@ def test_stacked_herm_eig_errors_name_the_stack_index():
     with pytest.raises(NotHermitian, match="stack index 2:"):
         herm_eig(np.stack([good, good, bad]))
     diag = np.diag([3.0, -1.0, 0.5, 2.0]).astype(complex)
+    monkeypatch.setattr(numkernel, "JACOBI_SWEEP_LIMIT", 0)
     with pytest.raises(NoConvergence, match="stack index 1: Jacobi sweep budget 0"):
-        herm_eig(np.stack([diag, good, diag]), sweep_limit=0)
+        herm_eig(np.stack([diag, good, diag]))
     # the diagonal members need no sweep, so they alone pass at budget 0
-    for dec in herm_eig(np.stack([diag, diag]), sweep_limit=0):
+    for dec in herm_eig(np.stack([diag, diag])):
         assert np.array_equal(dec.vectors, np.eye(4)[:, [1, 2, 3, 0]])
     for shape in ((3,), (0, 2, 2), (2, 2, 3), (1, 2, 2, 2)):
         with pytest.raises(DimensionMismatch):
@@ -443,17 +445,47 @@ def test_herm_eig_rejects_non_hermitian():
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
-def test_herm_eig_sweep_budget_exhaustion():
-    m = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
-    with pytest.raises(NoConvergence):
-        herm_eig(m, sweep_limit=0)
+def test_herm_eig_sweep_budget_exhaustion(monkeypatch):
     assert JACOBI_SWEEP_LIMIT == 60
-    big = random_hermitian(np.random.default_rng(16), 16)
-    with pytest.raises(NoConvergence, match="budget 1 exhausted"):
-        herm_eig(big, sweep_limit=1)
+    m = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
+    # the budget is read at call time
+    monkeypatch.setattr(numkernel, "JACOBI_SWEEP_LIMIT", 0)
+    with pytest.raises(NoConvergence):
+        herm_eig(m)
     # an already diagonal input needs no sweep and no rotation
-    dec = herm_eig(np.diag([-2.0, 0.5, 3.0]).astype(complex), sweep_limit=0)
+    dec = herm_eig(np.diag([-2.0, 0.5, 3.0]).astype(complex))
     assert np.array_equal(dec.vectors, np.eye(3))
+    big = random_hermitian(np.random.default_rng(16), 16)
+    monkeypatch.setattr(numkernel, "JACOBI_SWEEP_LIMIT", 1)
+    with pytest.raises(NoConvergence, match="budget 1 exhausted"):
+        herm_eig(big)
+
+
+def test_kernels_take_no_tolerance_keywords():
+    removed = {
+        "sweep_limit",
+        "conv_rel",
+        "cluster_rel",
+        "hermitian_rel",
+        "pivot_rel",
+        "rank_rel",
+        "invariance_tol",
+        "discard_tol",
+        "cap",
+    }
+    kernels = (
+        herm_eig,
+        inverse,
+        orthonormal_columns,
+        orth_complement,
+        conjugation.fixed_basis,
+        jclass.definitional_oracle,
+    )
+    for fn in kernels:
+        assert not removed & set(inspect.signature(fn).parameters), fn.__name__
+    # the twelfth was verify's tol: the conjugation axioms are judged at AXIOM_TOL
+    assert "tol" not in inspect.signature(conjugation.verify).parameters
+    assert conjugation.AXIOM_TOL == 1e-10
 
 
 def test_eigenvalue_clustering_merges_consecutive_near_ties():
@@ -664,7 +696,6 @@ def test_singular_extremes_match_numpy_svd():
         lo, hi = singular_extremes(m)
         svals = np.linalg.svd(m, compute_uv=False)
         assert abs(hi - svals[0]) < 1e-10 * (1.0 + svals[0])
-        assert abs(spectral_norm(m) - svals[0]) < 1e-10 * (1.0 + svals[0])
         if shape[1] <= shape[0]:
             assert abs(lo - svals[-1]) < 1e-10 * (1.0 + svals[0])
         else:
@@ -743,5 +774,5 @@ def test_one_norm_subspace_gap_matches_the_two_sided_max():
                 v, _ = np.linalg.qr(w)
                 ru = v - u @ (u.conj().T @ v)
                 rv = u - v @ (v.conj().T @ u)
-                two_sided = max(spectral_norm(ru), spectral_norm(rv))
+                two_sided = max(singular_extremes(ru)[1], singular_extremes(rv)[1])
                 assert abs(subspace_gap(u, v) - two_sided) <= 1e-14

@@ -16,7 +16,13 @@ import jlab.polar
 from jlab.conjugation import canonical, random_conjugation
 from jlab.errors import BadFactor, DimensionMismatch, NotJUnitary, Singular
 from jlab.jclass import classify
-from jlab.numkernel import frobenius, herm_eig, spectral_norm, subspace_gap
+from jlab.numkernel import (
+    SpectralDecomp,
+    frobenius,
+    herm_eig,
+    singular_extremes,
+    subspace_gap,
+)
 from jlab.polar import (
     check_prop21,
     check_reciprocity,
@@ -153,7 +159,7 @@ def _two_solve_positive_j_unitary(j, dim, seed):
     rng = np.random.default_rng(seed)
     k = rng.uniform(-2.0, 2.0, (dim, dim))
     k = 0.5 * (k - k.T)
-    top = spectral_norm(k.astype(complex))
+    top = singular_extremes(k.astype(complex))[1]
     if top > 2.0:
         k *= 2.0 / top
     phi = j.fixed_frame()
@@ -219,6 +225,41 @@ def test_check_reciprocity_on_random_j_unitaries():
         a = random_j_unitary(j, n, 7 * seed)
         rep = check_reciprocity(refined_polar(j, a))
         assert rep.passed, [it.name for it in rep.items if not it.passed]
+
+
+def _nan_at(dec, i):
+    vals = dec.eigenvalues.copy()
+    vals[i] = np.nan
+    return SpectralDecomp(vals, dec.vectors, dec.clusters)
+
+
+def test_nan_in_the_cogram_spectrum_fails_spectra_match(monkeypatch):
+    # fault injection: A A*'s second eigenvalue turns NaN in the stacked call
+    original = jlab.polar.herm_eig
+
+    def faulty(m):
+        dec, dec_cogram, dec_ginv = original(m)
+        return dec, _nan_at(dec_cogram, 1), dec_ginv
+
+    monkeypatch.setattr(jlab.polar, "herm_eig", faulty)
+    rep = check_unitary_equiv(refined_polar(canonical(2), R2 @ B2))
+    assert rep.item("similarity").passed
+    assert math.isnan(rep.residual("spectra_match"))
+    assert not rep.item("spectra_match").passed
+
+
+def test_nan_cluster_value_fails_eigenvalue_reciprocity():
+    # G has eigenvalues 1/2, 1, 2; the middle one turns NaN, while 1/2 and 2
+    # still find each other
+    b3 = np.zeros((3, 3), dtype=complex)
+    b3[:2, :2] = B2
+    b3[2, 2] = 1.0
+    parts = refined_polar(canonical(3), b3)
+    assert check_reciprocity(parts).passed
+    parts.dec = _nan_at(parts.dec, 1)
+    rep = check_reciprocity(parts)
+    assert math.isnan(rep.residual("eigenvalue_reciprocity"))
+    assert not rep.item("eigenvalue_reciprocity").passed
 
 
 def test_check_prop21_singular_gram_raises_singular():

@@ -1,11 +1,13 @@
 """Verdict helpers of the property program and the report it returns."""
 
+import dataclasses
 import math
 
 from jlab import suites
 from jlab.report import ResidualReport
 from jlab.suites import (
     MULTIVALUED_FRACTION_CAP,
+    ORACLE_THRESHOLDS,
     POLAR_THRESHOLDS,
     TrialRecord,
     run_verify_program,
@@ -30,6 +32,25 @@ def test_non_finite_residuals_fail_and_are_the_worst():
     assert [(rec.seed, key) for rec, key, _ in bad] == [(11, "reconstruct")]
     assert math.isnan(bad[0][2])
     assert suite_failures(_records([POLAR_THRESHOLDS["reconstruct"]]), POLAR_THRESHOLDS) == []
+
+
+def test_nan_residual_gap_fails_the_oracle_trial(monkeypatch):
+    # fault injection: classify's J-real residual turns NaN with its verdict
+    # kept, so the verdicts agree and only residual_gap can report it
+    classify = suites.classify
+
+    def faulty(j, a, tol=None):
+        prof = classify(j, a, tol)
+        k = [it.name for it in prof.items].index("J-real")
+        prof.items[k] = dataclasses.replace(prof.items[k], residual=math.nan)
+        return prof
+
+    monkeypatch.setattr(suites, "classify", faulty)
+    rec = suites.oracle_trials(1, 6, 0)[0]
+    assert rec.residuals["verdict_mismatch"] == 0.0
+    assert math.isnan(rec.residuals["residual_gap"])
+    bad = suite_failures([rec], ORACLE_THRESHOLDS)
+    assert [key for _, key, _ in bad] == ["residual_gap"]
 
 
 def test_report_worst_is_order_free_with_nan():
