@@ -3,13 +3,14 @@ and the seeded verification sweep.
 
 Exit codes: 0 success; 1 a computed verdict failed; 2 unusable input
 (parse, shape, parameter); 3 a structural gate rejected the operator;
-4 the Cayley inverse stayed multivalued through its retries.
+4 the Cayley inverse stayed multivalued through both attempts.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 
@@ -35,7 +36,7 @@ from .fileio import (
     write_matrix,
     write_partial_operator,
 )
-from .jclass import classify, default_tol
+from .jclass import DEFAULT_TOL, classify
 from .polar import (
     random_j_real_unitary,
     random_j_unitary,
@@ -71,8 +72,12 @@ def _run_report(args, report, inputs, seed=None):
     return doc
 
 
-def _resolve_tol(args):
-    return default_tol() if args.tol is None else float(args.tol)
+def tolerance(text):
+    """argparse type of --tol: a float in (0, inf); anything else exits 2."""
+    val = float(text)
+    if not 0.0 < val < math.inf:
+        raise ValueError(text)
+    return val
 
 
 def _load_conjugation(args, dim):
@@ -117,9 +122,8 @@ def _finish(args, report, inputs, outputs):
 
 def cmd_classify(args):
     j, a = _read_operator(args)
-    tol = _resolve_tol(args)
-    prof = classify(j, a, tol)
-    print(f"dimension {a.shape[0]}, tolerance {tol:.1e}")
+    prof = classify(j, a, args.tol)
+    print(f"dimension {a.shape[0]}, tolerance {args.tol:.1e}")
     for item in prof.items:
         if item.residual is None:
             print(f"{item.name:<22}          n/a  fail (singular)")
@@ -135,14 +139,14 @@ def cmd_classify(args):
 
 def cmd_polar(args):
     j, a = _read_operator(args)
-    parts = refined_polar(j, a, _resolve_tol(args))
+    parts = refined_polar(j, a, args.tol)
     return _finish(args, parts.report, [args.matrix], [("U", parts.u), ("B", parts.b)])
 
 
 def cmd_extend(args):
     t = read_partial_operator(args.operator)
     j = _load_conjugation(args, t.ambient)
-    result = extend_op(j, t, retry_budget=args.retries, tol=_resolve_tol(args))
+    result = extend_op(j, t, args.tol)
     outputs = [("A", result.a_tilde), ("V", result.v), ("W", result.w)]
     return _finish(args, result.report, [args.operator], outputs)
 
@@ -159,10 +163,9 @@ def cmd_demo_unbounded(args):
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
     rep = ResidualReport(extras={"levels": args.levels})
-    tol = _resolve_tol(args)
-    rep.add("growth_match", worst_of(e for _, _, _, e in rows), tol)
+    rep.add("growth_match", worst_of(e for _, _, _, e in rows), args.tol)
     norms = norm_growth(args.levels)
-    rep.add("norm_match", worst_of(e for _, _, _, e in norms), tol)
+    rep.add("norm_match", worst_of(e for _, _, _, e in norms), args.tol)
     monotone = all(b[1] > a[1] for a, b in zip(rows, rows[1:]))
     rep.add("growth_monotone", 0.0 if monotone else 1.0, 0.5)
     _run_report(args, rep, [])
@@ -176,7 +179,7 @@ def cmd_demo_jacobi(args):
     j, t = jacobi_imag(args.n, args.d, alphas)
     defect = ranges_defects(t)
     print(f"defect numbers {defect.defect_numbers}")
-    result = extend_op(j, t, retry_budget=args.retries, tol=_resolve_tol(args))
+    result = extend_op(j, t, args.tol)
     return _finish(args, result.report, [], [("A", result.a_tilde)] if args.out else [])
 
 
@@ -222,7 +225,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, conj=True):
-        p.add_argument("--tol", type=float, default=None, help="verdict tolerance")
+        p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL, help="verdict tolerance")
         p.add_argument("--report", default=None, help="write a JSON run report here")
         if conj:
             grp = p.add_mutually_exclusive_group(required=True)
@@ -245,7 +248,6 @@ def build_parser():
     p = sub.add_parser("extend", help="self-adjoint J-imaginary extension")
     p.add_argument("operator")
     p.add_argument("--out", default="extension", help="output file prefix")
-    p.add_argument("--retries", type=int, default=None, help="Cayley attempt budget")
     add_common(p)
     p.set_defaults(func=cmd_extend)
 
@@ -261,7 +263,6 @@ def build_parser():
     pj.add_argument("--d", type=int, required=True)
     pj.add_argument("--alphas", default=None, help="comma-separated couplings")
     pj.add_argument("--out", default=None, help="output file prefix")
-    pj.add_argument("--retries", type=int, default=None)
     add_common(pj, conj=False)
     pj.set_defaults(func=cmd_demo_jacobi)
 

@@ -133,8 +133,9 @@ def fixed_basis(j, basis):
 
     Raises RankDeficient on dependent columns (numkernel.RANK_REL_TOL),
     NotInvariant when the span is not J-invariant at INVARIANCE_TOL
-    (projector residual ||P - J P J||_F), and RankLoss if fewer than k fixed
-    vectors survive, which cannot happen for a genuinely invariant span.
+    (projector residual ||P - J P J||_F; a NaN residual fails), and RankLoss
+    if fewer than k fixed vectors survive, which cannot happen for a
+    genuinely invariant span.
     """
     b = np.asarray(basis, dtype=complex)
     if b.ndim != 2 or b.shape[0] != j.dim:
@@ -147,7 +148,7 @@ def fixed_basis(j, basis):
     q0, _ = orthonormal_columns(b, name="fixed_basis input")
     proj = q0 @ q0.conj().T
     inv_res = frobenius(proj - j.sandwich(proj))
-    if inv_res > INVARIANCE_TOL:
+    if not inv_res <= INVARIANCE_TOL:
         raise NotInvariant(
             f"span is not conjugation-invariant: projector residual {inv_res:.3e}"
         )

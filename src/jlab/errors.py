@@ -70,7 +70,7 @@ class DomainNotJInvariant(JLabError):
 
 
 class MultivaluedRelation(JLabError):
-    """Cayley inverse is multivalued: V - I stayed singular through all retries."""
+    """Cayley inverse is multivalued: V - I stayed singular through both attempts."""
 
     def __init__(self, message, kernel_dim):
         super().__init__(message)

@@ -25,6 +25,8 @@ from .extension import PartialSymmetricOperator
 from .numkernel import inverse, singular_extremes
 from .report import ResidualReport
 
+RESOLVENT_TOL = 1e-11
+
 
 def block_a0(beta):
     """2 x 2 block [[0, beta*i], [-beta*i, 0]]; requires -1 < beta < 1."""
@@ -62,8 +64,9 @@ def truncation_family(n):
     return TruncationFamily(n, canonical(2 * n), op)
 
 
-def resolvent_check(beta, tol=1e-10):
-    """Compare elimination inverses of A0(beta) -+ I with the closed form
+def resolvent_check(beta):
+    """Compare elimination inverses of A0(beta) -+ I, entry by entry at
+    RESOLVENT_TOL, with the closed form
 
     (A0(beta) +- I)^{-1} = 1/(1 - beta^2) * [[+-1, -beta*i], [beta*i, +-1]].
     """
@@ -77,7 +80,7 @@ def resolvent_check(beta, tol=1e-10):
             [[sign, -beta * 1j], [beta * 1j, sign]], dtype=complex
         )
         got = inverse(a + sign * eye)
-        rep.add(f"resolvent_{name}", float(np.max(np.abs(got - closed))), tol)
+        rep.add(f"resolvent_{name}", float(np.max(np.abs(got - closed))), RESOLVENT_TOL)
     return rep
 
 

@@ -30,10 +30,9 @@ from .errors import (
     DomainNotJInvariant,
     MultivaluedRelation,
     NotJImaginary,
-    OutOfRange,
     Singular,
 )
-from .jclass import default_tol
+from .jclass import DEFAULT_TOL
 from .numkernel import (
     as_matrix,
     frobenius,
@@ -78,7 +77,7 @@ class PartialSymmetricOperator:
         if not 1 <= q.shape[1] <= n:
             raise BadShape(f"domain dimension {q.shape[1]} must lie in [1, {n}]")
         gram = q.conj().T @ q - np.eye(q.shape[1], dtype=complex)
-        if frobenius(gram) > ORTHO_TOL:
+        if not frobenius(gram) <= ORTHO_TOL:
             raise BadShape(
                 f"domain_basis columns are not orthonormal (residual {frobenius(gram):.3e})"
             )
@@ -112,22 +111,16 @@ class ExtensionResult:
     report: ResidualReport
 
 
-def _check_same_space(j, t):
-    if t.ambient != j.dim:
-        raise DimensionMismatch(
-            f"operator lives in dimension {t.ambient}, conjugation in {j.dim}"
-        )
-
-
-def verify_symmetric_jimaginary(j, t, tol=None):
+def verify_symmetric_jimaginary(j, t, tol=DEFAULT_TOL):
     """Residuals for symmetry and J-anticommutation of T on its domain.
 
     Raises DomainNotJInvariant when J does not map the domain onto itself
     (the anticommutation residual is undefined in that case).
     """
-    if tol is None:
-        tol = default_tol()
-    _check_same_space(j, t)
+    if t.ambient != j.dim:
+        raise DimensionMismatch(
+            f"operator lives in dimension {t.ambient}, conjugation in {j.dim}"
+        )
     q = t.domain_basis
     act = t.action
     s = q.conj().T @ act
@@ -135,7 +128,7 @@ def verify_symmetric_jimaginary(j, t, tol=None):
     rep.add("symmetry", frobenius(s - s.conj().T) / (1.0 + frobenius(s)), tol)
     proj = q @ q.conj().T
     inv_res = frobenius(proj - j.sandwich(proj))
-    if inv_res > tol:
+    if not inv_res <= tol:
         raise DomainNotJInvariant(
             f"domain is not conjugation-invariant: projector residual {inv_res:.3e}"
         )
@@ -156,10 +149,8 @@ def ranges_defects(t):
     return DefectData(m_plus, m_minus, n_plus, n_minus, (k, k))
 
 
-def check_defect_j_invariance(j, defect, tol=None):
-    """Projector residuals ||P - J P J||_F for both defect spaces of T's DefectData."""
-    if tol is None:
-        tol = default_tol()
+def check_defect_j_invariance(j, defect):
+    """Projector residuals ||P - J P J||_F of T's two defect spaces, at DEFAULT_TOL."""
     if defect.n_plus.shape[0] != j.dim:
         raise DimensionMismatch(
             f"defect spaces live in dimension {defect.n_plus.shape[0]}, "
@@ -168,7 +159,7 @@ def check_defect_j_invariance(j, defect, tol=None):
     rep = ResidualReport(extras={"defect_numbers": defect.defect_numbers})
     for name, basis in (("n_plus", defect.n_plus), ("n_minus", defect.n_minus)):
         proj = basis @ basis.conj().T
-        rep.add(f"{name}_invariance", frobenius(proj - j.sandwich(proj)), tol)
+        rep.add(f"{name}_invariance", frobenius(proj - j.sandwich(proj)), DEFAULT_TOL)
     return rep
 
 
@@ -178,7 +169,7 @@ def cayley_isometry(defect):
     return (defect.m_minus @ inverse(r)) @ q.conj().T
 
 
-def extend(j, t, retry_budget=None, tol=None):
+def extend(j, t, tol=DEFAULT_TOL):
     """Self-adjoint J-imaginary extension of T through the Cayley transform.
 
     Builds V = U + W from the Cayley isometry U and a J-fixed defect pairing
@@ -188,14 +179,10 @@ def extend(j, t, retry_budget=None, tol=None):
     ker(V - I) most (row norms of f_+* K, ties in stable order).  Each flip
     multiplies the real orthogonal V by a reflection, so a flip set S can
     clear the kernel only if |S| >= m and |S| = m (mod 2); the rule takes
-    the smallest such set.  There is no further retry.  The budget counts
-    attempts including the first and defaults to both.  Raises
-    MultivaluedRelation if every attempt leaves V - I singular, reporting
-    ker(V - I) of the unflipped attempt.
+    the smallest such set.  There is no further retry, so at most two
+    attempts.  Raises MultivaluedRelation if both leave V - I singular,
+    reporting ker(V - I) of the unflipped attempt.
     """
-    if tol is None:
-        tol = default_tol()
-    _check_same_space(j, t)
     rep0 = verify_symmetric_jimaginary(j, t, tol)
     if not rep0.passed:
         bad = ", ".join(it.name for it in rep0.items if not it.passed)
@@ -204,9 +191,6 @@ def extend(j, t, retry_budget=None, tol=None):
     uop = cayley_isometry(defect)
     f_plus = fixed_basis(j, defect.n_plus)
     f_minus = fixed_basis(j, defect.n_minus)
-    budget = 2 if retry_budget is None else int(retry_budget)
-    if budget < 1:
-        raise OutOfRange(f"retry budget must be at least 1, got {budget}")
     n = t.ambient
     eye = np.eye(n, dtype=complex)
 
@@ -233,7 +217,7 @@ def extend(j, t, retry_budget=None, tol=None):
     attempts = 1
     w, v, smin, kernel, vm_inv = attempt_v(flips)
     base_kernel = kernel.shape[1]
-    if vm_inv is None and base_kernel and budget > 1:
+    if vm_inv is None and base_kernel:
         overlap = np.linalg.norm(f_plus.conj().T @ kernel, axis=1)
         flips = sorted(np.argsort(-overlap, kind="stable")[:base_kernel].tolist())
         attempts = 2

@@ -24,7 +24,6 @@ entries.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,21 +44,14 @@ CLASS_NAMES = (
     "J-imaginary",
 )
 
+# verdict tolerance: classify's default, and the oracle's fixed threshold
+DEFAULT_TOL = 1e-8
 ORACLE_DIM_CAP = 8
 
 
 def default_tol():
-    """Verdict tolerance: 1e-8, overridable through the JLAB_TOL env var."""
-    raw = os.environ.get("JLAB_TOL")
-    if raw is None:
-        return 1e-8
-    try:
-        val = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"JLAB_TOL is not a number: {raw!r}") from exc
-    if not (math.isfinite(val) and val > 0):
-        raise ValueError(f"JLAB_TOL must be a positive finite number, got {raw!r}")
-    return val
+    """The verdict tolerance, DEFAULT_TOL."""
+    return DEFAULT_TOL
 
 
 def bilinear_form(j, x, y):
@@ -85,7 +77,7 @@ def _profile_from_residuals(res, ainv, cond, tol):
     return prof
 
 
-def classify(j, a, tol=None):
+def classify(j, a, tol=DEFAULT_TOL):
     """Residuals and verdicts for all nine classes of A relative to J.
 
     Returns an OperatorProfile with one item per class at threshold tol.
@@ -93,8 +85,6 @@ def classify(j, a, tol=None):
     ||A^{-1}||_F to the denominator).  When A is singular the J-unitary
     item is undefined: residual None and verdict False.
     """
-    if tol is None:
-        tol = default_tol()
     a = as_square(a, "operator")
     if a.shape[0] != j.dim:
         raise DimensionMismatch(
@@ -134,7 +124,7 @@ def _rss(values):
     return math.sqrt(sum(float(abs(v)) ** 2 for v in values))
 
 
-def definitional_oracle(j, a, tol=None):
+def definitional_oracle(j, a):
     """Recompute the classify report straight from the definitions.
 
     Evaluates each class condition on all standard-basis pairs using the
@@ -143,11 +133,9 @@ def definitional_oracle(j, a, tol=None):
     classify.  J is applied once per basis vector e_k and once per column
     A e_k; each pair's form values [x, y] = (x, Jy) are read against those
     images.  The inverse route uses numpy's solver, not the elimination
-    code.  Quadratic in basis pairs, so capped: raises CapExceeded above
-    dimension ORACLE_DIM_CAP.
+    code.  Verdicts are at DEFAULT_TOL.  Quadratic in basis pairs, so
+    capped: raises CapExceeded above dimension ORACLE_DIM_CAP.
     """
-    if tol is None:
-        tol = default_tol()
     a = as_square(a, "operator")
     n = a.shape[0]
     if a.shape[0] != j.dim:
@@ -210,4 +198,4 @@ def definitional_oracle(j, a, tol=None):
         ninv = _rss(abs(ainv[i, k]) for i in range(n) for k in range(n))
         res["J-unitary"] = _rss(dev["J-unitary"]) / (den + ninv)
         cond = na * ninv
-    return _profile_from_residuals(res, ainv, cond, tol)
+    return _profile_from_residuals(res, ainv, cond, DEFAULT_TOL)

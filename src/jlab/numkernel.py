@@ -41,6 +41,7 @@ from .errors import (
     DomainError,
     NoConvergence,
     NotHermitian,
+    OutOfRange,
     RankDeficient,
     Singular,
 )
@@ -112,16 +113,18 @@ def _as_stack(m, square):
 def _hermitian_part(a):
     """(M + M*) / 2 and ||M||_F for each M of a (B, n, n) stack.
 
-    Raises NotHermitian, naming the stack index, when ||M - M*||_F exceeds
-    HERMITIAN_REL_TOL * (1 + ||M||_F).
+    Raises OutOfRange when ||M||_F overflows and NotHermitian when ||M - M*||_F
+    is not within HERMITIAN_REL_TOL * (1 + ||M||_F); both name the stack index.
     """
     herm = np.empty_like(a)
     scales = []
     for i, x in enumerate(a):
         adj = x.conj().T
         scale = frobenius(x)
+        if not math.isfinite(scale):
+            raise OutOfRange(f"stack index {i}: ||M||_F overflows to {scale}")
         skew = frobenius(x - adj)
-        if skew > HERMITIAN_REL_TOL * (1.0 + scale):
+        if not skew <= HERMITIAN_REL_TOL * (1.0 + scale):
             raise NotHermitian(f"stack index {i}: ||M - M*||_F = {skew:.3e} exceeds tolerance")
         herm[i] = 0.5 * (x + adj)
         scales.append(scale)
@@ -263,7 +266,8 @@ def herm_eig(m):
     Convergence: off-diagonal Frobenius norm <= JACOBI_REL_TOL * ||M||_F
     within JACOBI_SWEEP_LIMIT sweeps; clusters at CLUSTER_REL_TOL.  Raises
     NotHermitian if ||M - M*||_F exceeds HERMITIAN_REL_TOL * (1 + ||M||_F),
-    and NoConvergence if the sweep budget runs out; both name the stack index.
+    OutOfRange if ||M||_F overflows, and NoConvergence if the sweep budget
+    runs out; each names the stack index.
     """
     stack, single = _as_stack(m, square=True)
     # symmetrize once so representational noise cannot bias the rotations
@@ -337,7 +341,7 @@ def nonpositive_pivot(m):
     definite.  Right-looking Cholesky on a working copy of (M + M*) / 2:
     step k takes the pivot d = A[k, k] and subtracts l l* from the trailing
     block, l = A[k+1:, k] / sqrt(d); the factor itself is not kept.  Raises
-    NotHermitian on herm_eig's rule.
+    NotHermitian and OutOfRange on herm_eig's rules.
     """
     a = _hermitian_part(as_square(m)[None])[0][0]
     for k in range(a.shape[0]):
@@ -460,11 +464,10 @@ def singular_extremes(m):
     matrix's own call.
     """
     a, single = _as_stack(m, square=False)
-    pairs = []
-    for dec in herm_eig(a.conj().swapaxes(1, 2) @ a):
-        lo = math.sqrt(max(0.0, float(dec.eigenvalues[0])))
-        hi = math.sqrt(max(0.0, float(dec.eigenvalues[-1])))
-        pairs.append((lo, hi))
+    decs = herm_eig(a.conj().swapaxes(1, 2) @ a)
+    ends = np.array([(dec.eigenvalues[0], dec.eigenvalues[-1]) for dec in decs])
+    # the clip keeps a NaN eigenvalue NaN, so a failed decomposition cannot read as 0
+    pairs = [tuple(p) for p in np.sqrt(np.clip(ends, 0.0, None)).tolist()]
     return pairs[0] if single else tuple(pairs)
 
 

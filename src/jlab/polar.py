@@ -24,7 +24,7 @@ import numpy as np
 
 from .conjugation import Conjugation, as_seed_sequence
 from .errors import BadFactor, DimensionMismatch, NotJUnitary, Singular
-from .jclass import classify, default_tol
+from .jclass import DEFAULT_TOL, classify
 from .numkernel import (
     SpectralDecomp,
     as_square,
@@ -57,7 +57,7 @@ class PolarParts:
     report: ResidualReport
 
 
-def refined_polar(j, a, tol=None):
+def refined_polar(j, a, tol=DEFAULT_TOL):
     """Factor a J-unitary A as U B with U unitary J-real and B = sqrt(A*A).
 
     Raises NotJUnitary when A fails the classification gate at tol.  Both
@@ -66,8 +66,6 @@ def refined_polar(j, a, tol=None):
     checks read (A^-1 exists once the gate passes); the report records
     reconstruction and structure residuals.
     """
-    if tol is None:
-        tol = default_tol()
     a = as_square(a, "operator")
     prof = classify(j, a, tol)
     gate = prof.item("J-unitary")
@@ -85,7 +83,8 @@ def refined_polar(j, a, tol=None):
     nb = frobenius(b)
     nbinv = frobenius(binv)
     nu = frobenius(u)
-    floor = math.sqrt(max(0.0, float(dec.eigenvalues[0])))
+    # the clip keeps a NaN eigenvalue NaN, so a failed decomposition cannot read as 0
+    floor = float(np.sqrt(np.clip(dec.eigenvalues[0], 0.0, None)))
     rep = ResidualReport(extras={"b_floor": floor, "cond": prof.extras["cond"]})
     rep.add("reconstruct", frobenius(a - u @ b) / (1.0 + frobenius(a)), tol)
     rep.add("u_unitary", frobenius(u.conj().T @ u - eye) / (1.0 + nu), tol)
@@ -96,17 +95,16 @@ def refined_polar(j, a, tol=None):
     return PolarParts(j, a, tol, ainv, g, dec, dec_cogram, dec_ginv, u, b, rep)
 
 
-def synthesize(j, u, b, tol=None):
+def synthesize(j, u, b):
     """Product U B after gating the factor preconditions.
 
     U must be unitary and J-real, B Hermitian positive definite and
-    J-unitary; violations raise BadFactor naming the failed condition.
+    J-unitary, each residual at most DEFAULT_TOL; violations, NaN residuals
+    included, raise BadFactor naming the failed condition.
     Positivity is the Cholesky rule: B is rejected at the first pivot <= 0,
     which the message names with its column (``nonpositive_pivot``).  The
     result is then J-unitary by construction.
     """
-    if tol is None:
-        tol = default_tol()
     u = as_square(u, "U factor")
     b = as_square(b, "B factor")
     if u.shape != b.shape or u.shape[0] != j.dim:
@@ -116,14 +114,14 @@ def synthesize(j, u, b, tol=None):
     eye = np.eye(j.dim, dtype=complex)
     nu = frobenius(u)
     r = frobenius(u.conj().T @ u - eye) / (1.0 + nu)
-    if r > tol:
+    if not r <= DEFAULT_TOL:
         raise BadFactor(f"U is not unitary: residual {r:.3e}")
     r = frobenius(u - j.sandwich(u)) / (1.0 + nu)
-    if r > tol:
+    if not r <= DEFAULT_TOL:
         raise BadFactor(f"U is not J-real: residual {r:.3e}")
     nb = frobenius(b)
     r = frobenius(b - b.conj().T) / (1.0 + nb)
-    if r > tol:
+    if not r <= DEFAULT_TOL:
         raise BadFactor(f"B is not Hermitian: residual {r:.3e}")
     bad = nonpositive_pivot(b)
     if bad is not None:
@@ -131,7 +129,7 @@ def synthesize(j, u, b, tol=None):
         raise BadFactor(
             f"B is not positive definite: Cholesky pivot {pivot:.3e} at column {col}"
         )
-    gate = classify(j, b, tol).item("J-unitary")
+    gate = classify(j, b).item("J-unitary")
     if not gate.passed:
         rb = gate.residual
         raise BadFactor(

@@ -21,7 +21,7 @@ from .extension import (
     random_jimaginary_partial,
     ranges_defects,
 )
-from .jclass import classify, default_tol, definitional_oracle
+from .jclass import DEFAULT_TOL, classify, definitional_oracle
 from .numkernel import frobenius
 from .polar import (
     check_prop21,
@@ -247,7 +247,6 @@ def _oracle_matrix(kind, j, n, rng):
 
 def oracle_trials(trials, maxdim, seed):
     """classify versus the definitional oracle, plus the canonical bridge."""
-    tol = default_tol()
     records = []
     for i, tseed, rng, n, (s_j,) in _trials(trials, seed, 1, min(int(maxdim), 6), 1):
         j = canonical(n) if i % 2 == 0 else random_conjugation(n, s_j)
@@ -273,7 +272,7 @@ def oracle_trials(trials, maxdim, seed):
         eye = np.eye(n, dtype=complex)
         direct = (
             prof_can.extras["invertible"]
-            and frobenius(a.T @ a - eye) / (1.0 + frobenius(a)) <= tol
+            and frobenius(a.T @ a - eye) / (1.0 + frobenius(a)) <= DEFAULT_TOL
         )
         bridge = 0.0 if direct == prof_can.item("J-unitary").passed else 1.0
         rec = TrialRecord(i, tseed, n, notes={"kind": kind})

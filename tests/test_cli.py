@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from jlab import cli, suites
+from jlab import cli, extension, suites
 from jlab.cli import main
 from jlab.conjugation import Conjugation, random_conjugation
 from jlab.examples import block_a0, jacobi_imag
@@ -117,12 +117,15 @@ def test_extend_jacobi_round_trip(tmp_path, capsys):
     assert np.linalg.norm(v.conj().T @ v - np.eye(2)) < 1e-12
 
 
-def test_extend_multivalued_is_exit_four(tmp_path):
+def test_extend_multivalued_is_exit_four(tmp_path, monkeypatch, capsys):
     tpath = tmp_path / "t.json"
     _, t = jacobi_imag(3, 1)
     write_partial_operator(tpath, t)
-    code = run(["extend", tpath, "--canonical", "--out", tmp_path / "e", "--retries", 1])
-    assert code == 4
+    # sigma(V - I) is {2, sqrt 2, sqrt 2} after the flip: below this floor
+    monkeypatch.setattr(extension, "SINGULAR_FLOOR", 1.5)
+    assert run(["extend", tpath, "--canonical", "--out", tmp_path / "e"]) == 4
+    err = capsys.readouterr().err
+    assert "through 2 attempt(s); kernel dimension 2 on the unflipped pairing" in err
 
 
 def test_extend_gate_failure_is_exit_three(tmp_path):
@@ -142,10 +145,28 @@ def test_tolerance_override_tightens_verdicts(tmp_path, monkeypatch):
     assert run(args) == 0
     # float roundoff cannot meet an absurdly tight tolerance: verdict failure
     assert run(args + ["--tol", "1e-30"]) == 1
-    monkeypatch.setenv("JLAB_TOL", "1e-30")
-    assert run(args) == 1
-    monkeypatch.setenv("JLAB_TOL", "not-a-number")
-    assert run(args) == 2
+    # --tol is the one channel: the environment changes nothing
+    for raw in ("1e-30", "not-a-number"):
+        monkeypatch.setenv("JLAB_TOL", raw)
+        assert run(args) == 0
+
+
+def test_bad_tolerance_and_retries_exit_two(tmp_path):
+    tpath = tmp_path / "t.json"
+    _, t = jacobi_imag(2, 1)
+    write_partial_operator(tpath, t)
+    extend_args = ["extend", tpath, "--canonical", "--out", tmp_path / "e"]
+    # --tol inf used to pass every verdict
+    for raw in ("abc", "-1", "0", "nan", "inf"):
+        for args in (extend_args, ["demo", "unbounded", "--levels", 2]):
+            with pytest.raises(SystemExit) as info:
+                run(args + [f"--tol={raw}"])
+            assert info.value.code == 2
+    # the parity rule fixes the Cayley attempts: there is no budget to set
+    for args in (extend_args, ["demo", "jacobi", "--n", 3, "--d", 1]):
+        with pytest.raises(SystemExit) as info:
+            run(args + ["--retries", 1])
+        assert info.value.code == 2
 
 
 def test_demo_unbounded_csv(tmp_path, capsys):
@@ -177,14 +198,16 @@ def test_demo_unbounded_nan_in_a_later_row_fails(tmp_path, monkeypatch):
     assert checks["growth_match"]["passed"] is True
 
 
-def test_demo_jacobi(tmp_path, capsys):
+def test_demo_jacobi(tmp_path, capsys, monkeypatch):
     prefix = tmp_path / "jac"
     assert run(["demo", "jacobi", "--n", 3, "--d", 1, "--out", prefix]) == 0
     out = capsys.readouterr().out
     assert "defect numbers (2, 2)" in out
     a = read_matrix(f"{prefix}.A.json")
     assert a.shape == (3, 3)
-    assert run(["demo", "jacobi", "--n", 3, "--d", 1, "--retries", 1]) == 4
+    with monkeypatch.context() as patch:
+        patch.setattr(extension, "SINGULAR_FLOOR", 1.5)
+        assert run(["demo", "jacobi", "--n", 3, "--d", 1]) == 4
     assert run(["demo", "jacobi", "--n", 3, "--d", 1, "--alphas", "1"]) == 2
     assert run(["demo", "jacobi", "--n", 3, "--d", 1, "--alphas", "1,0"]) == 2
 

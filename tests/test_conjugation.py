@@ -130,6 +130,11 @@ def test_fixed_basis_rejects_non_invariant_span():
     j = canonical(2)
     with pytest.raises(NotInvariant):
         fixed_basis(j, np.array([[1.0], [1j]]) / np.sqrt(2.0))
+    # C C* overflows to inf - inf = NaN, which `residual > bound` let through
+    huge = Conjugation(2, np.array([[1e200, 1e200], [1e200, -1e200]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NotInvariant, match="residual nan"):
+            fixed_basis(huge, np.eye(2, dtype=complex))
 
 
 def test_fixed_basis_empty_input():

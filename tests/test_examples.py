@@ -45,8 +45,9 @@ def test_truncation_family_layout():
 
 def test_resolvent_check_against_closed_form():
     for beta in (0.0, 0.5, 0.9, 0.99):
-        rep = resolvent_check(beta, tol=1e-11)
+        rep = resolvent_check(beta)
         assert rep.passed, f"beta={beta}: worst {rep.worst():.3e}"
+        assert [item.threshold for item in rep.items] == [1e-11, 1e-11]
         assert rep.extras["beta"] == beta
 
 

@@ -1,21 +1,22 @@
-"""Cayley extension machinery: defects, pairings, retries, round trips."""
+"""Cayley extension machinery: defects, pairings, the parity-rule flip, round trips."""
 
 import math
 
 import numpy as np
 import pytest
 
-from jlab.conjugation import canonical, fixed_basis, random_conjugation
+from jlab import extension
+from jlab.conjugation import Conjugation, canonical, fixed_basis, random_conjugation
 from jlab.errors import (
     BadShape,
     DimensionMismatch,
     DomainNotJInvariant,
     MultivaluedRelation,
     NotJImaginary,
-    OutOfRange,
 )
 from jlab.examples import jacobi_imag
 from jlab.extension import (
+    SINGULAR_FLOOR,
     PartialSymmetricOperator,
     cayley_isometry,
     check_defect_j_invariance,
@@ -39,6 +40,11 @@ def test_partial_operator_shape_gates():
         PartialSymmetricOperator(3, eye[:, :0], eye[:, :0])
     with pytest.raises(BadShape):
         PartialSymmetricOperator(3, 2.0 * eye[:, :1], eye[:, :1])
+    # Q* Q overflows to inf - inf = NaN, which `residual > bound` let through
+    q = np.array([[1e200, 1e200], [1e200, -1e200], [0.0, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BadShape, match=r"not orthonormal \(residual nan\)"):
+            PartialSymmetricOperator(3, q, np.zeros((3, 2)))
     t = PartialSymmetricOperator(3, eye[:, :2], eye[:, 1:3])
     assert t.domain_dim == 2
 
@@ -66,6 +72,12 @@ def test_verify_rejects_non_invariant_domain():
     t = PartialSymmetricOperator(2, q, np.array([[1j], [0.0]]))
     with pytest.raises(DomainNotJInvariant):
         verify_symmetric_jimaginary(j, t)
+    # C C* overflows to inf - inf, so the projector residual is NaN
+    huge = Conjugation(2, np.array([[1e200, 1e200], [1e200, -1e200]]))
+    t = PartialSymmetricOperator(2, np.eye(2, dtype=complex), np.zeros((2, 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainNotJInvariant, match="residual nan"):
+            verify_symmetric_jimaginary(huge, t)
 
 
 def test_ranges_defects_frozen_jacobi():
@@ -130,7 +142,7 @@ def test_extend_jacobi_two_frozen():
 @pytest.mark.parametrize("n, d", [(n, d) for n in range(2, 9) for d in range(1, n)])
 def test_extend_jacobi_three_needs_multicolumn_flip(n, d):
     j, t = jacobi_imag(n, d)
-    res = extend(j, t, retry_budget=2)
+    res = extend(j, t)
     assert res.report.passed
     # the unflipped pairing leaves one unit-eigenvalue channel per defect
     # direction, so the parity rule must flip every defect column at once
@@ -153,31 +165,31 @@ def test_extend_flips_by_the_kernel_parity_rule():
         t = random_jimaginary_partial(j, d, s_t)
         res = extend(j, t)
         attempts = res.report.extras["attempts"]
-        assert attempts <= 2, tseed
-        kernel_dim = 0
-        if attempts == 2:
-            with pytest.raises(MultivaluedRelation) as info:
-                extend(j, t, retry_budget=1)
-            kernel_dim = info.value.kernel_dim
-            assert len(res.report.extras["flipped_columns"]) == kernel_dim, tseed
-        # V is real orthogonal in a J-fixed frame: det V (-1)^n = (-1)^dim ker(V - I)
+        # the unflipped V, and its kernel counted by numpy's SVD
         defect = ranges_defects(t)
         w = fixed_basis(j, defect.n_minus) @ fixed_basis(j, defect.n_plus).conj().T
-        det = np.linalg.det(cayley_isometry(defect) + w)
+        v = cayley_isometry(defect) + w
+        svals = np.linalg.svd(v - np.eye(n), compute_uv=False)
+        kernel_dim = int(np.sum(svals <= SINGULAR_FLOOR))
+        assert attempts == (2 if kernel_dim else 1), tseed
+        if kernel_dim:
+            assert len(res.report.extras["flipped_columns"]) == kernel_dim, tseed
+        # V is real orthogonal in a J-fixed frame: det V (-1)^n = (-1)^dim ker(V - I)
+        det = np.linalg.det(v)
         assert abs(det * (-1) ** n - (-1) ** kernel_dim) < 1e-8, tseed
 
 
-def test_extend_exhausted_budget_reports_kernel():
-    j, t = jacobi_imag(3, 1)
-    with pytest.raises(MultivaluedRelation) as info:
-        extend(j, t, retry_budget=1)
-    assert info.value.kernel_dim == 2
-    j2, t2 = jacobi_imag(2, 1)
-    with pytest.raises(MultivaluedRelation) as info2:
-        extend(j2, t2, retry_budget=1)
-    assert info2.value.kernel_dim == 1
-    with pytest.raises(OutOfRange):
-        extend(j, t, retry_budget=0)
+def test_extend_multivalued_after_the_flip_reports_kernel(monkeypatch):
+    # sigma(V - I) is {2, 0, 0} unflipped and {2, sqrt 2, sqrt 2} flipped for
+    # jacobi_imag(3, 1), {2, 0} and {sqrt 2, sqrt 2} for jacobi_imag(2, 1): a
+    # floor of 1.5 keeps the true kernels and leaves the flip singular too
+    monkeypatch.setattr(extension, "SINGULAR_FLOOR", 1.5)
+    for (n, d), kernel_dim in (((3, 1), 2), ((2, 1), 1)):
+        j, t = jacobi_imag(n, d)
+        with pytest.raises(MultivaluedRelation, match=r"through 2 attempt\(s\)") as info:
+            extend(j, t)
+        assert info.value.kernel_dim == kernel_dim
+        assert f"kernel dimension {kernel_dim} on the unflipped pairing" in str(info.value)
 
 
 def test_extend_zero_defect_round_trip():

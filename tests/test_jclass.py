@@ -1,16 +1,19 @@
 """Classification residuals, the definitional oracle (and its pairwise
 reference), and the canonical bridge."""
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 import jlab.jclass
+from jlab import examples, extension, polar
 from jlab.conjugation import Conjugation, canonical, random_conjugation
 from jlab.errors import CapExceeded, DimensionMismatch
 from jlab.jclass import (
     CLASS_NAMES,
+    DEFAULT_TOL,
     ORACLE_DIM_CAP,
     _profile_from_residuals,
     _rss,
@@ -23,17 +26,34 @@ from jlab.numkernel import as_square
 from jlab.suites import _ORACLE_KINDS, _oracle_matrix
 
 
-def test_default_tol_and_env_override(monkeypatch):
-    monkeypatch.delenv("JLAB_TOL", raising=False)
-    assert default_tol() == 1e-8
-    monkeypatch.setenv("JLAB_TOL", "1e-2")
-    assert default_tol() == 1e-2
-    monkeypatch.setenv("JLAB_TOL", "abc")
-    with pytest.raises(ValueError):
-        default_tol()
-    monkeypatch.setenv("JLAB_TOL", "-1e-8")
-    with pytest.raises(ValueError):
-        default_tol()
+def test_default_tol_ignores_the_environment(monkeypatch):
+    assert DEFAULT_TOL == 1e-8
+    for raw in ("1e-2", "abc", "-1e-8"):
+        monkeypatch.setenv("JLAB_TOL", raw)
+        assert default_tol() == DEFAULT_TOL
+        prof = classify(canonical(2), np.eye(2, dtype=complex))
+        assert {item.threshold for item in prof.items} == {DEFAULT_TOL}
+
+
+def test_tol_keywords_default_to_the_constant():
+    tuned = (
+        classify,
+        polar.refined_polar,
+        extension.extend,
+        extension.verify_symmetric_jimaginary,
+    )
+    for fn in tuned:
+        assert inspect.signature(fn).parameters["tol"].default == DEFAULT_TOL, fn.__name__
+    fixed = (
+        definitional_oracle,
+        polar.synthesize,
+        extension.check_defect_j_invariance,
+        examples.resolvent_check,
+    )
+    for fn in fixed:
+        assert "tol" not in inspect.signature(fn).parameters, fn.__name__
+    # the parity rule fixes the Cayley attempts at two
+    assert "retry_budget" not in inspect.signature(extension.extend).parameters
 
 
 def test_bilinear_form_canonical_values():
@@ -183,11 +203,9 @@ def test_profile_to_dict_round_trip():
     assert doc["extras"] == {"invertible": False, "cond": None}
 
 
-def _pairwise_oracle(j, a, tol=None, cap=ORACLE_DIM_CAP):
+def _pairwise_oracle(j, a, cap=ORACLE_DIM_CAP):
     """Reference: the oracle that calls the public bilinear_form on every
     basis pair, re-applying J inside each call."""
-    if tol is None:
-        tol = default_tol()
     a = as_square(a, "operator")
     n = a.shape[0]
     if a.shape[0] != j.dim:
@@ -245,7 +263,7 @@ def _pairwise_oracle(j, a, tol=None, cap=ORACLE_DIM_CAP):
         ninv = _rss(abs(ainv[i, k]) for i in range(n) for k in range(n))
         res["J-unitary"] = _rss(dev["J-unitary"]) / (den + ninv)
         cond = na * ninv
-    return _profile_from_residuals(res, ainv, cond, tol)
+    return _profile_from_residuals(res, ainv, cond, DEFAULT_TOL)
 
 
 def _assert_profiles_identical(got, ref, where):

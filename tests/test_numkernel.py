@@ -21,6 +21,7 @@ from jlab.errors import (
     DomainError,
     NoConvergence,
     NotHermitian,
+    OutOfRange,
     RankDeficient,
     Singular,
 )
@@ -387,6 +388,40 @@ def test_stacked_herm_eig_errors_name_the_stack_index(monkeypatch):
             herm_eig(np.zeros(shape, dtype=complex))
     with pytest.raises(DimensionMismatch):
         herm_eig(np.stack([good, np.full((4, 4), np.nan)]))
+    # an overflowing ||M||_F made the Jacobi target inf, so M came back
+    # unrotated: {1e300, 1e300} for the true eigenvalues {0, 2e300}
+    ok = np.diag([1.0, 2.0]).astype(complex)
+    with np.errstate(over="ignore"):
+        for scale in (1e300, 1e155):
+            m = scale * np.array([[1.0, 1j], [-1j, 1.0]])
+            with pytest.raises(OutOfRange, match="stack index 1: .* overflows"):
+                herm_eig(np.stack([ok, m]))
+        # nor may the Hermitian gate judge against an infinite bound: this
+        # skew matrix had Hermitian part 0 and read as eigenvalues {0, 0}
+        skew = np.array([[0.0, 1e300], [-1e300, 0.0]], dtype=complex)
+        with pytest.raises(OutOfRange, match="stack index 0"):
+            herm_eig(skew)
+        with pytest.raises(OutOfRange):
+            nonpositive_pivot(skew)
+
+
+def test_nan_eigenvalue_propagates_to_the_singular_values(monkeypatch):
+    original = numkernel.herm_eig
+
+    def faulty(m):
+        out = []
+        for dec in original(m):
+            vals = dec.eigenvalues.copy()
+            vals[-1] = np.nan
+            out.append(SpectralDecomp(vals, dec.vectors, dec.clusters))
+        return tuple(out)
+
+    monkeypatch.setattr(numkernel, "herm_eig", faulty)
+    lo, hi = singular_extremes(np.diag([1.0, 2.0]).astype(complex))
+    assert lo == 1.0 and math.isnan(hi)
+    # the spans share e1 only: true gap 1.0, and a clamp to 0.0 read them equal
+    eye = np.eye(3, dtype=complex)
+    assert math.isnan(subspace_gap(eye[:, :2], eye[:, 1:]))
 
 
 def test_stacked_singular_extremes_match_one_call_each():

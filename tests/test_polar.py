@@ -13,7 +13,7 @@ import scipy.linalg
 
 import jlab.numkernel
 import jlab.polar
-from jlab.conjugation import canonical, random_conjugation
+from jlab.conjugation import Conjugation, canonical, random_conjugation
 from jlab.errors import BadFactor, DimensionMismatch, NotJUnitary, Singular
 from jlab.jclass import classify
 from jlab.numkernel import (
@@ -119,6 +119,16 @@ def test_synthesize_rejects_bad_factors():
     with pytest.raises(DimensionMismatch):
         synthesize(j, np.eye(3, dtype=complex), B2)
     np.testing.assert_allclose(synthesize(j, R2, B2), R2 @ B2, atol=0)
+    # each residual below overflows to inf / inf = NaN, which `r > tol` let through
+    huge = Conjugation(2, np.array([[1e200, 1e200], [1e200, -1e200]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BadFactor, match="U is not unitary: residual nan"):
+            synthesize(j, 1e200 * eye, eye)
+        with pytest.raises(BadFactor, match="U is not J-real: residual nan"):
+            synthesize(huge, eye, eye)
+        b = np.array([[1e200, 1e200], [-1e200, 1e200]])
+        with pytest.raises(BadFactor, match="B is not Hermitian: residual nan"):
+            synthesize(j, eye, b)
 
 
 def test_synthesize_names_the_failing_cholesky_pivot():
@@ -260,6 +270,26 @@ def test_nan_cluster_value_fails_eigenvalue_reciprocity():
     rep = check_reciprocity(parts)
     assert math.isnan(rep.residual("eigenvalue_reciprocity"))
     assert not rep.item("eigenvalue_reciprocity").passed
+
+
+def test_nan_singular_value_fails_eigenspace_reciprocity(monkeypatch):
+    # G has the two-dimensional clusters {1/4, 1/4} and {4, 4}, so each
+    # eigenspace gap is a spectral norm from singular_extremes; fault
+    # injection turns the top eigenvalue of every Gram it decomposes NaN
+    b4 = np.zeros((4, 4), dtype=complex)
+    b4[:2, :2] = b4[2:, 2:] = B2
+    parts = refined_polar(canonical(4), b4)
+    assert [len(c) for c in parts.dec.clusters] == [2, 2]
+    assert check_reciprocity(parts).passed
+    original = jlab.numkernel.herm_eig
+
+    def faulty(m):
+        return tuple(_nan_at(dec, -1) for dec in original(m))
+
+    monkeypatch.setattr(jlab.numkernel, "herm_eig", faulty)
+    rep = check_reciprocity(parts)
+    assert math.isnan(rep.residual("eigenspace_reciprocity"))
+    assert not rep.item("eigenspace_reciprocity").passed
 
 
 def test_check_prop21_singular_gram_raises_singular():

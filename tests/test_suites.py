@@ -39,8 +39,8 @@ def test_nan_residual_gap_fails_the_oracle_trial(monkeypatch):
     # kept, so the verdicts agree and only residual_gap can report it
     classify = suites.classify
 
-    def faulty(j, a, tol=None):
-        prof = classify(j, a, tol)
+    def faulty(j, a):
+        prof = classify(j, a)
         k = [it.name for it in prof.items].index("J-real")
         prof.items[k] = dataclasses.replace(prof.items[k], residual=math.nan)
         return prof
