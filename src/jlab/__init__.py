@@ -24,6 +24,7 @@ from .errors import (
     JLabError,
     MultivaluedRelation,
     NoConvergence,
+    NotConjugation,
     NotHermitian,
     NotInvariant,
     NotJImaginary,
@@ -46,11 +47,11 @@ from .extension import (
 )
 from .jclass import (
     CLASS_NAMES,
-    OperatorProfile,
     bilinear_form,
     classify,
     default_tol,
     definitional_oracle,
+    j_unitary_residual,
 )
 from .numkernel import (
     SpectralDecomp,

@@ -2,10 +2,12 @@
 
 A conjugation J is an antilinear involutive antiunitary map.  It is stored
 through its coefficient matrix C: J x = C conj(x), where C must be symmetric
-and unitary.  The linear map x -> J M J x then has matrix C conj(M) C*
-(``sandwich``), and conjugation-invariant subspaces admit orthonormal bases
-of J-fixed vectors (``fixed_basis``); J's frame of the whole space is
-computed once per conjugation (``Conjugation.fixed_frame``).
+and unitary; the constructor checks the axioms (``verify``) and raises
+NotConjugation, naming each that fails.  The linear map x -> J M J x then
+has matrix C conj(M) C* (``sandwich``), and spans with a vanishing
+projector residual ||P - J P J||_F (``invariance_residual``) admit
+orthonormal bases of J-fixed vectors (``fixed_basis``); J's frame of the
+whole space is computed once per conjugation (``Conjugation.fixed_frame``).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotInvariant, RankLoss
+from .errors import DimensionMismatch, NotConjugation, NotInvariant, RankLoss
 from .numkernel import (
     as_matrix,
     as_square,
@@ -31,7 +33,7 @@ INVARIANCE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Conjugation:
-    """Conjugation J x = C conj(x) with C symmetric unitary."""
+    """Conjugation J x = C conj(x) with C symmetric unitary at AXIOM_TOL."""
 
     dim: int
     coeff: np.ndarray
@@ -43,6 +45,13 @@ class Conjugation:
                 f"conjugation: dim {self.dim} does not match coefficient shape {c.shape}"
             )
         object.__setattr__(self, "coeff", c)
+        # the identity meets the axioms exactly; skipping its products keeps
+        # the large canonical conjugations of the worked examples cheap
+        if not np.array_equal(c, np.eye(self.dim)):
+            rep = verify(self)
+            bad = [f"{it.name} residual {it.residual:.3e}" for it in rep.items if not it.passed]
+            if bad:
+                raise NotConjugation("coefficient is not a conjugation: " + ", ".join(bad))
 
     def apply(self, x):
         """J x for a vector, or J applied to each column of a matrix."""
@@ -62,7 +71,7 @@ class Conjugation:
         a = as_square(m, "sandwich argument")
         if a.shape[0] != self.dim:
             raise DimensionMismatch(
-                f"sandwich argument is {a.shape[0]}-dimensional, expected {self.dim}"
+                f"operator is {a.shape[0]}-dimensional, conjugation is {self.dim}-dimensional"
             )
         return self.coeff @ np.conj(a) @ self.coeff.conj().T
 
@@ -96,6 +105,13 @@ def verify(j):
     rep.add("unitarity", frobenius(c.conj().T @ c - eye), AXIOM_TOL)
     rep.add("symmetry", frobenius(c - c.T), AXIOM_TOL)
     return rep
+
+
+def invariance_residual(j, q):
+    """||P - J P J||_F of the projector P = Q Q* onto the span of Q's
+    orthonormal columns; zero exactly when J maps that span onto itself."""
+    proj = q @ q.conj().T
+    return frobenius(proj - j.sandwich(proj))
 
 
 def as_seed_sequence(seed):
@@ -146,8 +162,7 @@ def fixed_basis(j, basis):
     if k == 0:
         return np.zeros((n, 0), dtype=complex)
     q0, _ = orthonormal_columns(b, name="fixed_basis input")
-    proj = q0 @ q0.conj().T
-    inv_res = frobenius(proj - j.sandwich(proj))
+    inv_res = invariance_residual(j, q0)
     if not inv_res <= INVARIANCE_TOL:
         raise NotInvariant(
             f"span is not conjugation-invariant: projector residual {inv_res:.3e}"

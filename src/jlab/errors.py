@@ -9,6 +9,10 @@ class JLabError(Exception):
     """Base class for package-specific failures."""
 
 
+class NotConjugation(JLabError):
+    """A coefficient matrix fails the conjugation axioms; the message names each."""
+
+
 class DimensionMismatch(JLabError):
     """Operands have incompatible shapes or live in different spaces."""
 

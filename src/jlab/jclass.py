@@ -9,11 +9,11 @@ plus plain self-adjointness; ``definitional_oracle`` recomputes the same
 residuals from the definitions, one basis pair at a time, sharing no matrix
 algebra with classify.  The oracle applies J once per basis vector and once
 per column of A, and reads each pair's form values against those images.
-Both return an ``OperatorProfile``: a ``ResidualReport`` with one item per
-class, in ``CLASS_NAMES`` order at threshold tol, and extras ``invertible``
-and ``cond``.  The J-unitary item of a singular A is undefined (residual
-None, failing).  The profile also keeps the inverse that residual used, so
-``refined_polar`` reuses the gate's elimination inverse.
+Both return a ``ResidualReport`` with one item per class, in ``CLASS_NAMES``
+order at threshold tol, and extras ``invertible`` and ``cond``.  The
+J-unitary item of a singular A is undefined (residual None, failing).
+Gates that ask only whether A is J-unitary call ``j_unitary_residual``,
+whose residual, inverse and cond classify shares bit for bit.
 
 For the canonical conjugation (C = I) the classes reduce to familiar matrix
 conditions: J-symmetric means A = A^T, J-unitary means A^T A = I (complex
@@ -24,7 +24,6 @@ entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,45 +60,49 @@ def bilinear_form(j, x, y):
     return complex(np.vdot(j.apply(yv), xv))
 
 
-@dataclass
-class OperatorProfile(ResidualReport):
-    """Class report of one operator: one item per CLASS_NAMES entry at
-    threshold tol, extras ``invertible`` and ``cond``, and the inverse its
-    J-unitary residual used (None when A is singular; not serialised)."""
-
-    inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-
 def _profile_from_residuals(res, ainv, cond, tol):
-    prof = OperatorProfile(extras={"invertible": ainv is not None, "cond": cond}, inverse=ainv)
+    prof = ResidualReport(extras={"invertible": ainv is not None, "cond": cond})
     for name in CLASS_NAMES:
         prof.add(name, res[name], tol)
     return prof
 
 
+def _j_unitary(a, sastar, na):
+    """(residual, A^-1, cond) from J A* J and ||A||_F; all None if A is singular."""
+    try:
+        ainv = inverse(a)
+    except Singular:
+        return None, None, None
+    ninv = frobenius(ainv)
+    return frobenius(ainv - sastar) / (1.0 + na + ninv), ainv, na * ninv
+
+
+def j_unitary_residual(j, a):
+    """The J-unitary residual ||A^-1 - J A* J||_F / (1 + ||A||_F + ||A^-1||_F).
+
+    Returns (residual, A^-1, cond) with A^-1 the elimination inverse and
+    cond = ||A||_F ||A^-1||_F, or (None, None, None) when A is singular.
+    The same numbers as classify's J-unitary item and extras, bit for bit.
+    """
+    a = as_square(a, "operator")
+    return _j_unitary(a, j.sandwich(a.conj().T), frobenius(a))
+
+
 def classify(j, a, tol=DEFAULT_TOL):
     """Residuals and verdicts for all nine classes of A relative to J.
 
-    Returns an OperatorProfile with one item per class at threshold tol.
+    Returns a ResidualReport with one item per class at threshold tol.
     Residuals are Frobenius norms scaled by 1 + ||A||_F (J-unitary adds
     ||A^{-1}||_F to the denominator).  When A is singular the J-unitary
     item is undefined: residual None and verdict False.
     """
     a = as_square(a, "operator")
-    if a.shape[0] != j.dim:
-        raise DimensionMismatch(
-            f"operator is {a.shape[0]}-dimensional, conjugation is {j.dim}-dimensional"
-        )
     eye = np.eye(j.dim, dtype=complex)
     astar = a.conj().T
     sa = j.sandwich(a)
     sastar = j.sandwich(astar)
     na = frobenius(a)
     den = 1.0 + na
-    try:
-        ainv = inverse(a)
-    except Singular:
-        ainv = None
     res = {
         "self-adjoint": frobenius(a - astar) / den,
         "J-symmetric": frobenius(sa - astar) / den,
@@ -110,13 +113,7 @@ def classify(j, a, tol=DEFAULT_TOL):
         "J-real": frobenius(a - sa) / den,
         "J-imaginary": frobenius(a + sa) / den,
     }
-    if ainv is None:
-        res["J-unitary"] = None
-        cond = None
-    else:
-        ninv = frobenius(ainv)
-        res["J-unitary"] = frobenius(ainv - sastar) / (den + ninv)
-        cond = na * ninv
+    res["J-unitary"], ainv, cond = _j_unitary(a, sastar, na)
     return _profile_from_residuals(res, ainv, cond, tol)
 
 

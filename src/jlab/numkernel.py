@@ -368,12 +368,14 @@ def inverse(m):
     are zeroed, then T[:, P] @ (their old rows P) is added.  For
     n <= INVERSE_PANEL there is one panel and no product.
 
-    Raises Singular when the best available pivot falls at or below
-    PIVOT_REL_TOL * ||M||_F.
+    Raises OutOfRange when ||M||_F overflows, and Singular unless the best
+    available pivot (NaN included) exceeds PIVOT_REL_TOL * ||M||_F.
     """
     a = as_square(m).copy()
     n = a.shape[0]
     floor = PIVOT_REL_TOL * frobenius(a)
+    if not math.isfinite(floor):
+        raise OutOfRange("||M||_F overflows to inf, so the pivot floor is undefined")
     rows = list(range(n))
     for k0 in range(0, n, INVERSE_PANEL):
         k1 = min(k0 + INVERSE_PANEL, n)
@@ -382,7 +384,7 @@ def inverse(m):
             j = k - k0
             piv = int(np.argmax(np.abs(t[k:, j]))) + k
             mag = abs(t[piv, j])
-            if mag <= floor:
+            if not mag > floor:
                 raise Singular(
                     f"pivot {mag:.3e} at column {k} is at or below the floor {floor:.3e}"
                 )

@@ -7,11 +7,15 @@ onto the eigenspace of the reciprocal eigenvalue, J B J = B^{-1}, and
 sqrt(G^{-1}) = (sqrt G)^{-1}.  Routines here compute the factorization,
 re-synthesize J-unitaries from structured factors, and verify the
 structural claims by independent routes.  ``refined_polar(j, a)`` gates A
-and decomposes G, A A* and G^{-1} = A^{-1} A^{-*} in one stacked eigensolve,
-A^{-1} being the gate's elimination inverse.  ``check_prop21``,
-``check_unitary_equiv`` and ``check_reciprocity`` take the ``PolarParts`` it
-returns: A, that inverse, G, the three decompositions, the factors and the
-factor report, whose extras carry the gate's condition number.
+with ``jclass.j_unitary_residual`` and decomposes G, A A* and
+G^{-1} = A^{-1} A^{-*} in one stacked eigensolve, A^{-1} being the gate's
+elimination inverse.  ``check_prop21``, ``check_unitary_equiv`` and
+``check_reciprocity`` take the ``PolarParts`` it returns: A, that inverse,
+G, the three decompositions, the factors and the factor report, whose
+extras carry the gate's condition number.  ``synthesize`` and
+``check_prop21`` ask the same J-unitary gate, and the factor conditions
+(U unitary, U J-real, B Hermitian) have one formula each, which
+``synthesize`` gates on and ``refined_polar`` reports.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .conjugation import Conjugation, as_seed_sequence
 from .errors import BadFactor, DimensionMismatch, NotJUnitary, Singular
-from .jclass import DEFAULT_TOL, classify
+from .jclass import DEFAULT_TOL, j_unitary_residual
 from .numkernel import (
     SpectralDecomp,
     as_square,
@@ -60,39 +64,43 @@ class PolarParts:
 def refined_polar(j, a, tol=DEFAULT_TOL):
     """Factor a J-unitary A as U B with U unitary J-real and B = sqrt(A*A).
 
-    Raises NotJUnitary when A fails the classification gate at tol.  Both
+    Raises NotJUnitary when A fails the J-unitary gate at tol.  Both
     factors come from the spectral decomposition of G = A* A, taken in one
     stacked herm_eig call with those of A A* and G^-1 = A^-1 A^-* that the
     checks read (A^-1 exists once the gate passes); the report records
     reconstruction and structure residuals.
     """
     a = as_square(a, "operator")
-    prof = classify(j, a, tol)
-    gate = prof.item("J-unitary")
-    if not gate.passed:
-        r = gate.residual
+    r, ainv, cond = j_unitary_residual(j, a)
+    if r is None or not r <= tol:
         detail = "operator is singular" if r is None else f"residual {r:.3e} > {tol:.1e}"
         raise NotJUnitary(f"J-unitary gate failed: {detail}")
     g = a.conj().T @ a
-    ainv = prof.inverse
     dec, dec_cogram, dec_ginv = herm_eig(np.stack([g, a @ a.conj().T, ainv @ ainv.conj().T]))
     b = dec.apply(math.sqrt)
     binv = dec.apply(lambda lam: 1.0 / math.sqrt(lam))
     u = a @ binv
-    eye = np.eye(a.shape[0], dtype=complex)
     nb = frobenius(b)
     nbinv = frobenius(binv)
-    nu = frobenius(u)
     # the clip keeps a NaN eigenvalue NaN, so a failed decomposition cannot read as 0
     floor = float(np.sqrt(np.clip(dec.eigenvalues[0], 0.0, None)))
-    rep = ResidualReport(extras={"b_floor": floor, "cond": prof.extras["cond"]})
+    rep = ResidualReport(extras={"b_floor": floor, "cond": cond})
     rep.add("reconstruct", frobenius(a - u @ b) / (1.0 + frobenius(a)), tol)
-    rep.add("u_unitary", frobenius(u.conj().T @ u - eye) / (1.0 + nu), tol)
-    rep.add("u_j_real", frobenius(u - j.sandwich(u)) / (1.0 + nu), tol)
-    rep.add("b_hermitian", frobenius(b - b.conj().T) / (1.0 + nb), tol)
+    for name, _, residual in _factor_conditions(j, u, b):
+        rep.add(name, residual, tol)
     rep.add("b_j_unitary", frobenius(j.sandwich(b) - binv) / (1.0 + nb + nbinv), tol)
     rep.add("b_positive", worst_of([-float(dec.eigenvalues[0])]), tol)
     return PolarParts(j, a, tol, ainv, g, dec, dec_cogram, dec_ginv, u, b, rep)
+
+
+def _factor_conditions(j, u, b):
+    """(name, message, residual) of U unitary, U J-real and B Hermitian, in
+    that order; each residual is computed only when its item is reached."""
+    eye = np.eye(u.shape[0], dtype=complex)
+    nu = frobenius(u)
+    yield "u_unitary", "U is not unitary", frobenius(u.conj().T @ u - eye) / (1.0 + nu)
+    yield "u_j_real", "U is not J-real", frobenius(u - j.sandwich(u)) / (1.0 + nu)
+    yield "b_hermitian", "B is not Hermitian", frobenius(b - b.conj().T) / (1.0 + frobenius(b))
 
 
 def synthesize(j, u, b):
@@ -111,27 +119,17 @@ def synthesize(j, u, b):
         raise DimensionMismatch(
             f"factors {u.shape} / {b.shape} do not match conjugation dimension {j.dim}"
         )
-    eye = np.eye(j.dim, dtype=complex)
-    nu = frobenius(u)
-    r = frobenius(u.conj().T @ u - eye) / (1.0 + nu)
-    if not r <= DEFAULT_TOL:
-        raise BadFactor(f"U is not unitary: residual {r:.3e}")
-    r = frobenius(u - j.sandwich(u)) / (1.0 + nu)
-    if not r <= DEFAULT_TOL:
-        raise BadFactor(f"U is not J-real: residual {r:.3e}")
-    nb = frobenius(b)
-    r = frobenius(b - b.conj().T) / (1.0 + nb)
-    if not r <= DEFAULT_TOL:
-        raise BadFactor(f"B is not Hermitian: residual {r:.3e}")
+    for _, message, r in _factor_conditions(j, u, b):
+        if not r <= DEFAULT_TOL:
+            raise BadFactor(f"{message}: residual {r:.3e}")
     bad = nonpositive_pivot(b)
     if bad is not None:
         col, pivot = bad
         raise BadFactor(
             f"B is not positive definite: Cholesky pivot {pivot:.3e} at column {col}"
         )
-    gate = classify(j, b).item("J-unitary")
-    if not gate.passed:
-        rb = gate.residual
+    rb = j_unitary_residual(j, b)[0]
+    if rb is None or not rb <= DEFAULT_TOL:
         raise BadFactor(
             "B is not J-unitary: "
             + ("singular" if rb is None else f"residual {rb:.3e}")
@@ -139,19 +137,17 @@ def synthesize(j, u, b):
     return u @ b
 
 
-def random_j_real_unitary(j, dim, seed):
+def random_j_real_unitary(j, seed):
     """Seeded unitary commuting with J: a real rotation of a J-fixed frame."""
-    if dim != j.dim:
-        raise DimensionMismatch(f"requested dimension {dim} but conjugation has {j.dim}")
     rng = np.random.default_rng(seed)
     phi = j.fixed_frame()
-    z = rng.standard_normal((dim, dim))
+    z = rng.standard_normal((j.dim, j.dim))
     q, r = np.linalg.qr(z)
     o = q * np.sign(np.diag(r))
     return phi @ o.astype(complex) @ phi.conj().T
 
 
-def random_positive_j_unitary(j, dim, seed):
+def random_positive_j_unitary(j, seed):
     """Seeded Hermitian positive-definite J-unitary B = exp(i Phi K Phi*).
 
     K is real antisymmetric with entries drawn uniformly from [-2, 2],
@@ -161,10 +157,8 @@ def random_positive_j_unitary(j, dim, seed):
     ||h||_2 = ||K||_2 = max(-lambda_min, lambda_max), so the rescale comes
     from h's spectrum and B = exp(scale * h) is applied through it.
     """
-    if dim != j.dim:
-        raise DimensionMismatch(f"requested dimension {dim} but conjugation has {j.dim}")
     rng = np.random.default_rng(seed)
-    k = rng.uniform(-2.0, 2.0, (dim, dim))
+    k = rng.uniform(-2.0, 2.0, (j.dim, j.dim))
     k = 0.5 * (k - k.T)
     phi = j.fixed_frame()
     dec = herm_eig(phi @ (1j * k.astype(complex)) @ phi.conj().T)
@@ -173,16 +167,16 @@ def random_positive_j_unitary(j, dim, seed):
     return dec.apply(lambda lam: math.exp(scale * lam))
 
 
-def random_j_unitary(j, dim, seed):
+def random_j_unitary(j, seed):
     """Seeded generic J-unitary: product of the two structured draws."""
     s_u, s_b = as_seed_sequence(seed).spawn(2)
-    u = random_j_real_unitary(j, dim, s_u)
-    b = random_positive_j_unitary(j, dim, s_b)
+    u = random_j_real_unitary(j, s_u)
+    b = random_positive_j_unitary(j, s_b)
     return u @ b
 
 
 def _j_unitary_residual(parts, m, operand):
-    r = classify(parts.j, m, parts.tol).residual("J-unitary")
+    r = j_unitary_residual(parts.j, m)[0]
     if r is None:
         raise Singular(f"{operand} is singular; its J-unitary residual is undefined")
     return r

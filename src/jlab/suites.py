@@ -140,8 +140,8 @@ def polar_trials(trials, maxdim, seed, corrupt_index=None):
     records = []
     for i, tseed, _, dim, (s_j, s_u, s_b) in _trials(trials, seed, 1, maxdim, 3):
         j = random_conjugation(dim, s_j)
-        u0 = random_j_real_unitary(j, dim, s_u)
-        b0 = random_positive_j_unitary(j, dim, s_b)
+        u0 = random_j_real_unitary(j, s_u)
+        b0 = random_positive_j_unitary(j, s_b)
         a = synthesize(j, u0, b0)
         if corrupt_index is not None and i == int(corrupt_index):
             a = a.copy()
@@ -239,8 +239,8 @@ def _oracle_matrix(kind, j, n, rng):
     if kind == "imaginary":
         return (1j * z.real).astype(complex)
     if kind == "j_unitary":
-        u = random_j_real_unitary(j, n, rng.integers(2**32))
-        b = random_positive_j_unitary(j, n, rng.integers(2**32))
+        u = random_j_real_unitary(j, rng.integers(2**32))
+        b = random_positive_j_unitary(j, rng.integers(2**32))
         return u @ b
     raise ValueError(kind)
 

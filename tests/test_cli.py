@@ -11,7 +11,7 @@ import pytest
 
 from jlab import cli, extension, suites
 from jlab.cli import main
-from jlab.conjugation import Conjugation, random_conjugation
+from jlab.conjugation import random_conjugation
 from jlab.examples import block_a0, jacobi_imag
 from jlab.extension import PartialSymmetricOperator
 from jlab.fileio import (
@@ -73,8 +73,16 @@ def test_classify_input_failures(tmp_path, a0_file):
     assert run(["classify", rect, "--canonical"]) == 2
     # a well-formed file whose matrix fails the conjugation axioms
     fake = tmp_path / "fake.json"
-    write_conjugation(fake, Conjugation(2, np.array([[1.0, 1.0], [0.0, 1.0]])))
+    entries = [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    doc = {"kind": "conjugation", "rows": 2, "cols": 2, "entries": entries}
+    fake.write_text(json.dumps(doc))
     assert run(["classify", a0_file, "--conjugation", fake]) == 2
+    # an operator whose Frobenius norm overflows: no verdict, exit 2
+    huge = tmp_path / "huge.json"
+    write_matrix(huge, 1e200 * np.eye(2, dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(["classify", huge, "--canonical"]) == 2
+        assert run(["polar", huge, "--canonical", "--out", tmp_path / "p"]) == 2
 
 
 def test_conjugation_flags_are_mutually_exclusive(a0_file):
@@ -162,6 +170,12 @@ def test_bad_tolerance_and_retries_exit_two(tmp_path):
             with pytest.raises(SystemExit) as info:
                 run(args + [f"--tol={raw}"])
             assert info.value.code == 2
+    # the suites judge against their own thresholds: --tol is not theirs to take
+    random_args = ["random", "--kind", "conjugation", "--dim", 2, "--seed", 0, "--out", tmp_path / "j"]
+    for args in (["verify-suite", "--trials", 1], random_args):
+        with pytest.raises(SystemExit) as info:
+            run(args + ["--tol", "1e-8"])
+        assert info.value.code == 2
     # the parity rule fixes the Cayley attempts: there is no budget to set
     for args in (extend_args, ["demo", "jacobi", "--n", 3, "--d", 1]):
         with pytest.raises(SystemExit) as info:

@@ -14,7 +14,7 @@ from jlab.conjugation import (
     random_unitary,
     verify,
 )
-from jlab.errors import DimensionMismatch, NotInvariant
+from jlab.errors import DimensionMismatch, NotConjugation, NotInvariant
 from jlab.numkernel import frobenius, subspace_gap
 
 
@@ -55,12 +55,22 @@ def test_sandwich_is_the_matrix_of_j_m_j():
 
 
 def test_verify_flags_broken_axioms():
-    bad = verify(Conjugation(2, np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)))
-    assert not bad.passed
-    assert not bad.item("unitarity").passed
-    skew = verify(Conjugation(2, np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)))
-    assert not skew.item("symmetry").passed
-    assert not skew.item("involution").passed
+    # the constructor checks the axioms and names each one that fails
+    with pytest.raises(NotConjugation) as info:
+        Conjugation(2, np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+    for name in ("involution residual", "unitarity residual", "symmetry residual"):
+        assert name in str(info.value)
+    # C^T C = I holds for the rotation, so unitarity is not named
+    with pytest.raises(NotConjugation) as info:
+        Conjugation(2, np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex))
+    message = str(info.value)
+    assert "involution residual 2.828e+00" in message
+    assert "symmetry residual 2.828e+00" in message
+    assert "unitarity" not in message
+    # an overflowing coefficient gives NaN residuals, which fail
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NotConjugation, match="residual nan"):
+            Conjugation(2, np.array([[1e200, 1e200], [1e200, -1e200]]))
 
 
 def test_random_conjugation_axioms_and_determinism():
@@ -130,8 +140,14 @@ def test_fixed_basis_rejects_non_invariant_span():
     j = canonical(2)
     with pytest.raises(NotInvariant):
         fixed_basis(j, np.array([[1.0], [1j]]) / np.sqrt(2.0))
-    # C C* overflows to inf - inf = NaN, which `residual > bound` let through
-    huge = Conjugation(2, np.array([[1e200, 1e200], [1e200, -1e200]]))
+    # C C* overflows to inf - inf = NaN, which `residual > bound` let through;
+    # the constructor rejects the overflowing coefficient, so build past it
+    coeff = np.array([[1e200, 1e200], [1e200, -1e200]], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotConjugation):
+        Conjugation(2, coeff)
+    huge = object.__new__(Conjugation)
+    object.__setattr__(huge, "dim", 2)
+    object.__setattr__(huge, "coeff", coeff)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NotInvariant, match="residual nan"):
             fixed_basis(huge, np.eye(2, dtype=complex))

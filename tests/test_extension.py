@@ -12,6 +12,7 @@ from jlab.errors import (
     DimensionMismatch,
     DomainNotJInvariant,
     MultivaluedRelation,
+    NotConjugation,
     NotJImaginary,
 )
 from jlab.examples import jacobi_imag
@@ -72,8 +73,14 @@ def test_verify_rejects_non_invariant_domain():
     t = PartialSymmetricOperator(2, q, np.array([[1j], [0.0]]))
     with pytest.raises(DomainNotJInvariant):
         verify_symmetric_jimaginary(j, t)
-    # C C* overflows to inf - inf, so the projector residual is NaN
-    huge = Conjugation(2, np.array([[1e200, 1e200], [1e200, -1e200]]))
+    # C C* overflows to inf - inf, so the projector residual is NaN; the
+    # constructor rejects the overflowing coefficient, so build past it
+    coeff = np.array([[1e200, 1e200], [1e200, -1e200]], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotConjugation):
+        Conjugation(2, coeff)
+    huge = object.__new__(Conjugation)
+    object.__setattr__(huge, "dim", 2)
+    object.__setattr__(huge, "coeff", coeff)
     t = PartialSymmetricOperator(2, np.eye(2, dtype=complex), np.zeros((2, 2)))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DomainNotJInvariant, match="residual nan"):

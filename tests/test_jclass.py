@@ -21,8 +21,9 @@ from jlab.jclass import (
     classify,
     default_tol,
     definitional_oracle,
+    j_unitary_residual,
 )
-from jlab.numkernel import as_square
+from jlab.numkernel import as_square, inverse
 from jlab.suites import _ORACLE_KINDS, _oracle_matrix
 
 
@@ -125,10 +126,11 @@ def test_classify_imaginary_hermitian_block():
 
 
 def test_classify_singular_operator():
-    prof = classify(canonical(2), np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    prof = classify(canonical(2), a)
     assert not prof.extras["invertible"]
     assert prof.extras["cond"] is None
-    assert prof.inverse is None
+    assert j_unitary_residual(canonical(2), a) == (None, None, None)
     assert prof.residual("J-unitary") is None
     assert not prof.item("J-unitary").passed
     # the other residuals are still measured, and worst() skips the undefined one
@@ -137,8 +139,27 @@ def test_classify_singular_operator():
 
 
 def test_classify_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        classify(canonical(3), np.eye(2, dtype=complex))
+    message = "operator is 2-dimensional, conjugation is 3-dimensional"
+    for gate in (classify, j_unitary_residual):
+        with pytest.raises(DimensionMismatch, match=message):
+            gate(canonical(3), np.eye(2, dtype=complex))
+
+
+def test_j_unitary_gate_matches_classify_bit_for_bit():
+    for n in range(1, ORACLE_DIM_CAP + 1):
+        for t, kind in enumerate(_ORACLE_KINDS):
+            rng = np.random.default_rng(9500 + 10 * n + t)
+            for j in (canonical(n), random_conjugation(n, 800 + 10 * n + t)):
+                a = _oracle_matrix(kind, j, n, rng)
+                for m in (a, np.where(np.arange(n) == t % n, 0.0, a)):  # then a zero column
+                    prof = classify(j, m)
+                    r, ainv, cond = j_unitary_residual(j, m)
+                    assert r == prof.residual("J-unitary"), (n, kind)
+                    assert cond == prof.extras["cond"], (n, kind)
+                    assert (ainv is not None) == prof.extras["invertible"], (n, kind)
+                    if ainv is not None:
+                        assert np.array_equal(ainv, inverse(m)), (n, kind)
+                assert r is None and ainv is None and cond is None, (n, kind)
 
 
 def test_canonical_bridge_matrix_conditions():

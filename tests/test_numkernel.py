@@ -584,6 +584,19 @@ def test_inverse_rejects_singular():
         inverse(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
+def test_inverse_and_classify_reject_an_overflowing_norm():
+    # ||1e200 I||_F overflows, so no pivot floor can be set; the matrix must
+    # not read as singular, since 1e-200 I is its representable inverse
+    huge = 1e200 * np.eye(2, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OutOfRange, match="overflows to inf"):
+            inverse(huge)
+        with pytest.raises(OutOfRange, match="overflows to inf"):
+            jclass.classify(conjugation.canonical(2), huge)
+    big = 1e150 * np.eye(2, dtype=complex)
+    np.testing.assert_allclose(inverse(big), 1e-150 * np.eye(2), rtol=1e-15)
+
+
 def _inverse_reference_cases(rng):
     for n in (*range(1, 17), 32, 64):
         yield f"random n={n}", rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

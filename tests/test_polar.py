@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import jlab.jclass
 import jlab.numkernel
 import jlab.polar
 from jlab.conjugation import Conjugation, canonical, random_conjugation
-from jlab.errors import BadFactor, DimensionMismatch, NotJUnitary, Singular
+from jlab.errors import BadFactor, DimensionMismatch, NotConjugation, NotJUnitary, Singular
 from jlab.jclass import classify
 from jlab.numkernel import (
     SpectralDecomp,
@@ -79,8 +80,8 @@ def test_refined_polar_against_scipy_sqrtm():
         j = random_conjugation(n, seed)
         a = synthesize(
             j,
-            random_j_real_unitary(j, n, 2 * seed),
-            random_positive_j_unitary(j, n, 2 * seed + 1),
+            random_j_real_unitary(j, 2 * seed),
+            random_positive_j_unitary(j, 2 * seed + 1),
         )
         parts = refined_polar(j, a)
         b_oracle = scipy.linalg.sqrtm(a.conj().T @ a)
@@ -94,8 +95,8 @@ def test_factor_uniqueness_round_trip():
         rng = np.random.default_rng(50 + seed)
         n = int(rng.integers(1, 9))
         j = random_conjugation(n, seed)
-        u0 = random_j_real_unitary(j, n, 3 * seed)
-        b0 = random_positive_j_unitary(j, n, 3 * seed + 1)
+        u0 = random_j_real_unitary(j, 3 * seed)
+        b0 = random_positive_j_unitary(j, 3 * seed + 1)
         a = synthesize(j, u0, b0)
         parts = refined_polar(j, a)
         assert frobenius(parts.u - u0) / (1.0 + frobenius(u0)) < 1e-9
@@ -119,8 +120,14 @@ def test_synthesize_rejects_bad_factors():
     with pytest.raises(DimensionMismatch):
         synthesize(j, np.eye(3, dtype=complex), B2)
     np.testing.assert_allclose(synthesize(j, R2, B2), R2 @ B2, atol=0)
-    # each residual below overflows to inf / inf = NaN, which `r > tol` let through
-    huge = Conjugation(2, np.array([[1e200, 1e200], [1e200, -1e200]]))
+    # each residual below overflows to inf / inf = NaN, which `r > tol` let through;
+    # the constructor rejects the overflowing coefficient, so build past it
+    coeff = np.array([[1e200, 1e200], [1e200, -1e200]], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotConjugation):
+        Conjugation(2, coeff)
+    huge = object.__new__(Conjugation)
+    object.__setattr__(huge, "dim", 2)
+    object.__setattr__(huge, "coeff", coeff)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BadFactor, match="U is not unitary: residual nan"):
             synthesize(j, 1e200 * eye, eye)
@@ -143,25 +150,23 @@ def test_synthesize_names_the_failing_cholesky_pivot():
 
 def test_random_j_real_unitary_properties():
     j = random_conjugation(5, 21)
-    u = random_j_real_unitary(j, 5, 4)
+    u = random_j_real_unitary(j, 4)
     assert frobenius(u.conj().T @ u - np.eye(5)) < 1e-12
     assert frobenius(u - j.sandwich(u)) < 1e-12
-    np.testing.assert_array_equal(u, random_j_real_unitary(j, 5, 4))
-    assert frobenius(u - random_j_real_unitary(j, 5, 5)) > 1e-3
-    with pytest.raises(DimensionMismatch):
-        random_j_real_unitary(j, 4, 0)
+    np.testing.assert_array_equal(u, random_j_real_unitary(j, 4))
+    assert frobenius(u - random_j_real_unitary(j, 5)) > 1e-3
 
 
 def test_random_positive_j_unitary_properties():
     j = random_conjugation(6, 33)
-    b = random_positive_j_unitary(j, 6, 8)
+    b = random_positive_j_unitary(j, 8)
     assert frobenius(b - b.conj().T) < 1e-11
     dec = herm_eig(b)
     # spectrum bounded by the generator cap: exp of [-2, 2]
     assert dec.eigenvalues[0] > math.exp(-2.0) - 1e-9
     assert dec.eigenvalues[-1] < math.exp(2.0) + 1e-9
     assert classify(j, b).residual("J-unitary") < 1e-10
-    np.testing.assert_array_equal(b, random_positive_j_unitary(j, 6, 8))
+    np.testing.assert_array_equal(b, random_positive_j_unitary(j, 8))
 
 
 def _two_solve_positive_j_unitary(j, dim, seed):
@@ -179,7 +184,7 @@ def _two_solve_positive_j_unitary(j, dim, seed):
 def test_positive_j_unitary_draws_match_the_two_solve_route():
     for dim, seed in ((1, 0), (2, 1), (5, 2), (12, 3), (16, 4)):
         j = random_conjugation(dim, seed)
-        b = random_positive_j_unitary(j, dim, 40 + seed)
+        b = random_positive_j_unitary(j, 40 + seed)
         ref = _two_solve_positive_j_unitary(j, dim, 40 + seed)
         assert frobenius(b - ref) <= 1e-12 * frobenius(ref)
         lam = herm_eig(b).eigenvalues
@@ -188,9 +193,9 @@ def test_positive_j_unitary_draws_match_the_two_solve_route():
 
 def test_random_j_unitary_passes_the_gate():
     j = random_conjugation(4, 2)
-    a = random_j_unitary(j, 4, 12)
+    a = random_j_unitary(j, 12)
     assert classify(j, a).item("J-unitary").passed
-    np.testing.assert_array_equal(a, random_j_unitary(j, 4, 12))
+    np.testing.assert_array_equal(a, random_j_unitary(j, 12))
     parts = refined_polar(j, a)
     assert parts.report.passed
 
@@ -200,7 +205,7 @@ def test_check_prop21_closure_properties():
         rng = np.random.default_rng(70 + seed)
         n = int(rng.integers(1, 7))
         j = random_conjugation(n, seed)
-        a = random_j_unitary(j, n, 5 * seed + 1)
+        a = random_j_unitary(j, 5 * seed + 1)
         rep = check_prop21(refined_polar(j, a))
         assert rep.passed, [it.name for it in rep.items if not it.passed]
 
@@ -232,7 +237,7 @@ def test_check_reciprocity_on_random_j_unitaries():
         rng = np.random.default_rng(80 + seed)
         n = int(rng.integers(2, 7))
         j = random_conjugation(n, seed)
-        a = random_j_unitary(j, n, 7 * seed)
+        a = random_j_unitary(j, 7 * seed)
         rep = check_reciprocity(refined_polar(j, a))
         assert rep.passed, [it.name for it in rep.items if not it.passed]
 
@@ -303,9 +308,9 @@ def test_check_prop21_singular_gram_raises_singular():
 
 def test_polar_checks_gate_once_and_decompose_g_once(monkeypatch):
     j = random_conjugation(6, 11)
-    a = random_j_unitary(j, 6, 13)
+    a = random_j_unitary(j, 13)
     g = a.conj().T @ a
-    eig_args, classify_args = [], []
+    eig_args, gate_args, classify_args = [], [], []
 
     def counting(calls, fn, pos):
         def wrapped(*args, **kwargs):
@@ -315,7 +320,9 @@ def test_polar_checks_gate_once_and_decompose_g_once(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(jlab.polar, "herm_eig", counting(eig_args, jlab.polar.herm_eig, 0))
-    monkeypatch.setattr(jlab.polar, "classify", counting(classify_args, jlab.polar.classify, 1))
+    gate = counting(gate_args, jlab.polar.j_unitary_residual, 1)
+    monkeypatch.setattr(jlab.polar, "j_unitary_residual", gate)
+    monkeypatch.setattr(jlab.jclass, "classify", counting(classify_args, jlab.jclass.classify, 1))
     parts = refined_polar(j, a)
     # one stacked eigensolve: G, then A A* and G^-1 = A^-1 A^-* from the gate
     ainv = parts.ainv
@@ -327,14 +334,17 @@ def test_polar_checks_gate_once_and_decompose_g_once(monkeypatch):
     for check in (check_prop21, check_unitary_equiv, check_reciprocity):
         assert check(parts).passed
     assert len(eig_args) == 1
-    # A gated once, plus A^-1, A*, G
-    assert sum(np.array_equal(m, a) for m in classify_args) == 1
-    assert len(classify_args) == 4
+    # the J-unitary gate: A once, then A^-1, A* and G; no nine-class profile
+    assert len(gate_args) == 4
+    for got, want in zip(gate_args, (a, ainv, a.conj().T, g), strict=True):
+        assert np.array_equal(got, want)
+    assert classify_args == []
+    assert not hasattr(jlab.polar, "classify")
 
 
 def test_checks_read_the_stacked_decompositions():
     j = random_conjugation(5, 21)
-    a = random_j_unitary(j, 5, 22)
+    a = random_j_unitary(j, 22)
     parts = refined_polar(j, a)
     assert check_unitary_equiv(parts).passed and check_reciprocity(parts).passed
     # a wrong decomposition in parts must show in the residual that reads it
