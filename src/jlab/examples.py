@@ -58,9 +58,12 @@ def truncation_family(n):
     if n < 1:
         raise OutOfRange(f"level must be at least 1, got {n}")
     op = np.zeros((2 * n, 2 * n), dtype=complex)
-    for k in range(1, n + 1):
-        i = 2 * (k - 1)
-        op[i : i + 2, i : i + 2] = block_a0(1.0 - 1.0 / k)
+    # block k holds beta_k * 1j at (2k - 2, 2k - 1) and -beta_k * 1j at
+    # (2k - 1, 2k - 2): block_a0's own products, so the zero signs match too
+    beta = 1.0 - 1.0 / np.arange(1, n + 1)
+    i = 2 * np.arange(n)
+    op[i, i + 1] = beta * 1j
+    op[i + 1, i] = -beta * 1j
     return TruncationFamily(n, canonical(2 * n), op)
 
 

@@ -32,7 +32,8 @@ def _load(path):
             return json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal past Python's digit limit
         raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -79,7 +80,11 @@ def matrix_from_doc(doc, where="matrix"):
             raise FileFormatError(
                 f"{where}: entry {idx} must be a [re, im] pair of numbers"
             )
-        re, im = float(pair[0]), float(pair[1])
+        try:
+            re, im = float(pair[0]), float(pair[1])
+        except OverflowError:
+            # a JSON integer beyond the float range
+            raise FileFormatError(f"{where}: entry {idx} is too large for a float") from None
         if not (math.isfinite(re) and math.isfinite(im)):
             raise FileFormatError(f"{where}: entry {idx} is not finite")
         flat[idx] = complex(re, im)

@@ -14,10 +14,12 @@ by this module rather than by a LAPACK build:
 * ``inverse`` - in-place Gauss-Jordan on an n x n working copy, partial
   pivoting, relative pivot floor, in column panels of INVERSE_PANEL.  The
   pivot rule, the floor, the elimination order and the Singular messages
-  are pinned as in the column-by-column kernel.  Only the updates of the
-  columns outside a finished panel are grouped: one matrix product per
-  side, as each Jacobi round is one matrix product.  n <= INVERSE_PANEL
-  is one panel and no product.
+  are pinned as in the column-by-column kernel.  A panel's steps run on a
+  C-contiguous copy of its columns (the working copy itself when there is
+  one panel).  Only the updates of the columns outside a finished panel are
+  grouped: its row swaps, then one matrix product per side, as each Jacobi
+  round is one matrix product.  n <= INVERSE_PANEL is one panel, with no
+  copy and no product.
 
 Positive definiteness is a rule, not a spectrum: ``nonpositive_pivot`` runs a
 pinned Cholesky pivot scan (n numpy steps on a working copy) and reports the
@@ -87,7 +89,17 @@ def as_vector(x, dim=None, name="vector"):
 
 
 def frobenius(m):
-    return float(np.linalg.norm(m))
+    """||M||_F as a float: np.linalg.norm's default path without its argument
+    handling, which costs more than the sum at n <= 16.  Bit-identical to
+    np.linalg.norm for integer, float64 and complex128 input."""
+    x = np.asarray(m)
+    if not issubclass(x.dtype.type, (np.inexact, np.object_)):
+        x = x.astype(float)
+    x = x.ravel(order="K")
+    if issubclass(x.dtype.type, np.complexfloating):
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
 
 def _as_stack(m, square):
@@ -359,14 +371,18 @@ def inverse(m):
 
     Columns are eliminated in order, in panels of INVERSE_PANEL.  Within a
     panel each step is the classic one restricted to the panel's columns:
-    the largest pivot at or below the diagonal, a whole-row swap, and the
-    rank-1 update.  Each spent column of A takes over the inverse column
-    that becomes live at that step, so the work is that of [A | I] with half
-    the columns, and a finished panel P holds T[:, P], where T is the product
-    of its steps' transforms.  T differs from I only in columns P, so each
-    block of columns to either side is updated in one matrix product: rows P
-    are zeroed, then T[:, P] @ (their old rows P) is added.  For
-    n <= INVERSE_PANEL there is one panel and no product.
+    the largest pivot at or below the diagonal, a row swap, and the rank-1
+    update, on a C-contiguous copy of the panel's columns (a strided view
+    slows every update; only values move, so results are bit-identical).
+    Each spent column of A takes over the inverse column that becomes live
+    at that step, so the work is that of [A | I] with half the columns, and
+    a finished panel P holds T[:, P], where T is the product of its steps'
+    transforms.  Its swaps then reach the other columns and the copy is
+    written back.  T differs from I only in columns P, so each block of
+    columns to either side is updated in one matrix product: rows P are
+    zeroed, then T[:, P] @ (their old rows P) is added.  For
+    n <= INVERSE_PANEL the one panel is the working copy itself: no copy
+    and no product.
 
     Raises OutOfRange when ||M||_F overflows, and Singular unless the best
     available pivot (NaN included) exceeds PIVOT_REL_TOL * ||M||_F.
@@ -379,7 +395,9 @@ def inverse(m):
     rows = list(range(n))
     for k0 in range(0, n, INVERSE_PANEL):
         k1 = min(k0 + INVERSE_PANEL, n)
-        t = a[:, k0:k1]
+        view = a[:, k0:k1]
+        t = np.ascontiguousarray(view)
+        swaps = []
         for k in range(k0, k1):
             j = k - k0
             piv = int(np.argmax(np.abs(t[k:, j]))) + k
@@ -389,7 +407,8 @@ def inverse(m):
                     f"pivot {mag:.3e} at column {k} is at or below the floor {floor:.3e}"
                 )
             if piv != k:
-                a[[k, piv]] = a[[piv, k]]
+                t[[k, piv]] = t[[piv, k]]
+                swaps.append((k, piv))
                 rows[k], rows[piv] = rows[piv], rows[k]
             pivot = t[k, j]
             col = t[:, j].copy()
@@ -400,8 +419,13 @@ def inverse(m):
             t[k, j] = 1.0
             t[k] /= pivot
             t -= col[:, None] * t[k]
-        # the swaps already reached every column; the transforms reach the
-        # columns either side of the panel here
+        if t is not view:
+            # swapping whole contiguous rows is cheaper than swapping each
+            # side block; the copy then overwrites the panel's stale columns
+            for k, piv in swaps:
+                a[[k, piv]] = a[[piv, k]]
+            view[...] = t
+        # the transforms reach the columns either side of the panel here
         for side in (a[:, :k0], a[:, k1:]):
             if side.size:
                 old = side[k0:k1].copy()

@@ -71,6 +71,10 @@ def test_classify_input_failures(tmp_path, a0_file):
     rect = tmp_path / "rect.json"
     write_matrix(rect, np.ones((2, 3), dtype=complex))
     assert run(["classify", rect, "--canonical"]) == 2
+    # a JSON integer entry too large for a float is a file error, not a crash
+    big = tmp_path / "big.json"
+    big.write_text('{"rows": 1, "cols": 2, "entries": [[1%s, 0], [0, 0]]}' % ("0" * 400))
+    assert run(["classify", big, "--canonical"]) == 2
     # a well-formed file whose matrix fails the conjugation axioms
     fake = tmp_path / "fake.json"
     entries = [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]

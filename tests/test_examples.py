@@ -43,6 +43,20 @@ def test_truncation_family_layout():
         truncation_family(0)
 
 
+def test_truncation_family_equals_the_per_block_build():
+    for n in (1, 2, 5, 16, 256):
+        ref = np.zeros((2 * n, 2 * n), dtype=complex)
+        for k in range(1, n + 1):
+            i = 2 * (k - 1)
+            ref[i : i + 2, i : i + 2] = block_a0(1.0 - 1.0 / k)
+        op = truncation_family(n).operator
+        assert np.array_equal(op, ref), n
+        # -0.0 == 0.0, so the zero signs are compared on their own
+        for part in ("real", "imag"):
+            got, want = getattr(op, part), getattr(ref, part)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (n, part)
+
+
 def test_resolvent_check_against_closed_form():
     for beta in (0.0, 0.5, 0.9, 0.99):
         rep = resolvent_check(beta)

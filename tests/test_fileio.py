@@ -93,6 +93,13 @@ def test_read_matrix_error_battery(tmp_path):
     reject('{"rows": 1, "cols": 1, "entries": [[true, 0.0]]}', match="entry 0")
     reject('{"rows": 1, "cols": 1, "entries": [[Infinity, 0.0]]}', match="non-finite")
     reject('{"rows": 1, "cols": 1, "entries": [[NaN, 0.0]]}', match="non-finite")
+    # an integer past the float range, and one past Python's digit limit
+    # (json raises ValueError there unless that limit was lifted)
+    big = "1" + "0" * 400
+    reject('{"rows": 1, "cols": 1, "entries": [[%s, 0]]}' % big, match="entry 0 is too large")
+    reject('{"rows": 1, "cols": 2, "entries": [[1, 0], [0, -%s]]}' % big, match="entry 1 ")
+    huge = '{"rows": 1, "cols": 1, "entries": [[%s, 0]]}' % ("1" * 5000)
+    reject(huge, match="invalid JSON|entry 0 is too large")
 
 
 def test_read_partial_operator_validation(tmp_path):

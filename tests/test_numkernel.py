@@ -1,7 +1,7 @@
 """Kernel checks: Jacobi eigensolver (its stacked form, its serial
 one-matrix reference and its cyclic reference), elimination inverse (its
-unpanelled reference and its augmented-array reference), the Cholesky
-positivity gate, frames, gaps.
+unpanelled, strided-panel and augmented-array references), the Cholesky
+positivity gate, frames, gaps, and the Frobenius norm against numpy's.
 
 numpy.linalg (eigh, inv, svd) appears here only as an independent oracle;
 the package code under test never calls it for these operations.
@@ -247,6 +247,51 @@ def _augmented_inverse(m, *, pivot_rel=PIVOT_REL_TOL):
         col[k] = 0.0
         aug -= np.outer(col, aug[k])
     return aug[:, n:]
+
+
+def _strided_panel_inverse(m):
+    """Reference: the panelled kernel whose steps update the strided view
+    a[:, k0:k1] and swap whole rows of the working copy (the kernel before
+    its panels were made contiguous)."""
+    a = as_square(m).copy()
+    n = a.shape[0]
+    floor = PIVOT_REL_TOL * frobenius(a)
+    if not math.isfinite(floor):
+        raise OutOfRange("||M||_F overflows to inf, so the pivot floor is undefined")
+    rows = list(range(n))
+    for k0 in range(0, n, INVERSE_PANEL):
+        k1 = min(k0 + INVERSE_PANEL, n)
+        t = a[:, k0:k1]
+        for k in range(k0, k1):
+            j = k - k0
+            piv = int(np.argmax(np.abs(t[k:, j]))) + k
+            mag = abs(t[piv, j])
+            if not mag > floor:
+                raise Singular(
+                    f"pivot {mag:.3e} at column {k} is at or below the floor {floor:.3e}"
+                )
+            if piv != k:
+                a[[k, piv]] = a[[piv, k]]
+                rows[k], rows[piv] = rows[piv], rows[k]
+            pivot = t[k, j]
+            col = t[:, j].copy()
+            col[k] = 0.0
+            # column k is spent; it now carries the unit column e_k of the
+            # identity block, i.e. inverse column rows[k]
+            t[:, j] = 0.0
+            t[k, j] = 1.0
+            t[k] /= pivot
+            t -= col[:, None] * t[k]
+        # the swaps already reached every column; the transforms reach the
+        # columns either side of the panel here
+        for side in (a[:, :k0], a[:, k1:]):
+            if side.size:
+                old = side[k0:k1].copy()
+                side[k0:k1] = 0.0
+                side += t @ old
+    out = np.empty_like(a)
+    out[:, rows] = a
+    return out
 
 
 def test_shape_coercions_reject_bad_input():
@@ -707,6 +752,58 @@ def test_singular_column_in_a_later_panel_matches_the_reference():
             assert str(got.value) == str(ref.value)
         else:
             assert f"at column {column} " in str(ref.value)
+
+
+def test_contiguous_panels_match_the_strided_kernel():
+    rng = np.random.default_rng(1401)
+    p = INVERSE_PANEL
+    for n in (p + 1, 2 * p - 1, 2 * p, 2 * p + 1, 3 * p, 100, 4 * p, 200, 16 * p):
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        # column k's dominant entry sits in row k + INVERSE_PANEL (mod n), so
+        # nearly every pivot row lies beyond the current panel
+        far = np.roll(3.0 * np.eye(n) + z / math.sqrt(2 * n), p, axis=0)
+        assert int(np.argmax(np.abs(far[:, 0]))) == p
+        for where, m in (("gaussian", z), ("far pivots", far)):
+            before = m.copy()
+            assert np.array_equal(inverse(m), _strided_panel_inverse(m)), (where, n)
+            assert np.array_equal(m, before), (where, n)
+
+
+def test_contiguous_panels_keep_the_strided_kernels_singular_messages():
+    rng = np.random.default_rng(1402)
+    n = 3 * INVERSE_PANEL + 5
+    for column in (INVERSE_PANEL + 3, 2 * INVERSE_PANEL + 31):
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        zero, dependent = z.copy(), z.copy()
+        zero[:, column] = 0.0
+        dependent[:, column] = z[:, 0] - 2.0 * z[:, 5]
+        for m in (zero, dependent):
+            before = m.copy()
+            with pytest.raises(Singular) as got:
+                inverse(m)
+            with pytest.raises(Singular) as ref:
+                _strided_panel_inverse(m)
+            assert str(got.value) == str(ref.value)
+            assert f"at column {column} " in str(got.value)
+            assert np.array_equal(m, before)
+
+
+def test_frobenius_is_numpys_norm_bit_for_bit():
+    rng = np.random.default_rng(1403)
+    z = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+    w = z.copy()
+    w[2, 3] = complex(math.inf, 1.0)
+    v = z.copy()
+    v[4, 1] = complex(0.5, math.nan)
+    cases = [z, z.T, z.conj().T, z[::2, 1:], z.real, z.real.T, z[0], z[0, 0]]
+    cases += [rng.integers(-9, 9, (4, 6)), rng.integers(-9, 9, (4, 6)).T, [[1, 2], [3, 4]]]
+    cases += [w, w.conj().T, v, v.T, np.array([[1.0, -math.inf]]), np.array([math.nan])]
+    cases += [np.full((3, 3), 1e200 + 1e200j)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in cases:
+            got = frobenius(m)
+            assert type(got) is float
+            assert np.array_equal(got, float(np.linalg.norm(m)), equal_nan=True), m
 
 
 def test_orthonormal_columns_properties():
