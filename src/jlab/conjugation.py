@@ -6,8 +6,13 @@ and unitary; the constructor checks the axioms (``verify``) and raises
 NotConjugation, naming each that fails.  The linear map x -> J M J x then
 has matrix C conj(M) C* (``sandwich``), and spans with a vanishing
 projector residual ||P - J P J||_F (``invariance_residual``) admit
-orthonormal bases of J-fixed vectors (``fixed_basis``); J's frame of the
-whole space is computed once per conjugation (``Conjugation.fixed_frame``).
+orthonormal bases of J-fixed vectors (``fixed_basis``).  J's frame of the
+whole space (``Conjugation.fixed_frame``) is data where J was drawn from one:
+C = Q Q^T gives J Q = Q Q^T conj(Q) = Q, so the unitary Q is a J-fixed frame
+(the Takagi factorization; Garcia & Putinar, Trans. Amer. Math. Soc. 358
+(2006)).  ``canonical`` keeps I and ``random_conjugation`` its Q; a
+conjugation built from a bare coefficient finds its frame with
+``fixed_basis`` once, on first use.
 """
 
 from __future__ import annotations
@@ -76,24 +81,31 @@ class Conjugation:
         return self.coeff @ np.conj(a) @ self.coeff.conj().T
 
     def fixed_frame(self):
-        """fixed_basis(J, I): J-fixed orthonormal frame of the whole space.
+        """J-fixed orthonormal frame Phi of the whole space, C = Phi Phi^T.
 
-        Computed on first use and kept, read-only, on the instance (not a
-        dataclass field, so equality is unchanged).
+        The frame J was drawn from (I for ``canonical``, Q for
+        ``random_conjugation``); otherwise fixed_basis(J, I), computed on
+        first use.  Kept read-only on the instance, not as a dataclass
+        field, so equality is unchanged.
         """
-        frame = self.__dict__.get("_fixed_frame")
-        if frame is None:
-            frame = fixed_basis(self, np.eye(self.dim, dtype=complex))
-            frame.setflags(write=False)
-            object.__setattr__(self, "_fixed_frame", frame)
-        return frame
+        if "_fixed_frame" not in self.__dict__:
+            _keep_frame(self, fixed_basis(self, np.eye(self.dim, dtype=complex)))
+        return self._fixed_frame
+
+
+def _keep_frame(j, frame):
+    """Store frame, read-only, as J's fixed frame; returns J."""
+    frame.setflags(write=False)
+    object.__setattr__(j, "_fixed_frame", frame)
+    return j
 
 
 def canonical(dim):
-    """Entrywise conjugation: C = I."""
+    """Entrywise conjugation: C = I, with fixed frame I."""
     if dim < 1:
         raise DimensionMismatch(f"conjugation dimension must be positive, got {dim}")
-    return Conjugation(int(dim), np.eye(int(dim), dtype=complex))
+    j = Conjugation(int(dim), np.eye(int(dim), dtype=complex))
+    return _keep_frame(j, np.eye(int(dim), dtype=complex))
 
 
 def verify(j):
@@ -130,12 +142,13 @@ def random_unitary(dim, rng):
 
 
 def random_conjugation(dim, seed):
-    """Seeded conjugation C = Q Q^T with Q Haar-like unitary."""
+    """Seeded conjugation C = Q Q^T, Q Haar-like unitary; J Q = Q, so Q is
+    kept as J's fixed frame."""
     if dim < 1:
         raise DimensionMismatch(f"conjugation dimension must be positive, got {dim}")
     rng = np.random.default_rng(seed)
     q = random_unitary(int(dim), rng)
-    return Conjugation(int(dim), q @ q.T)
+    return _keep_frame(Conjugation(int(dim), q @ q.T), q)
 
 
 def fixed_basis(j, basis):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugation import Conjugation, canonical
+from .conjugation import canonical
 from .errors import BadShape, OutOfRange
 from .extension import PartialSymmetricOperator
 from .numkernel import inverse, singular_extremes
@@ -38,11 +38,15 @@ def block_a0(beta):
 
 @dataclass(frozen=True)
 class TruncationFamily:
-    """Level-n truncation: 2n-dimensional operator and its conjugation."""
+    """Level-n truncation: 2n-dimensional operator under the canonical conjugation."""
 
     level: int
-    conjugation: Conjugation
     operator: np.ndarray
+
+    @property
+    def conjugation(self):
+        """canonical(2 * level), built when asked for; the probes never read it."""
+        return canonical(2 * self.level)
 
     def block(self, k):
         """The k-th 2 x 2 block (1-based, beta = 1 - 1/k)."""
@@ -64,7 +68,7 @@ def truncation_family(n):
     i = 2 * np.arange(n)
     op[i, i + 1] = beta * 1j
     op[i + 1, i] = -beta * 1j
-    return TruncationFamily(n, canonical(2 * n), op)
+    return TruncationFamily(n, op)
 
 
 def resolvent_check(beta):

@@ -23,8 +23,8 @@ by this module rather than by a LAPACK build:
 
 Positive definiteness is a rule, not a spectrum: ``nonpositive_pivot`` runs a
 pinned Cholesky pivot scan (n numpy steps on a working copy) and reports the
-first pivot <= 0, which exists exactly when the matrix is not positive
-definite.
+first pivot that is not positive (<= 0 or NaN), which exists exactly when
+the matrix is not positive definite.
 
 numpy's QR is used for orthonormal frames and complements; that is container
 infrastructure, not part of the pinned numerics.
@@ -347,7 +347,7 @@ def herm_eig(m):
 
 
 def nonpositive_pivot(m):
-    """First Cholesky pivot <= 0 of a Hermitian matrix, as (column, pivot).
+    """First Cholesky pivot <= 0 or NaN of a Hermitian matrix: (column, pivot).
 
     Returns None when every pivot is positive, i.e. when M is positive
     definite.  Right-looking Cholesky on a working copy of (M + M*) / 2:
@@ -358,7 +358,7 @@ def nonpositive_pivot(m):
     a = _hermitian_part(as_square(m)[None])[0][0]
     for k in range(a.shape[0]):
         d = float(a[k, k].real)
-        if d <= 0.0:
+        if not d > 0.0:  # a NaN pivot is not positive
             return k, d
         col = a[k + 1 :, k] / math.sqrt(d)
         a[k + 1 :, k + 1 :] -= col[:, None] * col.conj()

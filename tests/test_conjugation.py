@@ -158,15 +158,34 @@ def test_fixed_basis_empty_input():
     assert out.shape == (3, 0)
 
 
+def _assert_cached_read_only(j, frame):
+    assert j.fixed_frame() is frame
+    assert not frame.flags.writeable
+    with pytest.raises(ValueError):
+        frame[0, 0] = 0.0
+
+
 def test_fixed_frame_is_the_full_space_fixed_basis():
+    # canonical keeps I, which is also what the search finds; a conjugation
+    # built from a bare coefficient has no drawn frame and searches once
     for dim, seed in ((1, 0), (2, 1), (5, 2), (9, 3)):
-        for j in (canonical(dim), random_conjugation(dim, seed)):
+        coeff_built = Conjugation(dim, random_conjugation(dim, seed).coeff.copy())
+        for j in (canonical(dim), coeff_built):
             frame = j.fixed_frame()
             assert np.array_equal(frame, fixed_basis(j, np.eye(dim, dtype=complex)))
-            assert j.fixed_frame() is frame
-            assert not frame.flags.writeable
-            with pytest.raises(ValueError):
-                frame[0, 0] = 0.0
+            _assert_cached_read_only(j, frame)
+        assert np.array_equal(canonical(dim).fixed_frame(), np.eye(dim))
+
+
+def test_random_conjugation_keeps_its_drawn_frame():
+    # C = Q Q^T gives J Q = Q Q^T conj(Q) = Q: the drawn Q is a J-fixed frame
+    for dim, seed in ((1, 0), (2, 1), (5, 2), (9, 3), (16, 4)):
+        j = random_conjugation(dim, seed)
+        frame = j.fixed_frame()
+        assert np.array_equal(frame, random_unitary(dim, np.random.default_rng(seed)))
+        assert frobenius(j.apply(frame) - frame) <= 1e-13
+        assert frobenius(frame.conj().T @ frame - np.eye(dim)) <= 1e-13
+        _assert_cached_read_only(j, frame)
 
 
 def test_fixed_frame_leaves_equality_unchanged():

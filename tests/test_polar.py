@@ -148,6 +148,25 @@ def test_synthesize_names_the_failing_cholesky_pivot():
         synthesize(j, u, b)
 
 
+def test_nan_cholesky_pivot_is_not_positive(monkeypatch):
+    # no finite input was found to reach a NaN pivot, so inject one at [1, 1]
+    j = canonical(3)
+    b = random_positive_j_unitary(j, 4)
+    real = jlab.numkernel._hermitian_part
+
+    def nan_pivot(a):
+        herm, scales = real(a)
+        herm[:, 1, 1] = np.nan
+        return herm, scales
+
+    monkeypatch.setattr(jlab.numkernel, "_hermitian_part", nan_pivot)
+    col, pivot = jlab.numkernel.nonpositive_pivot(np.diag([1.0, 2.0, 3.0]).astype(complex))
+    assert col == 1 and math.isnan(pivot)
+    # b passes every other factor gate, so only the pivot rule can reject it
+    with pytest.raises(BadFactor, match="Cholesky pivot nan at column 1"):
+        synthesize(j, np.eye(3, dtype=complex), b)
+
+
 def test_random_j_real_unitary_properties():
     j = random_conjugation(5, 21)
     u = random_j_real_unitary(j, 4)

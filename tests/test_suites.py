@@ -3,7 +3,9 @@
 import dataclasses
 import math
 
-from jlab import suites
+import numpy as np
+
+from jlab import conjugation, extension, suites
 from jlab.report import ResidualReport
 from jlab.suites import (
     MULTIVALUED_FRACTION_CAP,
@@ -100,3 +102,25 @@ def test_verify_program_report_is_its_verdict(monkeypatch):
     ]
     assert not report.passed
     assert report.extras == {"trials": 4, "seed": 0}
+
+
+def test_generated_trials_make_no_whole_space_frame_search(monkeypatch):
+    # generated conjugations carry their frame; only defect spaces are searched
+    real = conjugation.fixed_basis
+    widths = []
+
+    def spy(j, basis):
+        widths.append(np.shape(basis)[1] == j.dim)
+        return real(j, basis)
+
+    monkeypatch.setattr(conjugation, "fixed_basis", spy)
+    monkeypatch.setattr(extension, "fixed_basis", spy)
+    coeff_built = conjugation.Conjugation(3, conjugation.random_conjugation(3, 0).coeff)
+    coeff_built.fixed_frame()
+    assert widths == [True]  # the spy sees fixed_frame's search when there is one
+    widths.clear()
+    suites.polar_trials(4, 6, 0)
+    suites.extension_trials(4, 6, 0)
+    suites.zero_defect_trials(4, 6, 0)
+    suites.oracle_trials(12, 6, 0)  # trials 5 and 11 draw J-unitaries under a random J
+    assert widths and not any(widths)
