@@ -164,9 +164,7 @@ def cmd_demo_unbounded(args):
 
 
 def cmd_demo_jacobi(args):
-    alphas = None
-    if args.alphas:
-        alphas = [float(x) for x in args.alphas.split(",")]
+    alphas = [float(x) for x in args.alphas.split(",")] if args.alphas else None
     j, t = jacobi_imag(args.n, args.d, alphas)
     defect = ranges_defects(t)
     print(f"defect numbers {defect.defect_numbers}")
@@ -291,15 +289,11 @@ def main(argv=None):
     args._start = time.perf_counter()
     try:
         return args.func(args)
-    except MultivaluedRelation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except GATE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (JLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, MultivaluedRelation):
+            return 4
+        return 3 if isinstance(exc, GATE_ERRORS) else 2
 
 
 def entry():

@@ -58,6 +58,12 @@ class Conjugation:
             if bad:
                 raise NotConjugation("coefficient is not a conjugation: " + ", ".join(bad))
 
+    def __eq__(self, other):
+        """Same dim and the same coefficient entries; the frame is not compared."""
+        if not isinstance(other, Conjugation):
+            return NotImplemented
+        return self.dim == other.dim and bool(np.array_equal(self.coeff, other.coeff))
+
     def apply(self, x):
         """J x for a vector, or J applied to each column of a matrix."""
         a = np.asarray(x, dtype=complex)
@@ -85,8 +91,9 @@ class Conjugation:
 
         The frame J was drawn from (I for ``canonical``, Q for
         ``random_conjugation``); otherwise fixed_basis(J, I), computed on
-        first use.  Kept read-only on the instance, not as a dataclass
-        field, so equality is unchanged.
+        first use.  Kept read-only on the instance; equality ignores it.  A
+        conjugation file stores only C, so a reloaded random J searches for its
+        frame, and seeded generators drawn on it differ from the original's.
         """
         if "_fixed_frame" not in self.__dict__:
             _keep_frame(self, fixed_basis(self, np.eye(self.dim, dtype=complex)))

@@ -189,7 +189,7 @@ def extend(j, t, tol=DEFAULT_TOL):
         v = uop + w
         vm = v - eye
         dec = herm_eig(vm.conj().T @ vm)
-        svals = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
+        svals = dec.singular_values()
         smin = float(svals[0])
         vm_inv = None
         if smin > SINGULAR_FLOOR:

@@ -52,9 +52,7 @@ def _expect_int(doc, field, where):
 
 def matrix_to_doc(m):
     a = as_matrix(m)
-    entries = [
-        [float(z.real), float(z.imag)] for z in a.reshape(-1)
-    ]
+    entries = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": entries}
 
 
@@ -106,6 +104,9 @@ def write_conjugation(path, j):
 
 
 def read_conjugation(path):
+    """The conjugation with the stored C.  The file holds no frame, so its fixed
+    frame comes from fixed_basis, not from the draw: J and C round-trip, but
+    seeded generators drawn on the result differ from the original's."""
     doc = _load(path)
     if not isinstance(doc, dict) or doc.get("kind") != "conjugation":
         raise FileFormatError(f"{path}: field 'kind' must be 'conjugation'")

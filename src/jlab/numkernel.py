@@ -21,6 +21,9 @@ by this module rather than by a LAPACK build:
   round is one matrix product.  n <= INVERSE_PANEL is one panel, with no
   copy and no product.
 
+A function of a Hermitian matrix is one product, V diag(f(lambda-bar)) V*,
+with f taken once per eigenvalue cluster at its mean (``SpectralDecomp.apply``).
+
 Positive definiteness is a rule, not a spectrum: ``nonpositive_pivot`` runs a
 pinned Cholesky pivot scan (n numpy steps on a working copy) and reports the
 first pivot that is not positive (<= 0 or NaN), which exists exactly when
@@ -156,58 +159,41 @@ class SpectralDecomp:
     eigenvalues are real and ascending; vectors holds the matching
     orthonormal eigenvectors as columns; clusters groups indices whose
     eigenvalues are indistinguishable at the relative clustering tolerance.
+    It holds no other state: cluster means and functions are computed per call.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     clusters: tuple
 
-    @property
-    def dim(self):
-        return self.vectors.shape[0]
-
     def cluster_value(self, c):
-        return self._clusters()[0][c]
+        return float(sum(self.eigenvalues[i] for i in self.clusters[c]) / len(self.clusters[c]))
 
     def cluster_basis(self, c):
         return self.vectors[:, list(self.clusters[c])]
 
-    def cluster_projector(self, c):
-        v = self.cluster_basis(c)
-        return v @ v.conj().T
-
-    def _clusters(self):
-        """Every cluster's mean eigenvalue and projector, in cluster order.
-
-        Computed on first use and kept, read-only, on the instance (not a
-        dataclass field, so equality is unchanged).
-        """
-        cache = self.__dict__.get("_cluster_cache")
-        if cache is None:
-            values = tuple(float(np.mean(self.eigenvalues[list(c)])) for c in self.clusters)
-            projs = tuple(self.cluster_projector(c) for c in range(len(self.clusters)))
-            for p in projs:
-                p.setflags(write=False)
-            cache = values, projs
-            object.__setattr__(self, "_cluster_cache", cache)
-        return cache
+    def singular_values(self):
+        """sqrt of the eigenvalues clipped at 0: M's singular values when this is
+        M*M's.  The clip keeps a NaN NaN, so a failed decomposition is not 0."""
+        return np.sqrt(np.clip(self.eigenvalues, 0.0, None))
 
     def apply(self, f):
-        """Sum of f(cluster mean) times the cluster projector.
+        """(V * f(lambda-bar)) @ V*, with f evaluated once per cluster at its mean.
 
-        Raises DomainError when f fails or returns a non-finite or
-        non-real value on some cluster.
+        Raises DomainError when f fails or gives a non-finite or non-real value.
         """
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for lam, proj in zip(*self._clusters()):
+        vals = [0.0] * len(self.eigenvalues)
+        for c, idx in enumerate(self.clusters):
+            lam = self.cluster_value(c)
             try:
                 val = float(f(lam))
             except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
                 raise DomainError(f"f({lam!r}) failed: {exc}") from exc
             if not math.isfinite(val):
                 raise DomainError(f"f({lam!r}) = {val!r} is not finite")
-            out += val * proj
-        return out
+            for i in idx:
+                vals[i] = val
+        return (self.vectors * vals) @ self.vectors.conj().T
 
 
 def _cluster_indices(vals, rel_tol):
@@ -491,9 +477,7 @@ def singular_extremes(m):
     """
     a, single = _as_stack(m, square=False)
     decs = herm_eig(a.conj().swapaxes(1, 2) @ a)
-    ends = np.array([(dec.eigenvalues[0], dec.eigenvalues[-1]) for dec in decs])
-    # the clip keeps a NaN eigenvalue NaN, so a failed decomposition cannot read as 0
-    pairs = [tuple(p) for p in np.sqrt(np.clip(ends, 0.0, None)).tolist()]
+    pairs = [tuple(dec.singular_values()[[0, -1]].tolist()) for dec in decs]
     return pairs[0] if single else tuple(pairs)
 
 

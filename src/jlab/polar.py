@@ -82,8 +82,7 @@ def refined_polar(j, a, tol=DEFAULT_TOL):
     u = a @ binv
     nb = frobenius(b)
     nbinv = frobenius(binv)
-    # the clip keeps a NaN eigenvalue NaN, so a failed decomposition cannot read as 0
-    floor = float(np.sqrt(np.clip(dec.eigenvalues[0], 0.0, None)))
+    floor = float(dec.singular_values()[0])
     rep = ResidualReport(extras={"b_floor": floor, "cond": cond})
     rep.add("reconstruct", frobenius(a - u @ b) / (1.0 + frobenius(a)), tol)
     for name, _, residual in _factor_conditions(j, u, b):

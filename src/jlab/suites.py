@@ -111,10 +111,8 @@ def suite_failures(records, thresholds):
 
 
 def multivalued_fraction(records):
-    if not records:
-        return 0.0
     hits = sum(1 for rec in records if rec.notes.get("multivalued"))
-    return hits / len(records)
+    return hits / len(records) if records else 0.0
 
 
 def _trials(trials, seed, low, high, children):

@@ -15,6 +15,7 @@ from jlab.conjugation import (
     verify,
 )
 from jlab.errors import DimensionMismatch, NotConjugation, NotInvariant
+from jlab.fileio import read_conjugation, write_conjugation
 from jlab.numkernel import frobenius, subspace_gap
 
 
@@ -188,7 +189,7 @@ def test_random_conjugation_keeps_its_drawn_frame():
         _assert_cached_read_only(j, frame)
 
 
-def test_fixed_frame_leaves_equality_unchanged():
+def test_fixed_frame_leaves_equality_unchanged(tmp_path):
     assert [f.name for f in dataclasses.fields(Conjugation)] == ["dim", "coeff"]
     a, b = canonical(1), canonical(1)
     flipped = Conjugation(1, -np.eye(1, dtype=complex))
@@ -198,3 +199,32 @@ def test_fixed_frame_leaves_equality_unchanged():
     for c in (a, flipped, j):
         c.fixed_frame()
     assert (a == b, a == flipped, j == j, repr(j)) == before
+    # n > 1: distinct conjugations compare unequal instead of raising
+    k = random_conjugation(4, 9)
+    write_conjugation(tmp_path / "k.json", k)
+    back = read_conjugation(tmp_path / "k.json")
+    pairs = [(j, k), (k, canonical(4)), (canonical(4), canonical(3)), (k, "k")]
+    assert all(x != y and y != x and not x == y for x, y in pairs)
+    assert canonical(4) == Conjugation(4, np.eye(4, dtype=complex))
+    # reloaded: the same coefficient, a searched frame; the frame is not compared
+    assert k == back and back == k
+    assert not np.array_equal(k.fixed_frame(), back.fixed_frame())
+    assert k == back
+
+
+def test_reloaded_conjugation_keeps_c_and_j_and_searches_its_frame(tmp_path):
+    rng = np.random.default_rng(31)
+    for dim, seed in ((1, 0), (2, 1), (4, 9), (9, 3), (16, 4)):
+        j = random_conjugation(dim, seed)
+        path = tmp_path / f"j{dim}.json"
+        write_conjugation(path, j)
+        back = read_conjugation(path)
+        # the file stores C, and C round-trips bit for bit
+        assert np.array_equal(back.coeff, j.coeff)
+        x = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+        assert np.array_equal(back.apply(x), j.apply(x))
+        # no frame is stored: the reloaded J finds a J-fixed orthonormal one
+        frame = back.fixed_frame()
+        assert frobenius(back.apply(frame) - frame) <= 1e-13
+        assert frobenius(frame.conj().T @ frame - np.eye(dim)) <= 1e-13
+        assert np.array_equal(frame, fixed_basis(back, np.eye(dim, dtype=complex)))

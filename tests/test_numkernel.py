@@ -477,32 +477,43 @@ def test_stacked_singular_extremes_match_one_call_each():
         assert pairs == tuple(singular_extremes(m) for m in stack)
 
 
-def test_apply_builds_the_projectors_once(monkeypatch):
+def test_apply_is_the_cluster_sum_in_one_product():
+    # the bound's constant was fixed before the first run
+    c = 16
+    eps = np.finfo(float).eps
     rng = np.random.default_rng(2722)
-    u = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
-    dec = herm_eig((u * np.array([1.0, 1.0, 2.0, 3.0, 3.0, 3.0])) @ u.conj().T)
-    assert len(dec.clusters) == 3
-    # reference: rebuild each mean and projector, same accumulation order
-    ref = np.zeros((6, 6), dtype=complex)
-    for idx in dec.clusters:
-        v = dec.vectors[:, list(idx)]
-        ref += math.sqrt(float(np.mean(dec.eigenvalues[list(idx)]))) * (v @ v.conj().T)
-    built = []
-    projector = SpectralDecomp.cluster_projector
-
-    def counting(self, c):
-        built.append(c)
-        return projector(self, c)
-
-    monkeypatch.setattr(SpectralDecomp, "cluster_projector", counting)
-    assert np.array_equal(dec.apply(math.sqrt), ref)
-    assert np.array_equal(dec.apply(math.sqrt), ref)
-    assert built == [0, 1, 2]
-    values, projs = dec.__dict__["_cluster_cache"]
-    assert all(not p.flags.writeable for p in projs)
-    # cluster_value reads the same cache
-    assert [dec.cluster_value(c) for c in range(3)] == list(values)
-    assert built == [0, 1, 2]
+    spectra = [
+        [1.0, 1.0, 2.0, 3.0, 3.0, 3.0],
+        [0.5, 0.5 + 1e-12, 2.0, 4.0, 4.0 + 3e-12, 4.0 - 2e-12, 7.0],
+        [2.5],
+        list(rng.uniform(0.1, 9.0, 16)),
+    ]
+    fns = (math.sqrt, lambda lam: 1.0 / math.sqrt(lam), math.exp)
+    sizes = []
+    for spectrum in spectra:
+        n = len(spectrum)
+        u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        dec = herm_eig((u * np.array(spectrum)) @ u.conj().T)
+        means = [dec.cluster_value(k) for k in range(len(dec.clusters))]
+        sizes.append([len(idx) for idx in dec.clusters])
+        for f in fns:
+            calls = []
+            got = dec.apply(lambda lam: calls.append(lam) or f(lam))
+            # f is evaluated once per cluster, at the cluster mean, in cluster order
+            assert calls == means
+            ref = np.zeros((n, n), dtype=complex)
+            for k, mean in enumerate(means):
+                v = dec.cluster_basis(k)
+                ref += f(mean) * (v @ v.conj().T)
+            scale = c * eps * (1.0 + frobenius(ref))
+            assert frobenius(got - ref) <= scale, (spectrum, f)
+            assert frobenius(got - got.conj().T) <= scale, (spectrum, f)
+            for k, mean in enumerate(means):
+                v = dec.cluster_basis(k)
+                assert frobenius(got @ v - f(mean) * v) <= scale, (spectrum, f, k)
+        # the decomposition keeps no state beyond its three fields
+        assert set(vars(dec)) == {"eigenvalues", "vectors", "clusters"}
+    assert sizes[:3] == [[2, 1, 3], [2, 1, 3, 1], [1]]
 
 
 def test_round_robin_schedule_covers_every_pair_once():
@@ -573,9 +584,8 @@ def test_eigenvalue_clustering_merges_consecutive_near_ties():
     dec = herm_eig(m)
     assert dec.clusters == ((0, 1), (2,))
     assert abs(dec.cluster_value(0) - (1.0 + 5e-13)) < 1e-15
-    np.testing.assert_allclose(
-        dec.cluster_projector(0), np.diag([1.0, 1.0, 0.0]), atol=1e-13
-    )
+    v = dec.cluster_basis(0)
+    np.testing.assert_allclose(v @ v.conj().T, np.diag([1.0, 1.0, 0.0]), atol=1e-13)
     # the split threshold is relative with the pinned constant
     assert CLUSTER_REL_TOL == 1e-8
     wide = herm_eig(np.diag([1.0, 1.0 + 1e-7, 5.0]).astype(complex))
