@@ -15,11 +15,12 @@ by this module rather than by a LAPACK build:
   pivoting, relative pivot floor, in column panels of INVERSE_PANEL.  The
   pivot rule, the floor, the elimination order and the Singular messages
   are pinned as in the column-by-column kernel.  A panel's steps run on a
-  C-contiguous copy of its columns (the working copy itself when there is
-  one panel).  Only the updates of the columns outside a finished panel are
-  grouped: its row swaps, then one matrix product per side, as each Jacobi
-  round is one matrix product.  n <= INVERSE_PANEL is one panel, with no
-  copy and no product.
+  C-contiguous copy of its live rows (nonzero in its columns, or its own
+  rows; any other row is zero there and stays zero).  Only the updates of
+  the columns outside a finished panel are grouped: its row swaps, then
+  one product per side on the live rows, as each Jacobi round is one
+  matrix product, skipped if the side is zero in the panel's rows.
+  n <= INVERSE_PANEL is one panel, with no row scan, copy or product.
 
 A function of a Hermitian matrix is one product, V diag(f(lambda-bar)) V*,
 with f taken once per eigenvalue cluster at its mean (``SpectralDecomp.apply``).
@@ -58,8 +59,9 @@ CLUSTER_REL_TOL = 1e-8
 PIVOT_REL_TOL = 1e-13
 RANK_REL_TOL = 1e-10
 HERMITIAN_REL_TOL = 1e-10
-# Columns per elimination panel in inverse.  At least 16, so the verify
-# program's operators (n <= 16) take one panel, step for step the classic kernel.
+# Columns per elimination panel in inverse; a panel of a larger matrix works
+# on its live rows only.  At least 16, so the verify program's operators
+# (n <= 16) take one panel, step for step the classic kernel.
 INVERSE_PANEL = 32
 
 
@@ -356,19 +358,24 @@ def inverse(m):
     partial pivoting, relative pivot floor.
 
     Columns are eliminated in order, in panels of INVERSE_PANEL.  Within a
-    panel each step is the classic one restricted to the panel's columns:
-    the largest pivot at or below the diagonal, a row swap, and the rank-1
-    update, on a C-contiguous copy of the panel's columns (a strided view
-    slows every update; only values move, so results are bit-identical).
+    panel P each step is the classic one restricted to columns P: the
+    largest pivot at or below the diagonal, a row swap, and the rank-1
+    update.  The steps run on a C-contiguous copy of P's live rows, those
+    with a nonzero in columns P when the panel starts, plus rows P (a
+    strided view slows every update; only values move).  Any other row is
+    exactly zero in columns P, its multiplier is 0 at every step, so it
+    stays zero and never holds the largest pivot; when every row is live,
+    the steps are the dense kernel's bit for bit.
     Each spent column of A takes over the inverse column that becomes live
     at that step, so the work is that of [A | I] with half the columns, and
-    a finished panel P holds T[:, P], where T is the product of its steps'
-    transforms.  Its swaps then reach the other columns and the copy is
-    written back.  T differs from I only in columns P, so each block of
-    columns to either side is updated in one matrix product: rows P are
-    zeroed, then T[:, P] @ (their old rows P) is added.  For
-    n <= INVERSE_PANEL the one panel is the working copy itself: no copy
-    and no product.
+    a finished panel holds T[:, P], where T is the product of its steps'
+    transforms, zero outside the live rows.  Its swaps then reach the other
+    columns and the copy is written back.  T differs from I only in columns
+    P, so each block of columns to either side is updated in one matrix
+    product: rows P are zeroed, then T[live, P] @ (their old rows P) is
+    added to the live rows; a block whose old rows P are all zero is left
+    as it is.  For n <= INVERSE_PANEL the one panel is the working copy
+    itself: no row scan, no copy and no product.
 
     Raises OutOfRange when ||M||_F overflows, and Singular unless the best
     available pivot (NaN included) exceeds PIVOT_REL_TOL * ||M||_F.
@@ -381,42 +388,53 @@ def inverse(m):
     rows = list(range(n))
     for k0 in range(0, n, INVERSE_PANEL):
         k1 = min(k0 + INVERSE_PANEL, n)
-        view = a[:, k0:k1]
-        t = np.ascontiguousarray(view)
+        # at[i] is the row of a that row i of t holds; row k0 is t's row i0
+        if k1 - k0 == n:
+            at, i0, t = range(n), 0, a
+        else:
+            # rows zero in the panel's columns stay zero through its steps
+            nonzero = a[:, k0:k1].any(axis=1)
+            nonzero[k0:k1] = True
+            at = np.flatnonzero(nonzero)
+            i0 = int(np.searchsorted(at, k0))
+            live = slice(None) if at.size == n else at
+            t = np.ascontiguousarray(a[live, k0:k1])
         swaps = []
-        for k in range(k0, k1):
-            j = k - k0
-            piv = int(np.argmax(np.abs(t[k:, j]))) + k
+        for j in range(k1 - k0):
+            k, i = k0 + j, i0 + j
+            piv = int(np.argmax(np.abs(t[i:, j]))) + i
             mag = abs(t[piv, j])
             if not mag > floor:
                 raise Singular(
                     f"pivot {mag:.3e} at column {k} is at or below the floor {floor:.3e}"
                 )
-            if piv != k:
-                t[[k, piv]] = t[[piv, k]]
-                swaps.append((k, piv))
-                rows[k], rows[piv] = rows[piv], rows[k]
-            pivot = t[k, j]
+            if piv != i:
+                t[[i, piv]] = t[[piv, i]]
+                g = int(at[piv])
+                swaps.append((k, g))
+                rows[k], rows[g] = rows[g], rows[k]
+            pivot = t[i, j]
             col = t[:, j].copy()
-            col[k] = 0.0
+            col[i] = 0.0
             # column k is spent; it now carries the unit column e_k of the
             # identity block, i.e. inverse column rows[k]
             t[:, j] = 0.0
-            t[k, j] = 1.0
-            t[k] /= pivot
-            t -= col[:, None] * t[k]
-        if t is not view:
-            # swapping whole contiguous rows is cheaper than swapping each
-            # side block; the copy then overwrites the panel's stale columns
-            for k, piv in swaps:
-                a[[k, piv]] = a[[piv, k]]
-            view[...] = t
+            t[i, j] = 1.0
+            t[i] /= pivot
+            t -= col[:, None] * t[i]
+        if t is a:
+            continue
+        # swapping whole contiguous rows is cheaper than swapping each side
+        # block; the copy then overwrites the panel's stale live rows
+        for k, g in swaps:
+            a[[k, g]] = a[[g, k]]
+        a[live, k0:k1] = t
         # the transforms reach the columns either side of the panel here
         for side in (a[:, :k0], a[:, k1:]):
-            if side.size:
-                old = side[k0:k1].copy()
+            old = side[k0:k1].copy()
+            if old.any():
                 side[k0:k1] = 0.0
-                side += t @ old
+                side[live] += t @ old
     out = np.empty_like(a)
     out[:, rows] = a
     return out

@@ -107,11 +107,23 @@ def test_norm_growth_frozen():
 
 
 def test_growth_and_norms_at_level_128():
-    # a 256 x 256 elimination: the largest worked example the tests run
+    # a 256 x 256 elimination, eight panels
     tol = default_tol()
     for rows in (growth_probe(128), norm_growth(128)):
         assert [row[0] for row in rows] == list(range(1, 129))
         assert all(row[3] <= tol for row in rows)
+
+
+def test_growth_and_norms_at_level_512_match_the_closed_forms():
+    # a 1024 x 1024 elimination in 32 panels, each working on its live rows:
+    # the largest worked example the tests run
+    tol = default_tol()
+    ks = np.arange(1, 513)
+    growth, norms = np.array(growth_probe(512)), np.array(norm_growth(512))
+    for rows, closed in ((growth, ks * ks / (2.0 * ks - 1.0)), (norms, 2.0 * ks - 1.0)):
+        assert np.array_equal(rows[:, 0], ks)
+        assert np.array_equal(rows[:, 2], closed)
+        assert np.all(np.abs(rows[:, 1] - closed) <= tol * closed)
 
 
 def test_norm_growth_stack_matches_one_norm_per_block():
