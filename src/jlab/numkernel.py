@@ -397,8 +397,7 @@ def inverse(m):
             nonzero[k0:k1] = True
             at = np.flatnonzero(nonzero)
             i0 = int(np.searchsorted(at, k0))
-            live = slice(None) if at.size == n else at
-            t = np.ascontiguousarray(a[live, k0:k1])
+            t = a[at, k0:k1]
         swaps = []
         for j in range(k1 - k0):
             k, i = k0 + j, i0 + j
@@ -428,13 +427,13 @@ def inverse(m):
         # block; the copy then overwrites the panel's stale live rows
         for k, g in swaps:
             a[[k, g]] = a[[g, k]]
-        a[live, k0:k1] = t
+        a[at, k0:k1] = t
         # the transforms reach the columns either side of the panel here
         for side in (a[:, :k0], a[:, k1:]):
             old = side[k0:k1].copy()
             if old.any():
                 side[k0:k1] = 0.0
-                side[live] += t @ old
+                side[at] += t @ old
     out = np.empty_like(a)
     out[:, rows] = a
     return out

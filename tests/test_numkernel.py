@@ -1,8 +1,7 @@
 """Kernel checks: Jacobi eigensolver (its stacked form, its serial
 one-matrix reference and its cyclic reference), elimination inverse (its
-unpanelled, strided-panel, contiguous-panel and augmented-array
-references), the Cholesky positivity gate, frames, gaps, and the Frobenius
-norm against numpy's.
+unpanelled, strided-panel and augmented-array references), the Cholesky
+positivity gate, frames, gaps, and the Frobenius norm against numpy's.
 
 numpy.linalg (eigh, inv, svd) appears here only as an independent oracle;
 the package code under test never calls it for these operations.
@@ -285,54 +284,6 @@ def _strided_panel_inverse(m):
             t -= col[:, None] * t[k]
         # the swaps already reached every column; the transforms reach the
         # columns either side of the panel here
-        for side in (a[:, :k0], a[:, k1:]):
-            if side.size:
-                old = side[k0:k1].copy()
-                side[k0:k1] = 0.0
-                side += t @ old
-    out = np.empty_like(a)
-    out[:, rows] = a
-    return out
-
-
-def _contiguous_panel_inverse(m):
-    """Reference: the panelled kernel whose steps run on a contiguous copy of
-    all n rows of the panel's columns, with both side products taken over
-    every row (the kernel before panels skipped rows that are zero in them)."""
-    a = as_square(m).copy()
-    n = a.shape[0]
-    floor = PIVOT_REL_TOL * frobenius(a)
-    if not math.isfinite(floor):
-        raise OutOfRange("||M||_F overflows to inf, so the pivot floor is undefined")
-    rows = list(range(n))
-    for k0 in range(0, n, INVERSE_PANEL):
-        k1 = min(k0 + INVERSE_PANEL, n)
-        view = a[:, k0:k1]
-        t = np.ascontiguousarray(view)
-        swaps = []
-        for k in range(k0, k1):
-            j = k - k0
-            piv = int(np.argmax(np.abs(t[k:, j]))) + k
-            mag = abs(t[piv, j])
-            if not mag > floor:
-                raise Singular(
-                    f"pivot {mag:.3e} at column {k} is at or below the floor {floor:.3e}"
-                )
-            if piv != k:
-                t[[k, piv]] = t[[piv, k]]
-                swaps.append((k, piv))
-                rows[k], rows[piv] = rows[piv], rows[k]
-            pivot = t[k, j]
-            col = t[:, j].copy()
-            col[k] = 0.0
-            t[:, j] = 0.0
-            t[k, j] = 1.0
-            t[k] /= pivot
-            t -= col[:, None] * t[k]
-        if t is not view:
-            for k, piv in swaps:
-                a[[k, piv]] = a[[piv, k]]
-            view[...] = t
         for side in (a[:, :k0], a[:, k1:]):
             if side.size:
                 old = side[k0:k1].copy()
@@ -815,40 +766,6 @@ def test_singular_column_in_a_later_panel_matches_the_reference():
             assert f"at column {column} " in str(ref.value)
 
 
-def test_contiguous_panels_match_the_strided_kernel():
-    rng = np.random.default_rng(1401)
-    p = INVERSE_PANEL
-    for n in (p + 1, 2 * p - 1, 2 * p, 2 * p + 1, 3 * p, 100, 4 * p, 200, 16 * p):
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        # column k's dominant entry sits in row k + INVERSE_PANEL (mod n), so
-        # nearly every pivot row lies beyond the current panel
-        far = np.roll(3.0 * np.eye(n) + z / math.sqrt(2 * n), p, axis=0)
-        assert int(np.argmax(np.abs(far[:, 0]))) == p
-        for where, m in (("gaussian", z), ("far pivots", far)):
-            before = m.copy()
-            assert np.array_equal(inverse(m), _strided_panel_inverse(m)), (where, n)
-            assert np.array_equal(m, before), (where, n)
-
-
-def test_contiguous_panels_keep_the_strided_kernels_singular_messages():
-    rng = np.random.default_rng(1402)
-    n = 3 * INVERSE_PANEL + 5
-    for column in (INVERSE_PANEL + 3, 2 * INVERSE_PANEL + 31):
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        zero, dependent = z.copy(), z.copy()
-        zero[:, column] = 0.0
-        dependent[:, column] = z[:, 0] - 2.0 * z[:, 5]
-        for m in (zero, dependent):
-            before = m.copy()
-            with pytest.raises(Singular) as got:
-                inverse(m)
-            with pytest.raises(Singular) as ref:
-                _strided_panel_inverse(m)
-            assert str(got.value) == str(ref.value)
-            assert f"at column {column} " in str(got.value)
-            assert np.array_equal(m, before)
-
-
 def _block_diagonal(rng, sizes):
     """Random complex blocks of the given sizes down the diagonal."""
     n = sum(sizes)
@@ -896,62 +813,63 @@ def _block_structured_cases(rng):
         yield f"band {width} n={n}", np.where(band, z, 0.0)
 
 
-def test_live_row_panels_match_the_contiguous_kernel_bit_for_bit():
-    rng = np.random.default_rng(1801)
+def test_contiguous_panels_match_the_strided_kernel():
+    rng = np.random.default_rng(1401)
     p = INVERSE_PANEL
-    for n in (*range(1, p + 1), p + 1, 2 * p - 1, 2 * p, 2 * p + 1, 100, 200):
+    for n in (*range(1, p + 1), p + 1, 2 * p - 1, 2 * p, 2 * p + 1, 3 * p, 100, 4 * p, 200, 16 * p):
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        # column k's dominant entry sits in row k + INVERSE_PANEL (mod n), so
+        # nearly every pivot row lies beyond the current panel
         far = np.roll(3.0 * np.eye(n) + z / math.sqrt(2 * n), p, axis=0)
+        assert int(np.argmax(np.abs(far[:, 0]))) == p % n
         for where, m in (("gaussian", z), ("far pivots", far)):
             before = m.copy()
-            got, ref = inverse(m), _contiguous_panel_inverse(m)
             # every row is live in a dense panel: the same steps, so the
             # same bits, the sign of each zero included
+            got, ref = inverse(m), _strided_panel_inverse(m)
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (where, n)
             assert np.array_equal(m.view(np.uint64), before.view(np.uint64)), (where, n)
-
-
-def test_live_row_panels_match_the_contiguous_kernel_on_block_structure():
-    rng = np.random.default_rng(1802)
     for where, m in _block_structured_cases(rng):
         before = m.copy()
-        got = inverse(m)
-        # rows outside a panel's live rows skip the updates that only add
-        # exact zeros, so only the sign of a zero may differ
-        assert np.array_equal(got, _contiguous_panel_inverse(m)), where
+        # a panel skips the rows that are zero in its columns, where the
+        # strided kernel adds and subtracts exact zeros, so only the sign of
+        # a zero may differ
+        assert np.array_equal(inverse(m), _strided_panel_inverse(m)), where
         assert np.array_equal(m.view(np.uint64), before.view(np.uint64)), where
-        assert frobenius(m @ got - np.eye(m.shape[0])) <= 1e-10 * m.shape[0], where
 
 
-def test_live_row_panels_keep_the_contiguous_kernels_singular_messages():
-    rng = np.random.default_rng(1803)
+def test_contiguous_panels_keep_the_strided_kernels_singular_messages():
+    rng = np.random.default_rng(1402)
     p = INVERSE_PANEL
+    n = 3 * p + 5
+    cases = []
+    for column in (p + 3, 2 * p + 31):
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        zero, dependent = z.copy(), z.copy()
+        zero[:, column] = 0.0
+        dependent[:, column] = z[:, 0] - 2.0 * z[:, 5]
+        cases += [(zero, [column]), (dependent, [column])]
+    # block-structured: a zero 2 x 2 block in the third panel, and a zero
+    # column in blocks that straddle every panel edge
     n = 3 * p + 6
     blocks = _block_diagonal(rng, [2] * (n // 2))
-    zero_block = blocks.copy()
-    zero_block[2 * p + 6 : 2 * p + 8] = 0.0  # the block at columns 2p + 6, 2p + 7
+    blocks[2 * p + 6 : 2 * p + 8] = 0.0
     straddle = _block_diagonal(rng, _straddling_sizes(rng, n))
-    zero_straddle = straddle.copy()
-    zero_straddle[:, p + 9] = 0.0
+    zero, above, below = straddle.copy(), straddle.copy(), straddle.copy()
+    zero[:, p + 9] = 0.0
     # column p + 3 is a sum of earlier columns, so its nonzeros lie in rows
     # above its panel and it fails at once; column 2p + 4 is a sum of later
     # columns, so its nonzeros lie in rows below its panel, it takes a pivot
     # from one of them, and the rank is found missing in the last panel
-    above, below = straddle.copy(), straddle.copy()
     above[:, p + 3] = 2.0 * straddle[:, 3] - 3.0j * straddle[:, 20]
     below[:, 2 * p + 4] = straddle[:, 3 * p + 1] + 0.5 * straddle[:, 3 * p + 3]
-    cases = (
-        (zero_block, [2 * p + 6]),
-        (zero_straddle, [p + 9]),
-        (above, [p + 3]),
-        (below, range(3 * p, n)),
-    )
+    cases += [(blocks, [2 * p + 6]), (zero, [p + 9]), (above, [p + 3]), (below, range(3 * p, n))]
     for m, columns in cases:
         before = m.copy()
         with pytest.raises(Singular) as got:
             inverse(m)
         with pytest.raises(Singular) as ref:
-            _contiguous_panel_inverse(m)
+            _strided_panel_inverse(m)
         # the column and the pivot's magnitude are the reference's
         assert str(got.value) == str(ref.value)
         assert any(f"at column {c} " in str(got.value) for c in columns), str(got.value)
