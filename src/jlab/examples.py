@@ -100,19 +100,32 @@ def growth_probe(n):
     fam = truncation_family(n)
     inv = inverse(np.eye(2 * n, dtype=complex) + fam.operator)
     rows = []
-    for k in range(1, n + 1):
-        i = 2 * (k - 1)
-        computed = float(np.real(inv[i, i]))
+    for k, computed in enumerate(inv.diagonal()[::2].real.tolist(), start=1):
         formula = k * k / (2.0 * k - 1.0)
         rows.append((k, computed, formula, abs(computed - formula) / formula))
     return rows
 
 
+def _diagonal_blocks(m):
+    """The n 2 x 2 diagonal blocks of a 2n x 2n array, as one (n, 2, 2) gather."""
+    n = m.shape[0] // 2
+    k = np.arange(n)
+    return m.reshape(n, 2, n, 2)[k, :, k]
+
+
 def cayley_v(n):
-    """V = (A + I)(A - I)^{-1} for the level-n truncation operator."""
+    """V = (A + I)(A - I)^{-1} for the level-n truncation operator.
+
+    Both factors are block-diagonal with 2 x 2 blocks, and so is V: its
+    blocks are one stacked (n, 2, 2) product of the factors' blocks.
+    """
     fam = truncation_family(n)
-    eye = np.eye(2 * n, dtype=complex)
-    return (fam.operator + eye) @ inverse(fam.operator - eye)
+    plus = _diagonal_blocks(fam.operator) + np.eye(2)
+    minus_inv = _diagonal_blocks(inverse(fam.operator - np.eye(2 * n, dtype=complex)))
+    k = np.arange(n)
+    v = np.zeros((n, 2, n, 2), dtype=complex)
+    v[k, :, k] = plus @ minus_inv
+    return v.reshape(2 * n, 2 * n)
 
 
 def norm_growth(n):
@@ -121,10 +134,9 @@ def norm_growth(n):
     The k-th block of V has spectral norm 2k - 1; the n block norms come
     from one stacked singular_extremes call.
     """
-    v = cayley_v(n)
-    blocks = np.stack([v[i : i + 2, i : i + 2] for i in range(0, 2 * n, 2)])
+    norms = singular_extremes(_diagonal_blocks(cayley_v(n)))
     rows = []
-    for k, (_, computed) in enumerate(singular_extremes(blocks), start=1):
+    for k, (_, computed) in enumerate(norms, start=1):
         formula = 2.0 * k - 1.0
         rows.append((k, computed, formula, abs(computed - formula) / formula))
     return rows

@@ -20,7 +20,10 @@ by this module rather than by a LAPACK build:
   the columns outside a finished panel are grouped: its row swaps, then
   one product per side on the live rows, as each Jacobi round is one
   matrix product, skipped if the side is zero in the panel's rows.
-  n <= INVERSE_PANEL is one panel, with no row scan, copy or product.
+  n <= INVERSE_PANEL is one panel, with no row scan, copy or product.  A
+  matrix whose panels are all closed (each diagonal block holds every
+  nonzero of its rows and columns) eliminates them as one stack: one set
+  of numpy calls per step for all its full-width panels.
 
 A function of a Hermitian matrix is one product, V diag(f(lambda-bar)) V*,
 with f taken once per eigenvalue cluster at its mean (``SpectralDecomp.apply``).
@@ -353,6 +356,59 @@ def nonpositive_pivot(m):
     return None
 
 
+def _closed_panels(a, floor, rows):
+    """inverse's steps for the full-width panels of a as one stack, when
+    every panel of a is closed (see inverse).
+
+    Writes the inverse blocks into a and their labels into rows, and
+    returns the first column the panel loop still has to do.  Returns 0,
+    with a and rows untouched, when some panel is not closed, fewer than
+    two are full, or a pivot fails the floor: the loop then finds the
+    column that Singular names.
+    """
+    n, p = a.shape[0], INVERSE_PANEL
+    count = n // p
+    m = count * p
+    # one panel takes the loop; a dense matrix stops at panel 0's rows below it
+    if count < 2 or a[p:, :p].any():
+        return 0
+    k = np.arange(count)
+    blocks = a[:m, :m].reshape(count, p, count, p)
+    t = np.ascontiguousarray(blocks[k, :, k])
+    # closed: the blocks hold every nonzero of a (float views count fastest)
+    nonzeros = [np.count_nonzero(x.view(float)) for x in (a, t, a[m:, m:])]
+    if nonzeros[0] != nonzeros[1] + nonzeros[2]:
+        return 0
+    # row r of the stack is row r of a; a pivot row is found by its flat row
+    tr = t.reshape(m, p)
+    base = np.arange(0, m, p)
+    perm = np.arange(m)
+    unit = np.eye(p, dtype=complex)
+    for j in range(p):
+        r = np.abs(t[:, j:, j]).argmax(axis=1)
+        rj = base + j
+        r += rj
+        x = tr[r, j]
+        # np.hypot, not np.abs: the loop's floor test, scalar abs(), bit for bit
+        if not np.hypot(x.real, x.imag).min() > floor:
+            return 0
+        if (r != rj).any():
+            row = tr[r]
+            tr[r] = t[:, j]
+            t[:, j] = row
+            label = perm[r]
+            perm[r] = perm[rj]
+            perm[rj] = label
+        col = t[:, :, j].copy()
+        col[:, j] = 0.0
+        t[:, :, j] = unit[j]
+        t[:, j] /= x[:, None]
+        t -= col[:, :, None] * t[:, j, None]
+    blocks[k, :, k] = t
+    rows[:m] = perm.tolist()
+    return m
+
+
 def inverse(m):
     """Matrix inverse: panelled in-place Gauss-Jordan on an n x n working copy,
     partial pivoting, relative pivot floor.
@@ -376,6 +432,15 @@ def inverse(m):
     added to the live rows; a block whose old rows P are all zero is left
     as it is.  For n <= INVERSE_PANEL the one panel is the working copy
     itself: no row scan, no copy and no product.
+    A matrix whose panels are all closed, each diagonal block holding every
+    nonzero of its rows and of its columns, eliminates them as one stack: a
+    closed panel's live rows are its own and its side blocks are zero, so
+    its steps touch its block alone.  Its full-width panels form one
+    (B, INVERSE_PANEL, INVERSE_PANEL) stack, each step is one set of numpy
+    calls for all B, and every member keeps the pivot rule, floor and
+    arithmetic above; a narrower last panel then takes the loop.  A pivot
+    at or below the floor sends the whole matrix back to the loop, which
+    raises Singular for the column it reaches first.
 
     Raises OutOfRange when ||M||_F overflows, and Singular unless the best
     available pivot (NaN included) exceeds PIVOT_REL_TOL * ||M||_F.
@@ -386,7 +451,7 @@ def inverse(m):
     if not math.isfinite(floor):
         raise OutOfRange("||M||_F overflows to inf, so the pivot floor is undefined")
     rows = list(range(n))
-    for k0 in range(0, n, INVERSE_PANEL):
+    for k0 in range(_closed_panels(a, floor, rows), n, INVERSE_PANEL):
         k1 = min(k0 + INVERSE_PANEL, n)
         # at[i] is the row of a that row i of t holds; row k0 is t's row i0
         if k1 - k0 == n:
@@ -434,9 +499,11 @@ def inverse(m):
             if old.any():
                 side[k0:k1] = 0.0
                 side[at] += t @ old
-    out = np.empty_like(a)
-    out[:, rows] = a
-    return out
+    # column k holds inverse column rows[k]; gathering is cheaper than scattering
+    cols = [0] * n
+    for k, r in enumerate(rows):
+        cols[r] = k
+    return a.take(cols, axis=1)
 
 
 def _rank_checked_qr(b, mode, name):

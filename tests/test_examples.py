@@ -98,6 +98,13 @@ def test_cayley_v_two_expressions_agree():
     eye = np.eye(8, dtype=complex)
     direct = eye + 2.0 * inverse(fam.operator - eye)
     assert frobenius(cayley_v(4) - direct) < 1e-12
+    # V's blocks are a stacked product of the factors' 2 x 2 blocks; the
+    # dense product adds only exact zeros to them
+    for level in (1, 4, 24, 181):
+        fam = truncation_family(level)
+        eye = np.eye(2 * level, dtype=complex)
+        dense = (fam.operator + eye) @ inverse(fam.operator - eye)
+        assert np.array_equal(cayley_v(level), dense), level
 
 
 def test_norm_growth_frozen():
@@ -115,7 +122,7 @@ def test_growth_and_norms_at_level_128():
 
 
 def test_growth_and_norms_at_level_512_match_the_closed_forms():
-    # a 1024 x 1024 elimination in 32 panels, each working on its live rows:
+    # a 1024 x 1024 elimination whose 32 closed panels step as one stack:
     # the largest worked example the tests run
     tol = default_tol()
     ks = np.arange(1, 513)

@@ -811,6 +811,20 @@ def _block_structured_cases(rng):
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= width
         yield f"band {width} n={n}", np.where(band, z, 0.0)
+    p = INVERSE_PANEL
+    for n in (2 * p, 3 * p + 7, 16 * p):
+        # closed panels: dense blocks on the panels, rows permuted inside
+        # each block so that pivots move
+        sizes = [min(p, n - s) for s in range(0, n, p)]
+        m = _block_diagonal(rng, sizes)
+        m = m[np.concatenate([s + rng.permutation(b) for s, b in zip(range(0, n, p), sizes)])]
+        yield f"closed panels n={n}", m
+    # one nonzero off the blocks: below panel 0's block, and where only a
+    # scan of the whole matrix finds it
+    for i, j in ((p + 3, 5), (5, 2 * p + 1)):
+        off = m.copy()
+        off[i, j] = 1.5 - 0.5j
+        yield f"closed panels but ({i}, {j}) n={n}", off
 
 
 def test_contiguous_panels_match_the_strided_kernel():
@@ -836,6 +850,12 @@ def test_contiguous_panels_match_the_strided_kernel():
         # a zero may differ
         assert np.array_equal(inverse(m), _strided_panel_inverse(m)), where
         assert np.array_equal(m.view(np.uint64), before.view(np.uint64)), where
+        # the panels eliminate as one stack exactly when there are two or
+        # more full-width ones and every nonzero lies in a diagonal block
+        r, c = np.nonzero(m)
+        closed = len(m) >= 2 * p and np.array_equal(r // p, c // p)
+        stacked = numkernel._closed_panels(m.copy(), 0.0, list(range(len(m))))
+        assert (stacked > 0) == closed, where
 
 
 def test_contiguous_panels_keep_the_strided_kernels_singular_messages():
@@ -864,6 +884,18 @@ def test_contiguous_panels_keep_the_strided_kernels_singular_messages():
     above[:, p + 3] = 2.0 * straddle[:, 3] - 3.0j * straddle[:, 20]
     below[:, 2 * p + 4] = straddle[:, 3 * p + 1] + 0.5 * straddle[:, 3 * p + 3]
     cases += [(blocks, [2 * p + 6]), (zero, [p + 9]), (above, [p + 3]), (below, range(3 * p, n))]
+    # closed panels eliminate as one stack: two singular members, the lower
+    # one failing at a later step than the higher one, or at the same step;
+    # a member's dependent column, with a rounding-noise pivot; and a
+    # singular narrower last panel
+    closed = _block_diagonal(rng, [p, p, p, 6])
+    later, same, dependent, last = (closed.copy() for _ in range(4))
+    later[:, [p + 20, 2 * p + 5]] = 0.0
+    same[:, [p + 5, 2 * p + 5]] = 0.0
+    dependent[:, 2 * p + 9] = closed[:, 2 * p + 1] - 2.0j * closed[:, 2 * p + 3]
+    last[:, 3 * p + 2] = 0.0
+    cases += [(later, [p + 20]), (same, [p + 5]), (dependent, range(2 * p + 9, 3 * p))]
+    cases += [(last, [3 * p + 2])]
     for m, columns in cases:
         before = m.copy()
         with pytest.raises(Singular) as got:
