@@ -7,10 +7,10 @@ by this module rather than by a LAPACK build:
 
 * ``herm_eig`` - round-robin (Brent-Luk) Jacobi eigensolver for Hermitian
   matrices, with a fixed sweep budget and relative off-diagonal convergence.
-  It takes one matrix or a (B, n, n) stack and applies each round's
-  disjoint rotations to the whole stack at once; every matrix keeps its own
-  gate, scale, skip threshold, convergence test and sweep count, so its
-  result is bit-identical whatever its stack mates;
+  It takes one matrix or a (B, n, n) stack.  Each round's disjoint rotations,
+  and the gate, live test, sort and clustering, run per stack, while every
+  matrix keeps its own scale, skip threshold, target and sweep count, so its
+  result is bit-identical to its own call's whatever its stack mates;
 * ``inverse`` - in-place Gauss-Jordan on an n x n working copy, partial
   pivoting, relative pivot floor, in column panels of INVERSE_PANEL.  The
   pivot rule, the floor, the elimination order and the Singular messages
@@ -129,31 +129,29 @@ def _as_stack(m, square):
     return a, single
 
 
+def _frobenius_rows(f):
+    """The 2-norm of each row of a complex (..., k) array: frobenius's BLAS dot
+    products in the same order, so bit-identical to it on this numpy/BLAS build."""
+    re, im = f.real, f.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+
 def _hermitian_part(a):
     """(M + M*) / 2 and ||M||_F for each M of a (B, n, n) stack.
 
     Raises OutOfRange when ||M||_F overflows and NotHermitian when ||M - M*||_F
-    is not within HERMITIAN_REL_TOL * (1 + ||M||_F); both name the stack index.
+    is not within HERMITIAN_REL_TOL * (1 + ||M||_F); the first failing stack
+    index is named, and at that index OutOfRange wins.
     """
-    herm = np.empty_like(a)
-    scales = []
-    for i, x in enumerate(a):
-        adj = x.conj().T
-        scale = frobenius(x)
-        if not math.isfinite(scale):
-            raise OutOfRange(f"stack index {i}: ||M||_F overflows to {scale}")
-        skew = frobenius(x - adj)
-        if not skew <= HERMITIAN_REL_TOL * (1.0 + scale):
-            raise NotHermitian(f"stack index {i}: ||M - M*||_F = {skew:.3e} exceeds tolerance")
-        herm[i] = 0.5 * (x + adj)
-        scales.append(scale)
-    return herm, np.array(scales)
-
-
-def _offdiag_norm(a):
-    off = a.copy()
-    off.flat[:: a.shape[0] + 1] = 0.0
-    return frobenius(off)
+    adj = a.conj().swapaxes(1, 2)
+    scales, skews = _frobenius_rows(np.concatenate((a, a - adj)).reshape(2, len(a), -1))
+    ok = np.isfinite(scales) & (skews <= HERMITIAN_REL_TOL * (1.0 + scales))
+    if np.count_nonzero(ok) < len(a):
+        i = int(ok.argmin())
+        if not math.isfinite(scales[i]):
+            raise OutOfRange(f"stack index {i}: ||M||_F overflows to {scales[i]}")
+        raise NotHermitian(f"stack index {i}: ||M - M*||_F = {skews[i]:.3e} exceeds tolerance")
+    return 0.5 * (a + adj), scales
 
 
 @dataclass(frozen=True)
@@ -200,15 +198,12 @@ class SpectralDecomp:
         return (self.vectors * vals) @ self.vectors.conj().T
 
 
-def _cluster_indices(vals, rel_tol):
-    groups = [[0]]
-    for i in range(1, len(vals)):
-        prev = vals[i - 1]
-        if abs(vals[i] - prev) <= rel_tol * (1.0 + abs(prev)):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return tuple(tuple(g) for g in groups)
+@functools.lru_cache(maxsize=256)
+def _clusters(joined):
+    """Cluster index tuples from a bytes row: byte i - 1 is nonzero when
+    eigenvalue i joins the cluster of eigenvalue i - 1."""
+    cuts = [0, *(i for i, join in enumerate(joined, 1) if not join), len(joined) + 1]
+    return tuple(tuple(range(a, b)) for a, b in zip(cuts, cuts[1:]))
 
 
 @functools.lru_cache(maxsize=64)
@@ -259,11 +254,12 @@ def herm_eig(m):
 
     Takes one n x n matrix and returns one SpectralDecomp, or a (B, n, n)
     stack and returns a tuple of B; a matrix is the stack of one.  Every
-    round's disjoint rotations are applied to the whole stack at once, and
-    each matrix keeps its own gate, scale, skip threshold, convergence test
-    and sweep count: a skipped pair, or any pair of a matrix that has
-    converged and left the stack, gets no rotation, so a matrix's result is
-    bit-identical whatever its stack mates.
+    round's disjoint rotations, and the Hermitian gate, the live test, the
+    sort and the clustering, are numpy calls over the whole stack; each
+    matrix keeps its own scale, skip threshold, target and sweep count: a
+    skipped pair, or any pair of a matrix that has converged and left the
+    stack, gets no rotation, so a matrix's result is bit-identical to its
+    own call's whatever its stack mates.
 
     Convergence: off-diagonal Frobenius norm <= JACOBI_REL_TOL * ||M||_F
     within JACOBI_SWEEP_LIMIT sweeps; clusters at CLUSTER_REL_TOL.  Raises
@@ -279,36 +275,42 @@ def herm_eig(m):
     rounds, diag, eye = _flat_rounds(n, count)
     # entries already far below target cannot affect convergence this sweep
     skip = (targets / max(1, 2 * n)).repeat(n // 2)
-    act = list(range(count))
+    act = every = np.arange(count)
     w, wv = a, eye.copy()
-    done = [None] * count
+    vals, vecs = np.empty((count, n)), np.empty_like(a)
     sweeps = 0
     while True:
         # each matrix meets its own target; a converged one leaves the stack as it is
-        live = [_offdiag_norm(x) > targets[i] for x, i in zip(w, act)]
-        if not all(live):
-            for i, x, y, keep in zip(act, w, wv, live):
-                if not keep:
-                    done[i] = x, y
-            act = [i for i, keep in zip(act, live) if keep]
-            if not act:
+        off = w.reshape(-1, n * n).copy()
+        off[:, :: n + 1] = 0.0
+        norms = _frobenius_rows(off)
+        live = norms > targets
+        alive = np.count_nonzero(live)
+        if alive < len(act):
+            dead = ~live
+            out = act.compress(dead)
+            vals[out], vecs[out] = w.diagonal(0, 1, 2).real.compress(dead, 0), wv.compress(dead, 0)
+            if not alive:
                 break
-            w, wv = w[live], wv[live]
-            skip = skip.reshape(len(live), -1)[live].reshape(-1)
+            act, targets, w, wv = (x.compress(live, 0) for x in (act, targets, w, wv))
+            skip = skip.reshape(len(live), -1).compress(live, 0).reshape(-1)
             rounds, diag, eye = _flat_rounds(n, len(act))
         if sweeps >= JACOBI_SWEEP_LIMIT:
-            i = act[0]
             raise NoConvergence(
-                f"stack index {i}: Jacobi sweep budget {JACOBI_SWEEP_LIMIT} exhausted; "
-                f"off-diagonal norm {_offdiag_norm(w[0]):.3e} > {targets[i]:.3e}"
+                f"stack index {act[0]}: Jacobi sweep budget {JACOBI_SWEEP_LIMIT} exhausted; "
+                f"off-diagonal norm {norms[live][0]:.3e} > {targets[0]:.3e}"
             )
         for idx in rounds:
             wf = w.reshape(-1)
             apq = wf[idx[0]]
             r = np.abs(apq)
-            k = (r > skip).nonzero()[0]
+            hot = r > skip
+            k = hot.nonzero()[0]
             if not k.size:
                 continue
+            # a matrix with no pair to rotate takes no product, as in its own call:
+            # an identity product would turn its -0.0 entries into +0.0
+            cold = None if k.size == r.size else ~np.logical_or.reduce(hot.reshape(len(act), -1), 1)
             idx, apq, r = idx.take(k, axis=1), apq[k], r[k]
             d = wf[idx[2:]].real
             tau = (d[1] - d[0]) / (2.0 * r)
@@ -320,20 +322,26 @@ def herm_eig(m):
             # the pairs are disjoint, so one rotation per matrix applies them all
             rot = eye.copy()
             rot.reshape(-1)[idx.reshape(-1)] = np.concatenate((s, -s.conj(), c, c))
-            w = rot.conj().swapaxes(1, 2) @ w @ rot
+            w, w0 = rot.conj().swapaxes(1, 2) @ w @ rot, w
             wf = w.reshape(-1)
             # exact zeros here by construction; keep diagonal real
             wf[idx[:2].reshape(-1)] = 0.0
             wf.imag[diag] = 0.0
-            wv = wv @ rot
+            wv, wv0 = wv @ rot, wv
+            if cold is not None and np.count_nonzero(cold):
+                w[cold], wv[cold] = w0[cold], wv0[cold]
         sweeps += 1
-    out = []
-    for ai, vi in done:
-        vals = ai.diagonal().real.copy()
-        order = np.argsort(vals, kind="stable")
-        vals = vals[order]
-        out.append(SpectralDecomp(vals, vi[:, order], _cluster_indices(vals, CLUSTER_REL_TOL)))
-    return out[0] if single else tuple(out)
+    # one stable sort and one clustering pass for the whole stack
+    order = vals.argsort(axis=1, kind="stable")
+    rows = every[:, None]
+    # indices either side of the slice put the gathered axis first: swap it back
+    vals, vecs = vals[rows, order], vecs[rows, :, order].swapaxes(1, 2).copy()
+    prev = vals[:, :-1]
+    joined = (np.abs(vals[:, 1:] - prev) <= CLUSTER_REL_TOL * (1.0 + np.abs(prev))).tobytes()
+    width = n - 1
+    groups = [_clusters(joined[i * width : i * width + width]) for i in range(count)]
+    decs = tuple(map(SpectralDecomp, vals, vecs, groups))
+    return decs[0] if single else decs
 
 
 def nonpositive_pivot(m):
@@ -543,13 +551,15 @@ def singular_extremes(m):
     """(smallest, largest) singular value via the Hermitian spectrum of M*M.
 
     Takes a matrix, or a (B, r, c) stack and returns a tuple of B pairs
-    from one stacked herm_eig call; each pair is bit-identical to the
-    matrix's own call.
+    from one stacked herm_eig call; both ends of every member are taken in
+    one gather, one clip at 0 (which keeps a NaN NaN) and one sqrt, and each
+    pair is bit-identical to the matrix's own call.
     """
     a, single = _as_stack(m, square=False)
     decs = herm_eig(a.conj().swapaxes(1, 2) @ a)
-    pairs = [tuple(dec.singular_values()[[0, -1]].tolist()) for dec in decs]
-    return pairs[0] if single else tuple(pairs)
+    ends = np.stack([dec.eigenvalues for dec in decs])[:, [0, -1]]
+    pairs = tuple(map(tuple, np.sqrt(np.clip(ends, 0.0, None)).tolist()))
+    return pairs[0] if single else pairs
 
 
 def subspace_gap(u, v):

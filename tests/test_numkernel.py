@@ -1,7 +1,8 @@
 """Kernel checks: Jacobi eigensolver (its stacked form, its serial
 one-matrix reference and its cyclic reference), elimination inverse (its
 unpanelled, strided-panel and augmented-array references), the Cholesky
-positivity gate, frames, gaps, and the Frobenius norm against numpy's.
+positivity gate, frames, gaps, and the Frobenius norm against numpy's and
+against its per-stack form.
 
 numpy.linalg (eigh, inv, svd) appears here only as an independent oracle;
 the package code under test never calls it for these operations.
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from jlab import conjugation, jclass, numkernel
-from jlab.examples import truncation_family
+from jlab.examples import _diagonal_blocks, cayley_v, truncation_family
 from jlab.errors import (
     DimensionMismatch,
     DomainError,
@@ -33,8 +34,7 @@ from jlab.numkernel import (
     JACOBI_SWEEP_LIMIT,
     PIVOT_REL_TOL,
     SpectralDecomp,
-    _cluster_indices,
-    _offdiag_norm,
+    _frobenius_rows,
     _round_robin,
     as_matrix,
     as_square,
@@ -55,6 +55,23 @@ LN2 = math.log(2.0)
 def random_hermitian(rng, n):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (z + z.conj().T)
+
+
+def _offdiag_norm(a):
+    off = a.copy()
+    off.flat[:: a.shape[0] + 1] = 0.0
+    return frobenius(off)
+
+
+def _cluster_indices(vals, rel_tol):
+    groups = [[0]]
+    for i in range(1, len(vals)):
+        prev = vals[i - 1]
+        if abs(vals[i] - prev) <= rel_tol * (1.0 + abs(prev)):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return tuple(tuple(g) for g in groups)
 
 
 def _cyclic_herm_eig(
@@ -388,21 +405,40 @@ def test_round_robin_matches_cyclic_reference():
                     np.testing.assert_allclose(dec.vectors, ref.vectors, atol=1e-15)
 
 
+def _same_bits(x, y):
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
 def _same_decomposition(d1, d2):
     return (
-        np.array_equal(d1.eigenvalues, d2.eigenvalues)
-        and np.array_equal(d1.vectors, d2.vectors)
+        _same_bits(d1.eigenvalues, d2.eigenvalues)
+        and _same_bits(d1.vectors, d2.vectors)
         and d1.clusters == d2.clusters
     )
 
 
+def _mixed_kinds(rng, n, count):
+    """count matrices cycling through the _reference_cases kinds."""
+    cases = []
+    while len(cases) < count:
+        cases += _reference_cases(rng, n)
+    return cases[:count]
+
+
 def test_stacked_herm_eig_is_bit_identical_to_serial():
     rng = np.random.default_rng(2719)
+    blocks = _diagonal_blocks(cayley_v(256))
+    gram = blocks.conj().swapaxes(1, 2) @ blocks  # the stack norm_growth(256) decomposes
+    stacks = [list(_reference_cases(rng, n)) for n in (*range(1, 17), 24, 32)]
+    stacks.append([(f"gram {k}", g) for k, g in enumerate(gram, 1)])
+    stacks.append(_mixed_kinds(np.random.default_rng(2722), 4, 64))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for n in (*range(1, 17), 24, 32):
-            kinds, mats = zip(*_reference_cases(rng, n))
+        for cases in stacks:
+            kinds, mats = zip(*cases)
             stack = np.stack(mats)
+            n = stack.shape[1]
             forward = herm_eig(stack)
             backward = herm_eig(stack[::-1])[::-1]
             assert isinstance(forward, tuple) and len(forward) == len(mats)
@@ -421,6 +457,8 @@ def test_stacked_herm_eig_errors_name_the_stack_index(monkeypatch):
     bad[0, 1] += 1.0
     with pytest.raises(NotHermitian, match="stack index 2:"):
         herm_eig(np.stack([good, good, bad]))
+    with pytest.raises(NotHermitian, match="stack index 1:"):
+        herm_eig(np.stack([good, bad, bad.T, good]))
     diag = np.diag([3.0, -1.0, 0.5, 2.0]).astype(complex)
     monkeypatch.setattr(numkernel, "JACOBI_SWEEP_LIMIT", 0)
     with pytest.raises(NoConvergence, match="stack index 1: Jacobi sweep budget 0"):
@@ -441,6 +479,13 @@ def test_stacked_herm_eig_errors_name_the_stack_index(monkeypatch):
             m = scale * np.array([[1.0, 1j], [-1j, 1.0]])
             with pytest.raises(OutOfRange, match="stack index 1: .* overflows"):
                 herm_eig(np.stack([ok, m]))
+        # the first failing index is named, whichever check fails there
+        big = 1e300 * np.array([[1.0, 1j], [-1j, 1.0]])
+        skewed = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(NotHermitian, match="stack index 0:"):
+            herm_eig(np.stack([skewed, big, ok]))
+        with pytest.raises(OutOfRange, match="stack index 0:"):
+            herm_eig(np.stack([big, skewed, ok]))
         # nor may the Hermitian gate judge against an infinite bound: this
         # skew matrix had Hermitian part 0 and read as eigenvalues {0, 0}
         skew = np.array([[0.0, 1e300], [-1e300, 0.0]], dtype=complex)
@@ -911,6 +956,22 @@ def test_contiguous_panels_keep_the_strided_kernels_singular_messages():
         assert str(got.value) == str(ref.value)
         assert any(f"at column {c} " in str(got.value) for c in columns), str(got.value)
         assert np.array_equal(m.view(np.uint64), before.view(np.uint64))
+
+
+def test_per_stack_norm_is_frobenius_bit_for_bit():
+    """_frobenius_rows, herm_eig's gate and live test, equals frobenius for
+    every member as uint64.  Both sum the same products in the same order
+    through BLAS dot products, so the equality is a property of the
+    numpy/BLAS build, which this test exists to catch."""
+    rng = np.random.default_rng(1404)
+    for n in (*range(1, 33), 48, 64):
+        for count in (1, 3, 256):
+            z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+            for scale in (1e-3, 1.0, 1e5):
+                stack = scale * z
+                got = _frobenius_rows(stack.reshape(count, -1))
+                want = np.array([frobenius(m) for m in stack])
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, count, scale)
 
 
 def test_frobenius_is_numpys_norm_bit_for_bit():
