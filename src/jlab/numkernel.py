@@ -275,7 +275,7 @@ def herm_eig(m):
     rounds, diag, eye = _flat_rounds(n, count)
     # entries already far below target cannot affect convergence this sweep
     skip = (targets / max(1, 2 * n)).repeat(n // 2)
-    act = every = np.arange(count)
+    act = np.arange(count)
     w, wv = a, eye.copy()
     vals, vecs = np.empty((count, n)), np.empty_like(a)
     sweeps = 0
@@ -333,7 +333,7 @@ def herm_eig(m):
         sweeps += 1
     # one stable sort and one clustering pass for the whole stack
     order = vals.argsort(axis=1, kind="stable")
-    rows = every[:, None]
+    rows = np.arange(count)[:, None]
     # indices either side of the slice put the gathered axis first: swap it back
     vals, vecs = vals[rows, order], vecs[rows, :, order].swapaxes(1, 2).copy()
     prev = vals[:, :-1]
