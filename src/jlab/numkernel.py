@@ -12,17 +12,11 @@ by this module rather than by a LAPACK build:
   matrix keeps its own scale, skip threshold, target and sweep count, so its
   result is bit-identical to its own call's whatever its stack mates;
 * ``inverse`` - in-place Gauss-Jordan on an n x n working copy, partial
-  pivoting, relative pivot floor, in column panels of INVERSE_PANEL.  The
-  pivot rule, the floor, the elimination order and the Singular messages
-  are pinned as in the column-by-column kernel.  A panel's steps run on a
-  C-contiguous copy of its columns.  Only the updates of the columns
-  outside a finished panel are grouped: its row swaps, then one product
-  per side, as each Jacobi round is one matrix product, skipped if the
-  side is zero in the panel's rows.  n <= INVERSE_PANEL is one panel,
-  with no copy or product.  A matrix whose panels are all closed (each
-  diagonal block holds every nonzero of its rows and columns) eliminates
-  them as one stack: one set of numpy calls per step for all its
-  full-width panels.
+  pivoting, relative pivot floor, with no matrix product.  Two paths: the
+  classic column loop, and for a matrix whose nonzeros all lie in its
+  diagonal blocks of INVERSE_PANEL, the same steps block by block, its
+  full-width blocks as one stack.  The pivot rule, the floor, the
+  arithmetic and the Singular messages are the column loop's.
 
 A function of a Hermitian matrix is one product, V diag(f(lambda-bar)) V*,
 with f taken once per eigenvalue cluster at its mean (``SpectralDecomp.apply``).
@@ -61,9 +55,8 @@ CLUSTER_REL_TOL = 1e-8
 PIVOT_REL_TOL = 1e-13
 RANK_REL_TOL = 1e-10
 HERMITIAN_REL_TOL = 1e-10
-# Columns per elimination panel in inverse.  At least 16, so the verify
-# program's operators (n <= 16) take one panel, step for step the classic
-# kernel.
+# Width of inverse's closed blocks: a matrix with n > INVERSE_PANEL whose
+# diagonal blocks of this width hold every nonzero eliminates block by block.
 INVERSE_PANEL = 32
 
 
@@ -363,28 +356,40 @@ def nonpositive_pivot(m):
     return None
 
 
-def _closed_panels(a, floor, rows):
-    """inverse's steps for the full-width panels of a as one stack, when
-    every panel of a is closed (see inverse).
+def _steps(a, floor):
+    """The classic Gauss-Jordan column loop on a, in place.  Returns the row
+    labels: column k then holds inverse column rows[k].  Raises Singular for
+    the first pivot at or below the floor."""
+    n = a.shape[0]
+    rows = list(range(n))
+    for k in range(n):
+        piv = int(np.argmax(np.abs(a[k:, k]))) + k
+        mag = abs(a[piv, k])
+        if not mag > floor:
+            raise Singular(
+                f"pivot {mag:.3e} at column {k} is at or below the floor {floor:.3e}"
+            )
+        if piv != k:
+            a[[k, piv]] = a[[piv, k]]
+            rows[k], rows[piv] = rows[piv], rows[k]
+        pivot = a[k, k]
+        col = a[:, k].copy()
+        col[k] = 0.0
+        # column k is spent; it now carries the unit column e_k of the
+        # identity block, i.e. inverse column rows[k]
+        a[:, k] = 0.0
+        a[k, k] = 1.0
+        a[k] /= pivot
+        a -= col[:, None] * a[k]
+    return rows
 
-    Writes the inverse blocks into a and their labels into rows, and
-    returns the first column the panel loop still has to do.  Returns 0,
-    with a and rows untouched, when some panel is not closed, fewer than
-    two are full, or a pivot fails the floor: the loop then finds the
-    column that Singular names.
-    """
-    n, p = a.shape[0], INVERSE_PANEL
-    count = n // p
+
+def _stacked_steps(t, floor):
+    """_steps on each matrix of a C-contiguous (B, p, p) stack, one set of
+    numpy calls per step.  Returns the labels of the stack's rows, row
+    b * p + i being row i of matrix b."""
+    count, p = t.shape[:2]
     m = count * p
-    if count < 2:
-        return 0
-    k = np.arange(count)
-    blocks = a[:m, :m].reshape(count, p, count, p)
-    t = np.ascontiguousarray(blocks[k, :, k])
-    # closed: the blocks hold every nonzero of a (float views count fastest)
-    nonzeros = [np.count_nonzero(x.view(float)) for x in (a, t, a[m:, m:])]
-    if nonzeros[0] != nonzeros[1] + nonzeros[2]:
-        return 0
     # row r of the stack is row r of a; a pivot row is found by its flat row
     tr = t.reshape(m, p)
     base = np.arange(0, m, p)
@@ -395,9 +400,9 @@ def _closed_panels(a, floor, rows):
         rj = base + j
         r += rj
         x = tr[r, j]
-        # np.hypot, not np.abs: the loop's floor test, scalar abs(), bit for bit
+        # np.hypot, not np.abs: _steps's floor test, scalar abs(), bit for bit
         if not np.hypot(x.real, x.imag).min() > floor:
-            return 0
+            raise Singular(f"a pivot of stack column {j} is at or below the floor {floor:.3e}")
         if (r != rj).any():
             row = tr[r]
             tr[r] = t[:, j]
@@ -410,39 +415,47 @@ def _closed_panels(a, floor, rows):
         t[:, :, j] = unit[j]
         t[:, j] /= x[:, None]
         t -= col[:, :, None] * t[:, j, None]
+    return perm.tolist()
+
+
+def _closed_blocks(a, floor):
+    """inverse's steps block by block when a is closed (see inverse): writes
+    the inverse blocks into a and returns the row labels.  Returns None, with
+    a untouched, when a is not closed or a pivot fails the floor."""
+    n, p = a.shape[0], INVERSE_PANEL
+    count = n // p
+    m = count * p
+    k = np.arange(count)
+    blocks = a[:m, :m].reshape(count, p, count, p)
+    t = np.ascontiguousarray(blocks[k, :, k])
+    last = a[m:, m:].copy()
+    # closed: the blocks hold every nonzero of a (float views count fastest)
+    nonzeros = [np.count_nonzero(x.view(float)) for x in (a, t, last)]
+    if nonzeros[0] != nonzeros[1] + nonzeros[2]:
+        return None
+    try:
+        # a stack of one steps slower than _steps
+        rows = _stacked_steps(t, floor) if count > 1 else _steps(t[0], floor)
+        if m < n:
+            rows += [m + r for r in _steps(last, floor)]
+    except Singular:
+        return None
     blocks[k, :, k] = t
-    rows[:m] = perm.tolist()
-    return m
+    a[m:, m:] = last
+    return rows
 
 
 def inverse(m):
-    """Matrix inverse: panelled in-place Gauss-Jordan on an n x n working copy,
-    partial pivoting, relative pivot floor.
+    """Matrix inverse: in-place Gauss-Jordan on an n x n working copy,
+    partial pivoting, relative pivot floor, and no matrix product.
 
-    Columns are eliminated in order, in panels of INVERSE_PANEL.  Within a
-    panel P each step is the classic one restricted to columns P: the
-    largest pivot at or below the diagonal, a row swap, and the rank-1
-    update.  The steps run on a C-contiguous copy of columns P (a strided
-    view slows every update; only values move), so they are the dense
-    kernel's bit for bit.
-    Each spent column of A takes over the inverse column that becomes live
-    at that step, so the work is that of [A | I] with half the columns, and
-    a finished panel holds T[:, P], where T is the product of its steps'
-    transforms.  Its swaps then reach the other columns and the copy is
-    written back.  T differs from I only in columns P, so each block of
-    columns to either side is updated in one matrix product: rows P are
-    zeroed, then T[:, P] @ (their old rows P) is added; a block whose old
-    rows P are all zero is left as it is.  For n <= INVERSE_PANEL the one
-    panel is the working copy itself: no copy and no product.
-    A matrix whose panels are all closed, each diagonal block holding every
-    nonzero of its rows and of its columns, eliminates them as one stack: a
-    closed panel's other rows and its side blocks are zero, so its steps
-    touch its block alone.  Its full-width panels form one
-    (B, INVERSE_PANEL, INVERSE_PANEL) stack, each step is one set of numpy
-    calls for all B, and every member keeps the pivot rule, floor and
-    arithmetic above; a narrower last panel then takes the loop.  A pivot
-    at or below the floor sends the whole matrix back to the loop, which
-    raises Singular for the column it reaches first.
+    Two paths.  _steps eliminates the columns in order, the classic loop.
+    A closed matrix, n > INVERSE_PANEL with every nonzero in its diagonal
+    blocks of INVERSE_PANEL (the last possibly narrower), runs the same
+    steps on each block alone: two or more full blocks as one stack, a
+    lone full block and the narrower last one each through _steps.  A pivot
+    at or below the floor in any block sends the matrix to the whole-matrix
+    loop, which raises Singular for the first column it reaches.
 
     Raises OutOfRange when ||M||_F overflows, and Singular unless the best
     available pivot (NaN included) exceeds PIVOT_REL_TOL * ||M||_F.
@@ -452,48 +465,9 @@ def inverse(m):
     floor = PIVOT_REL_TOL * frobenius(a)
     if not math.isfinite(floor):
         raise OutOfRange("||M||_F overflows to inf, so the pivot floor is undefined")
-    rows = list(range(n))
-    for k0 in range(_closed_panels(a, floor, rows), n, INVERSE_PANEL):
-        k1 = min(k0 + INVERSE_PANEL, n)
-        t = a if k1 - k0 == n else np.ascontiguousarray(a[:, k0:k1])
-        swaps = []
-        for k in range(k0, k1):
-            j = k - k0
-            piv = int(np.argmax(np.abs(t[k:, j]))) + k
-            mag = abs(t[piv, j])
-            if not mag > floor:
-                raise Singular(
-                    f"pivot {mag:.3e} at column {k} is at or below the floor {floor:.3e}"
-                )
-            if piv != k:
-                t[[k, piv]] = t[[piv, k]]
-                swaps.append((k, piv))
-                rows[k], rows[piv] = rows[piv], rows[k]
-            pivot = t[k, j]
-            col = t[:, j].copy()
-            col[k] = 0.0
-            # column k is spent; it now carries the unit column e_k of the
-            # identity block, i.e. inverse column rows[k]
-            t[:, j] = 0.0
-            t[k, j] = 1.0
-            t[k] /= pivot
-            t -= col[:, None] * t[k]
-        if t is a:
-            continue
-        # swapping whole contiguous rows is cheaper than swapping each side
-        # block; the copy then overwrites the panel's stale columns
-        for k, piv in swaps:
-            a[[k, piv]] = a[[piv, k]]
-        a[:, k0:k1] = t
-        # the transforms reach the columns either side of the panel here; a
-        # side that is zero in the panel's rows stays as it is, which also
-        # spares a block-diagonal matrix's last panel a threaded BLAS product
-        # that can stall early in a process
-        for side in (a[:, :k0], a[:, k1:]):
-            old = side[k0:k1].copy()
-            if old.any():
-                side[k0:k1] = 0.0
-                side += t @ old
+    rows = _closed_blocks(a, floor) if n > INVERSE_PANEL else None
+    if rows is None:
+        rows = _steps(a, floor)
     # column k holds inverse column rows[k]; gathering is cheaper than scattering
     cols = [0] * n
     for k, r in enumerate(rows):

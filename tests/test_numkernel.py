@@ -715,11 +715,11 @@ def _inverse_reference_cases(rng):
 
 def test_inplace_inverse_matches_augmented_reference():
     rng = np.random.default_rng(1414)
+    # the column loop is the augmented array's steps on half its columns;
+    # closed blocks take the same steps, and array_equal has -0.0 == +0.0
     for where, m in _inverse_reference_cases(rng):
-        ref = _augmented_inverse(m)
-        assert frobenius(inverse(m) - ref) <= 1e-14 * (1.0 + frobenius(ref)), where
-    # permutations swap rows at nearly every step, across panels from
-    # INVERSE_PANEL + 1 on; their inverses are exact
+        assert np.array_equal(inverse(m), _augmented_inverse(m)), where
+    # permutations swap rows at nearly every step; their inverses are exact
     for n in (2, 3, 7, 16, INVERSE_PANEL + 1, 2 * INVERSE_PANEL + 3, 100):
         for p in (np.eye(n)[::-1], np.eye(n)[rng.permutation(n)]):
             p = p.astype(complex)
@@ -741,7 +741,7 @@ def test_inplace_inverse_singular_messages_match_reference():
 
 def test_inverse_leaves_the_callers_array_unchanged():
     rng = np.random.default_rng(7)
-    # one panel, and several panels with side products
+    # the column loop at n <= INVERSE_PANEL and above it
     for n in (9, 2 * INVERSE_PANEL + 5):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         before = a.copy()
@@ -751,22 +751,26 @@ def test_inverse_leaves_the_callers_array_unchanged():
 
 
 def test_single_panel_inverse_is_the_unpanelled_kernel():
+    # the verify program's operators (n <= 16) never take the closed blocks
     assert INVERSE_PANEL >= 16
     rng = np.random.default_rng(2024)
+    p = INVERSE_PANEL
+    # a dense matrix takes the column loop at every n: the same bits
     cases = [
         (f"random n={n}", rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        for n in range(1, INVERSE_PANEL + 1)
+        for n in (*range(1, p + 1), p + 1, 2 * p, 2 * p + 1, 100)
     ]
     cases += [(w, m) for w, m in _inverse_reference_cases(rng) if w.startswith("tiny")]
     for where, m in cases:
-        assert np.array_equal(inverse(m), _unpanelled_inverse(m)), where
+        got, ref = inverse(m), _unpanelled_inverse(m)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), where
 
 
 def test_truncation_inverses_are_bit_identical_across_panels():
-    # 2 x 2 blocks never straddle an even panel edge, so a panel's rows are
-    # zero in every side block and its side products are skipped; the
-    # unpanelled kernel's updates there subtract exact zeros, which may flip
-    # the sign of a zero entry, and array_equal has -0.0 == +0.0
+    # 2 x 2 blocks never straddle an even block edge, so from L = 17 on the
+    # family is closed and eliminates block by block; the whole-matrix
+    # loop's updates off the blocks subtract exact zeros, which may flip the
+    # sign of a zero entry, and array_equal has -0.0 == +0.0
     for level in (1, 2, 3, 8, 15, 16, 17, 33, 64, 100, 128):
         fam = truncation_family(level)
         eye = np.eye(2 * level, dtype=complex)
@@ -777,16 +781,18 @@ def test_truncation_inverses_are_bit_identical_across_panels():
 def test_panelled_inverse_matches_the_unpanelled_kernel():
     rng = np.random.default_rng(31)
     p = INVERSE_PANEL
-    for n in (p + 1, 2 * p, 2 * p + 1, 100):
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        # dense with cond <= 3, rows shuffled so pivots come from other panels
-        well = (3.0 * np.eye(n) + z / math.sqrt(2 * n))[rng.permutation(n)]
-        ref = _unpanelled_inverse(well)
-        assert frobenius(inverse(well) - ref) <= 1e-14 * (1.0 + frobenius(ref)), n
-        # reordered sums move a Gaussian matrix's inverse by about eps * cond
-        ref = _unpanelled_inverse(z)
-        bound = 1e-15 * np.linalg.cond(z) * (1.0 + frobenius(ref))
-        assert frobenius(inverse(z) - ref) <= bound, n
+    # closed blocks, rows permuted inside each block so that pivots move:
+    # a lone full block (n < 2p) or a stack of them, then a narrower last one
+    for n in (p + 1, p + 16, 2 * p - 1, 2 * p, 2 * p + 1, 100):
+        sizes = [min(p, n - s) for s in range(0, n, p)]
+        m = _block_diagonal(rng, sizes)
+        m = m[np.concatenate([s + rng.permutation(b) for s, b in zip(range(0, n, p), sizes)])]
+        got, ref = inverse(m), _unpanelled_inverse(m)
+        # each block takes the loop's steps on its own entries, bit for bit;
+        # off the blocks only the sign of a zero may differ
+        assert np.array_equal(got, ref), n
+        on = np.equal.outer(np.arange(n) // p, np.arange(n) // p)
+        assert np.array_equal(got[on].view(np.uint64), ref[on].view(np.uint64)), n
 
 
 def test_singular_column_in_a_later_panel_matches_the_reference():
@@ -804,11 +810,7 @@ def test_singular_column_in_a_later_panel_matches_the_reference():
         with pytest.raises(Singular) as ref:
             _unpanelled_inverse(m)
         assert f"at column {column} " in str(got.value)
-        if m is zero:
-            # an exact zero column keeps an exact zero pivot in both kernels
-            assert str(got.value) == str(ref.value)
-        else:
-            assert f"at column {column} " in str(ref.value)
+        assert str(got.value) == str(ref.value)
 
 
 def _block_diagonal(rng, sizes):
@@ -857,19 +859,26 @@ def _block_structured_cases(rng):
         band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= width
         yield f"band {width} n={n}", np.where(band, z, 0.0)
     p = INVERSE_PANEL
-    for n in (2 * p, 3 * p + 7, 16 * p):
-        # closed panels: dense blocks on the panels, rows permuted inside
-        # each block so that pivots move
+    for n in (p + 16, 2 * p, 3 * p + 7, 16 * p):
+        # closed: dense diagonal blocks, rows permuted inside each block so
+        # that pivots move; n = p + 16 is a lone full block and a narrower one
         sizes = [min(p, n - s) for s in range(0, n, p)]
         m = _block_diagonal(rng, sizes)
         m = m[np.concatenate([s + rng.permutation(b) for s, b in zip(range(0, n, p), sizes)])]
         yield f"closed panels n={n}", m
-    # one nonzero off the blocks, below panel 0's block or right of it; the
+    # one nonzero off the blocks, below block 0 or right of it; the
     # whole-matrix nonzero count must find either
     for i, j in ((p + 3, 5), (5, 2 * p + 1)):
         off = m.copy()
         off[i, j] = 1.5 - 0.5j
         yield f"closed panels but ({i}, {j}) n={n}", off
+
+
+def _is_closed(m):
+    """inverse's closed rule: n > INVERSE_PANEL and every nonzero of m in a
+    diagonal block of INVERSE_PANEL."""
+    r, c = np.nonzero(m)
+    return len(m) > INVERSE_PANEL and np.array_equal(r // INVERSE_PANEL, c // INVERSE_PANEL)
 
 
 def test_contiguous_panels_match_the_strided_kernel():
@@ -878,34 +887,34 @@ def test_contiguous_panels_match_the_strided_kernel():
     for n in (*range(1, p + 1), p + 1, 2 * p - 1, 2 * p, 2 * p + 1, 3 * p, 100, 4 * p, 200, 16 * p):
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         # column k's dominant entry sits in row k + INVERSE_PANEL (mod n), so
-        # nearly every pivot row lies beyond the current panel
+        # nearly every pivot row lies beyond the current block
         far = np.roll(3.0 * np.eye(n) + z / math.sqrt(2 * n), p, axis=0)
         assert int(np.argmax(np.abs(far[:, 0]))) == p % n
         for where, m in (("gaussian", z), ("far pivots", far)):
             before = m.copy()
-            # every row is live in a dense panel: the same steps, so the
-            # same bits, the sign of each zero included
-            got, ref = inverse(m), _strided_panel_inverse(m)
+            # a dense matrix takes the column loop: the same bits, the sign
+            # of each zero included
+            got, ref = inverse(m), _unpanelled_inverse(m)
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (where, n)
             assert np.array_equal(m.view(np.uint64), before.view(np.uint64)), (where, n)
     for where, m in _block_structured_cases(rng):
         before = m.copy()
-        got, ref = inverse(m), _strided_panel_inverse(m)
+        closed = _is_closed(m)
+        # a closed matrix's blocks step alone, as the strided kernel's panels
+        # did; any other takes the column loop
+        got = inverse(m)
+        ref = (_strided_panel_inverse if closed else _unpanelled_inverse)(m)
         if where.startswith("A - I"):
-            # the kernel skips a side block that is zero in the panel's rows,
-            # where the strided kernel adds exact zeros; A - I leaves negative
-            # zeros there, which that addition turns positive, so only the
-            # sign of a zero differs
+            # the strided kernel adds exact zeros to a side block that is
+            # zero in the panel's rows, which the kernel never touches; A - I
+            # leaves negative zeros there, which that addition turns
+            # positive, so only the sign of a zero differs
             assert np.array_equal(got, ref), where
         else:
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), where
         assert np.array_equal(m.view(np.uint64), before.view(np.uint64)), where
-        # the panels eliminate as one stack exactly when there are two or
-        # more full-width ones and every nonzero lies in a diagonal block
-        r, c = np.nonzero(m)
-        closed = len(m) >= 2 * p and np.array_equal(r // p, c // p)
-        stacked = numkernel._closed_panels(m.copy(), 0.0, list(range(len(m))))
-        assert (stacked > 0) == closed, where
+        stepped = numkernel._closed_blocks(m.copy(), 0.0)
+        assert (stepped is not None) == closed, where
 
 
 def test_contiguous_panels_keep_the_strided_kernels_singular_messages():
@@ -919,8 +928,8 @@ def test_contiguous_panels_keep_the_strided_kernels_singular_messages():
         zero[:, column] = 0.0
         dependent[:, column] = z[:, 0] - 2.0 * z[:, 5]
         cases += [(zero, [column]), (dependent, [column])]
-    # block-structured: a zero 2 x 2 block in the third panel, and a zero
-    # column in blocks that straddle every panel edge
+    # block-structured: a zero 2 x 2 block in the third block, and a zero
+    # column in blocks that straddle every block edge
     n = 3 * p + 6
     blocks = _block_diagonal(rng, [2] * (n // 2))
     blocks[2 * p + 6 : 2 * p + 8] = 0.0
@@ -928,16 +937,16 @@ def test_contiguous_panels_keep_the_strided_kernels_singular_messages():
     zero, above, below = straddle.copy(), straddle.copy(), straddle.copy()
     zero[:, p + 9] = 0.0
     # column p + 3 is a sum of earlier columns, so its nonzeros lie in rows
-    # above its panel and it fails at once; column 2p + 4 is a sum of later
-    # columns, so its nonzeros lie in rows below its panel, it takes a pivot
-    # from one of them, and the rank is found missing in the last panel
+    # above its block and it fails at once; column 2p + 4 is a sum of later
+    # columns, so its nonzeros lie in rows below its block, it takes a pivot
+    # from one of them, and the rank is found missing in the last block
     above[:, p + 3] = 2.0 * straddle[:, 3] - 3.0j * straddle[:, 20]
     below[:, 2 * p + 4] = straddle[:, 3 * p + 1] + 0.5 * straddle[:, 3 * p + 3]
     cases += [(blocks, [2 * p + 6]), (zero, [p + 9]), (above, [p + 3]), (below, range(3 * p, n))]
-    # closed panels eliminate as one stack: two singular members, the lower
+    # closed blocks eliminate as one stack: two singular members, the lower
     # one failing at a later step than the higher one, or at the same step;
     # a member's dependent column, with a rounding-noise pivot; and a
-    # singular narrower last panel
+    # singular narrower last block
     closed = _block_diagonal(rng, [p, p, p, 6])
     later, same, dependent, last = (closed.copy() for _ in range(4))
     later[:, [p + 20, 2 * p + 5]] = 0.0
@@ -946,16 +955,36 @@ def test_contiguous_panels_keep_the_strided_kernels_singular_messages():
     last[:, 3 * p + 2] = 0.0
     cases += [(later, [p + 20]), (same, [p + 5]), (dependent, range(2 * p + 9, 3 * p))]
     cases += [(last, [3 * p + 2])]
+    # a lone full block with a dependent column, then a narrower block
+    lone = _block_diagonal(rng, [p, 16])
+    lone[:, 20] = lone[:, 1] - 2.0j * lone[:, 3]
+    cases += [(lone, range(20, p))]
     for m, columns in cases:
         before = m.copy()
         with pytest.raises(Singular) as got:
             inverse(m)
         with pytest.raises(Singular) as ref:
-            _strided_panel_inverse(m)
+            (_strided_panel_inverse if _is_closed(m) else _unpanelled_inverse)(m)
         # the column and the pivot's magnitude are the reference's
         assert str(got.value) == str(ref.value)
         assert any(f"at column {c} " in str(got.value) for c in columns), str(got.value)
         assert np.array_equal(m.view(np.uint64), before.view(np.uint64))
+
+
+def test_closed_inverse_steps_no_more_rows_than_a_block(monkeypatch):
+    # a closed matrix whose closed test broke would take the n x n column
+    # loop and still be right, only about 60 times slower at n = 512
+    rows = []
+    for name in ("_steps", "_stacked_steps"):
+        def spy(a, floor, step=getattr(numkernel, name)):
+            rows.append(a.shape[-2])
+            return step(a, floor)
+
+        monkeypatch.setattr(numkernel, name, spy)
+    for level in (24, 181, 256):
+        rows.clear()
+        inverse(np.eye(2 * level, dtype=complex) + truncation_family(level).operator)
+        assert rows and max(rows) <= INVERSE_PANEL, (level, rows)
 
 
 def test_per_stack_norm_is_frobenius_bit_for_bit():

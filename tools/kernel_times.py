@@ -1,24 +1,30 @@
-"""Per-call times of the Jacobi kernel, in microseconds.
+"""Per-call times of the Jacobi and elimination kernels, in microseconds,
+and minor page faults per call.
 
     PYTHONPATH=src python tools/kernel_times.py
 
 Imports jlab from PYTHONPATH, so pointing it at two checkouts in turn
 compares their kernels.  After a 2 s warm-up over every case, the cases
-run round-robin 41 times, one call each, and each line is the median.
+run round-robin 41 times, one call each.  Each line gives the median time
+and the mean count of minor page faults (getrusage of this process, read
+outside the timed call).
 
 * herm_eig on one random Hermitian matrix at n = 2, 5, 8, 12 and 16;
 * herm_eig on a stack of three at n = 16;
 * herm_eig on the 256 2 x 2 Gram blocks that norm_growth(256) decomposes;
-* singular_extremes on the blocks themselves, as norm_growth(256) calls it.
+* singular_extremes on the blocks themselves, as norm_growth(256) calls it;
+* inverse on one random matrix at n = 4, 16, 64 and 200, and on I + A of
+  the truncation family at L = 24, 181 and 256 (n = 2L).
 """
 
+import resource
 import statistics
 import time
 
 import numpy as np
 
-from jlab.examples import _diagonal_blocks, cayley_v
-from jlab.numkernel import herm_eig, singular_extremes
+from jlab.examples import _diagonal_blocks, cayley_v, truncation_family
+from jlab.numkernel import herm_eig, inverse, singular_extremes
 
 REPEATS = 41
 WARMUP_S = 2.0
@@ -36,7 +42,17 @@ def cases():
     blocks = _diagonal_blocks(cayley_v(256))
     out["herm_eig L=256 Gram"] = (herm_eig, blocks.conj().swapaxes(1, 2) @ blocks)
     out["singular_extremes L=256"] = (singular_extremes, blocks)
+    for n in (4, 16, 64, 200):
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        out[f"inverse n={n}"] = (inverse, z)
+    for level in (24, 181, 256):
+        eye = np.eye(2 * level, dtype=complex)
+        out[f"inverse I+A L={level}"] = (inverse, eye + truncation_family(level).operator)
     return out
+
+
+def _minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def main():
@@ -46,13 +62,17 @@ def main():
         for f, x in table.values():
             f(x)
     times = {name: [] for name in table}
+    faults = dict.fromkeys(table, 0)
     for _ in range(REPEATS):
         for name, (f, x) in table.items():
+            f0 = _minflt()
             t0 = time.perf_counter()
             f(x)
             times[name].append(time.perf_counter() - t0)
+            faults[name] += _minflt() - f0
     for name, ts in times.items():
-        print(f"{name:26s} {1e6 * statistics.median(ts):10.1f} us")
+        us = 1e6 * statistics.median(ts)
+        print(f"{name:26s} {us:10.1f} us {faults[name] / REPEATS:8.1f} minflt")
 
 
 if __name__ == "__main__":
