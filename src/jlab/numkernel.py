@@ -390,7 +390,7 @@ def _stacked_steps(t, floor):
     b * p + i being row i of matrix b."""
     count, p = t.shape[:2]
     m = count * p
-    # row r of the stack is row r of a; a pivot row is found by its flat row
+    # a pivot row is found by its flat row
     tr = t.reshape(m, p)
     base = np.arange(0, m, p)
     perm = np.arange(m)
