@@ -94,13 +94,15 @@ def resolvent_check(beta):
 def growth_probe(n):
     """Rows (k, computed, formula, rel_err) for the resolvent growth values.
 
-    computed is ((I + A)^{-1} e_{k,1}, e_{k,1}) through the full-matrix
-    elimination inverse at level n; formula is k^2 / (2k - 1).
+    computed is ((I + A)^{-1} e_{k,1}, e_{k,1}) at level n; formula is
+    k^2 / (2k - 1).  I + A is block-diagonal, so its inverse is the stack of
+    its 2 x 2 blocks' inverses, entry for entry: the whole-matrix column loop
+    pivots inside each block and off the blocks only subtracts zeros.
     """
     fam = truncation_family(n)
-    inv = inverse(np.eye(2 * n, dtype=complex) + fam.operator)
+    inv = inverse(_diagonal_blocks(fam.operator) + np.eye(2))
     rows = []
-    for k, computed in enumerate(inv.diagonal()[::2].real.tolist(), start=1):
+    for k, computed in enumerate(inv[:, 0, 0].real.tolist(), start=1):
         formula = k * k / (2.0 * k - 1.0)
         rows.append((k, computed, formula, abs(computed - formula) / formula))
     return rows
@@ -113,28 +115,33 @@ def _diagonal_blocks(m):
     return m.reshape(n, 2, n, 2)[k, :, k]
 
 
+def _cayley_blocks(n):
+    """V's n diagonal blocks (A_k + I)(A_k - I)^{-1}, one (n, 2, 2) product."""
+    blocks = _diagonal_blocks(truncation_family(n).operator)
+    return (blocks + np.eye(2)) @ inverse(blocks - np.eye(2))
+
+
 def cayley_v(n):
     """V = (A + I)(A - I)^{-1} for the level-n truncation operator.
 
-    Both factors are block-diagonal with 2 x 2 blocks, and so is V: its
-    blocks are one stacked (n, 2, 2) product of the factors' blocks.
+    Both factors are block-diagonal with 2 x 2 blocks, and so is V; block k
+    of (A - I)^{-1} is the inverse of A0(beta_k) - I, entry for entry (see
+    growth_probe), so V's blocks are one stacked product of 2 x 2 blocks.
     """
-    fam = truncation_family(n)
-    plus = _diagonal_blocks(fam.operator) + np.eye(2)
-    minus_inv = _diagonal_blocks(inverse(fam.operator - np.eye(2 * n, dtype=complex)))
-    k = np.arange(n)
-    v = np.zeros((n, 2, n, 2), dtype=complex)
-    v[k, :, k] = plus @ minus_inv
-    return v.reshape(2 * n, 2 * n)
+    blocks = _cayley_blocks(n)
+    k = np.arange(len(blocks))
+    v = np.zeros((len(k), 2, len(k), 2), dtype=complex)
+    v[k, :, k] = blocks
+    return v.reshape(2 * len(k), 2 * len(k))
 
 
 def norm_growth(n):
     """Rows (k, computed, formula, rel_err) for per-block norms of V.
 
     The k-th block of V has spectral norm 2k - 1; the n block norms come
-    from one stacked singular_extremes call.
+    from one stacked singular_extremes call on the blocks cayley_v places.
     """
-    norms = singular_extremes(_diagonal_blocks(cayley_v(n)))
+    norms = singular_extremes(_cayley_blocks(n))
     rows = []
     for k, (_, computed) in enumerate(norms, start=1):
         formula = 2.0 * k - 1.0

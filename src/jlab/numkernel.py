@@ -1,9 +1,9 @@
 """Dense complex-matrix kernel: spectral calculus and elimination.
 
-All operators are plain 2-D numpy arrays of complex128 (``herm_eig`` and
-``singular_extremes`` also take 3-D stacks of them).  The two workhorses
-are deliberately self-contained so that their numerical behaviour is pinned
-by this module rather than by a LAPACK build:
+All operators are plain 2-D numpy arrays of complex128 (``herm_eig``,
+``inverse`` and ``singular_extremes`` also take 3-D stacks of them).  The
+two workhorses are deliberately self-contained so that their numerical
+behaviour is pinned by this module rather than by a LAPACK build:
 
 * ``herm_eig`` - round-robin (Brent-Luk) Jacobi eigensolver for Hermitian
   matrices, with a fixed sweep budget and relative off-diagonal convergence.
@@ -11,12 +11,9 @@ by this module rather than by a LAPACK build:
   and the gate, live test, sort and clustering, run per stack, while every
   matrix keeps its own scale, skip threshold, target and sweep count, so its
   result is bit-identical to its own call's whatever its stack mates;
-* ``inverse`` - in-place Gauss-Jordan on an n x n working copy, partial
-  pivoting, relative pivot floor, with no matrix product.  Two paths: the
-  classic column loop, and for a matrix whose nonzeros all lie in its
-  diagonal blocks of INVERSE_PANEL, the same steps block by block, its
-  full-width blocks as one stack.  The pivot rule, the floor, the
-  arithmetic and the Singular messages are the column loop's.
+* ``inverse`` - in-place Gauss-Jordan on a working copy, partial pivoting,
+  relative pivot floor, with no matrix product: the classic column loop on
+  a matrix, and the same steps on all members at once on a stack.
 
 A function of a Hermitian matrix is one product, V diag(f(lambda-bar)) V*,
 with f taken once per eigenvalue cluster at its mean (``SpectralDecomp.apply``).
@@ -55,9 +52,6 @@ CLUSTER_REL_TOL = 1e-8
 PIVOT_REL_TOL = 1e-13
 RANK_REL_TOL = 1e-10
 HERMITIAN_REL_TOL = 1e-10
-# Width of inverse's closed blocks: a matrix with n > INVERSE_PANEL whose
-# diagonal blocks of this width hold every nonzero eliminates block by block.
-INVERSE_PANEL = 32
 
 
 def as_matrix(m, name="matrix"):
@@ -384,25 +378,31 @@ def _steps(a, floor):
     return rows
 
 
-def _stacked_steps(t, floor):
-    """_steps on each matrix of a C-contiguous (B, p, p) stack, one set of
-    numpy calls per step.  Returns the labels of the stack's rows, row
-    b * p + i being row i of matrix b."""
-    count, p = t.shape[:2]
-    m = count * p
+def _stacked_steps(t, floors):
+    """_steps on each matrix b of a C-contiguous (B, n, n) stack against
+    floors[b], one set of numpy calls per step; returns the (B, n) row labels.
+    Singular names the earliest failing column and the lowest index there."""
+    count, n = t.shape[:2]
+    m = count * n
     # a pivot row is found by its flat row
-    tr = t.reshape(m, p)
-    base = np.arange(0, m, p)
+    tr = t.reshape(m, n)
+    base = np.arange(0, m, n)
     perm = np.arange(m)
-    unit = np.eye(p, dtype=complex)
-    for j in range(p):
+    unit = np.eye(n, dtype=complex)
+    for j in range(n):
         r = np.abs(t[:, j:, j]).argmax(axis=1)
         rj = base + j
         r += rj
         x = tr[r, j]
         # np.hypot, not np.abs: _steps's floor test, scalar abs(), bit for bit
-        if not np.hypot(x.real, x.imag).min() > floor:
-            raise Singular(f"a pivot of stack column {j} is at or below the floor {floor:.3e}")
+        mag = np.hypot(x.real, x.imag)
+        ok = mag > floors
+        if not ok.all():
+            b = int(ok.argmin())
+            raise Singular(
+                f"stack index {b}: pivot {mag[b]:.3e} at column {j} is at or below "
+                f"the floor {floors[b]:.3e}"
+            )
         if (r != rj).any():
             row = tr[r]
             tr[r] = t[:, j]
@@ -415,61 +415,39 @@ def _stacked_steps(t, floor):
         t[:, :, j] = unit[j]
         t[:, j] /= x[:, None]
         t -= col[:, :, None] * t[:, j, None]
-    return perm.tolist()
-
-
-def _closed_blocks(a, floor):
-    """inverse's steps block by block when a is closed (see inverse): writes
-    the inverse blocks into a and returns the row labels.  Returns None, with
-    a untouched, when a is not closed or a pivot fails the floor."""
-    n, p = a.shape[0], INVERSE_PANEL
-    count = n // p
-    m = count * p
-    k = np.arange(count)
-    blocks = a[:m, :m].reshape(count, p, count, p)
-    t = np.ascontiguousarray(blocks[k, :, k])
-    last = a[m:, m:].copy()
-    # closed: the blocks hold every nonzero of a (float views count fastest)
-    nonzeros = [np.count_nonzero(x.view(float)) for x in (a, t, last)]
-    if nonzeros[0] != nonzeros[1] + nonzeros[2]:
-        return None
-    try:
-        # a stack of one steps slower than _steps
-        rows = _stacked_steps(t, floor) if count > 1 else _steps(t[0], floor)
-        if m < n:
-            rows += [m + r for r in _steps(last, floor)]
-    except Singular:
-        return None
-    blocks[k, :, k] = t
-    a[m:, m:] = last
-    return rows
+    return perm.reshape(count, n) - base[:, None]
 
 
 def inverse(m):
-    """Matrix inverse: in-place Gauss-Jordan on an n x n working copy,
-    partial pivoting, relative pivot floor, and no matrix product.
+    """Matrix inverse: in-place Gauss-Jordan on a working copy, partial
+    pivoting, relative pivot floor, and no matrix product.
 
-    Two paths.  _steps eliminates the columns in order, the classic loop.
-    A closed matrix, n > INVERSE_PANEL with every nonzero in its diagonal
-    blocks of INVERSE_PANEL (the last possibly narrower), runs the same
-    steps on each block alone: two or more full blocks as one stack, a
-    lone full block and the narrower last one each through _steps.  A pivot
-    at or below the floor in any block sends the matrix to the whole-matrix
-    loop, which raises Singular for the first column it reaches.
+    Takes one n x n matrix (the classic column loop, _steps), or a (B, n, n)
+    stack and returns the stack of inverses (the same steps on all members
+    at once, _stacked_steps, which is slower than _steps on a stack of one).
+    Each member keeps its own floor, pivots and arithmetic, so its inverse
+    is bit-identical to its own call's.
 
     Raises OutOfRange when ||M||_F overflows, and Singular unless the best
-    available pivot (NaN included) exceeds PIVOT_REL_TOL * ||M||_F.
+    available pivot (NaN included) exceeds PIVOT_REL_TOL * ||M||_F; for a
+    stack each names the stack index, and Singular the earliest failing
+    column, at the lowest index failing there.
     """
+    if np.ndim(m) != 2:
+        t = _as_stack(m, square=True)[0].copy()
+        floors = PIVOT_REL_TOL * _frobenius_rows(t.reshape(len(t), -1))
+        ok = np.isfinite(floors)
+        if not ok.all():
+            raise OutOfRange(f"stack index {int(ok.argmin())}: ||M||_F overflows to inf")
+        rows = _stacked_steps(t, floors)
+        return np.take_along_axis(t, rows.argsort(axis=1)[:, None], axis=2)
     a = as_square(m).copy()
-    n = a.shape[0]
     floor = PIVOT_REL_TOL * frobenius(a)
     if not math.isfinite(floor):
         raise OutOfRange("||M||_F overflows to inf, so the pivot floor is undefined")
-    rows = _closed_blocks(a, floor) if n > INVERSE_PANEL else None
-    if rows is None:
-        rows = _steps(a, floor)
+    rows = _steps(a, floor)
     # column k holds inverse column rows[k]; gathering is cheaper than scattering
-    cols = [0] * n
+    cols = [0] * len(rows)
     for k, r in enumerate(rows):
         cols[r] = k
     return a.take(cols, axis=1)

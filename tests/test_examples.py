@@ -114,7 +114,7 @@ def test_norm_growth_frozen():
 
 
 def test_growth_and_norms_at_level_128():
-    # a 256 x 256 elimination, eight panels
+    # 128 2 x 2 blocks, each inverse a member of one stack
     tol = default_tol()
     for rows in (growth_probe(128), norm_growth(128)):
         assert [row[0] for row in rows] == list(range(1, 129))
@@ -122,8 +122,8 @@ def test_growth_and_norms_at_level_128():
 
 
 def test_growth_and_norms_at_level_512_match_the_closed_forms():
-    # a 1024 x 1024 elimination whose 32 closed panels step as one stack:
-    # the largest worked example the tests run
+    # 512 2 x 2 blocks inverted as one stack: the largest worked example
+    # the tests run
     tol = default_tol()
     ks = np.arange(1, 513)
     growth, norms = np.array(growth_probe(512)), np.array(norm_growth(512))

@@ -1,8 +1,8 @@
 """Kernel checks: Jacobi eigensolver (its stacked form, its serial
 one-matrix reference and its cyclic reference), elimination inverse (its
-unpanelled, strided-panel and augmented-array references), the Cholesky
-positivity gate, frames, gaps, and the Frobenius norm against numpy's and
-against its per-stack form.
+stacked form, its unpanelled and its augmented-array references), the
+Cholesky positivity gate, frames, gaps, and the Frobenius norm against
+numpy's and against its per-stack form.
 
 numpy.linalg (eigh, inv, svd) appears here only as an independent oracle;
 the package code under test never calls it for these operations.
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from jlab import conjugation, jclass, numkernel
-from jlab.examples import _diagonal_blocks, cayley_v, truncation_family
+from jlab.examples import _diagonal_blocks, cayley_v, growth_probe, norm_growth, truncation_family
 from jlab.errors import (
     DimensionMismatch,
     DomainError,
@@ -29,7 +29,6 @@ from jlab.errors import (
 from jlab.numkernel import (
     CLUSTER_REL_TOL,
     HERMITIAN_REL_TOL,
-    INVERSE_PANEL,
     JACOBI_REL_TOL,
     JACOBI_SWEEP_LIMIT,
     PIVOT_REL_TOL,
@@ -50,6 +49,8 @@ from jlab.numkernel import (
 )
 
 LN2 = math.log(2.0)
+# the width on which the block-structured inverse cases lay their blocks
+EDGE = 32
 
 
 def random_hermitian(rng, n):
@@ -266,51 +267,6 @@ def _augmented_inverse(m, *, pivot_rel=PIVOT_REL_TOL):
     return aug[:, n:]
 
 
-def _strided_panel_inverse(m):
-    """Reference: the panelled kernel whose steps update the strided view
-    a[:, k0:k1] and swap whole rows of the working copy (the kernel before
-    its panels were made contiguous)."""
-    a = as_square(m).copy()
-    n = a.shape[0]
-    floor = PIVOT_REL_TOL * frobenius(a)
-    if not math.isfinite(floor):
-        raise OutOfRange("||M||_F overflows to inf, so the pivot floor is undefined")
-    rows = list(range(n))
-    for k0 in range(0, n, INVERSE_PANEL):
-        k1 = min(k0 + INVERSE_PANEL, n)
-        t = a[:, k0:k1]
-        for k in range(k0, k1):
-            j = k - k0
-            piv = int(np.argmax(np.abs(t[k:, j]))) + k
-            mag = abs(t[piv, j])
-            if not mag > floor:
-                raise Singular(
-                    f"pivot {mag:.3e} at column {k} is at or below the floor {floor:.3e}"
-                )
-            if piv != k:
-                a[[k, piv]] = a[[piv, k]]
-                rows[k], rows[piv] = rows[piv], rows[k]
-            pivot = t[k, j]
-            col = t[:, j].copy()
-            col[k] = 0.0
-            # column k is spent; it now carries the unit column e_k of the
-            # identity block, i.e. inverse column rows[k]
-            t[:, j] = 0.0
-            t[k, j] = 1.0
-            t[k] /= pivot
-            t -= col[:, None] * t[k]
-        # the swaps already reached every column; the transforms reach the
-        # columns either side of the panel here
-        for side in (a[:, :k0], a[:, k1:]):
-            if side.size:
-                old = side[k0:k1].copy()
-                side[k0:k1] = 0.0
-                side += t @ old
-    out = np.empty_like(a)
-    out[:, rows] = a
-    return out
-
-
 def test_shape_coercions_reject_bad_input():
     with pytest.raises(DimensionMismatch):
         as_matrix([1.0, 2.0])
@@ -418,11 +374,11 @@ def _same_decomposition(d1, d2):
     )
 
 
-def _mixed_kinds(rng, n, count):
-    """count matrices cycling through the _reference_cases kinds."""
+def _mixed_kinds(rng, n, count, kinds=_reference_cases):
+    """count matrices cycling through the kinds(rng, n) cases."""
     cases = []
     while len(cases) < count:
-        cases += _reference_cases(rng, n)
+        cases += kinds(rng, n)
     return cases[:count]
 
 
@@ -713,14 +669,25 @@ def _inverse_reference_cases(rng):
         yield f"A - I, L={level}", fam.operator - eye
 
 
+def _dense_inverse_cases(rng, n):
+    """A Gaussian n x n matrix, and one built from it with far pivot rows."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    yield "gaussian", z
+    # column k's dominant entry sits in row k + EDGE (mod n), so nearly every
+    # pivot row lies far below the diagonal
+    far = np.roll(3.0 * np.eye(n) + z / math.sqrt(2 * n), EDGE, axis=0)
+    assert int(np.argmax(np.abs(far[:, 0]))) == EDGE % n
+    yield "far pivots", far
+
+
 def test_inplace_inverse_matches_augmented_reference():
     rng = np.random.default_rng(1414)
-    # the column loop is the augmented array's steps on half its columns;
-    # closed blocks take the same steps, and array_equal has -0.0 == +0.0
+    # the column loop is the augmented array's steps on half its columns,
+    # and array_equal has -0.0 == +0.0
     for where, m in _inverse_reference_cases(rng):
         assert np.array_equal(inverse(m), _augmented_inverse(m)), where
     # permutations swap rows at nearly every step; their inverses are exact
-    for n in (2, 3, 7, 16, INVERSE_PANEL + 1, 2 * INVERSE_PANEL + 3, 100):
+    for n in (2, 3, 7, 16, 33, 67, 100):
         for p in (np.eye(n)[::-1], np.eye(n)[rng.permutation(n)]):
             p = p.astype(complex)
             got = inverse(p)
@@ -741,24 +708,22 @@ def test_inplace_inverse_singular_messages_match_reference():
 
 def test_inverse_leaves_the_callers_array_unchanged():
     rng = np.random.default_rng(7)
-    # the column loop at n <= INVERSE_PANEL and above it
-    for n in (9, 2 * INVERSE_PANEL + 5):
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for shape in ((9, 9), (69, 69), (3, 9, 9)):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         before = a.copy()
-        assert np.shares_memory(as_square(a), a)  # the kernel must work on a copy
+        # the coercion hands back the caller's array, so the kernel must copy it
+        assert np.shares_memory(numkernel._as_stack(a, square=True)[0], a)
         inverse(a)
-        assert np.array_equal(a, before), n
+        assert np.array_equal(a.view(np.uint64), before.view(np.uint64)), shape
 
 
 def test_single_panel_inverse_is_the_unpanelled_kernel():
-    # the verify program's operators (n <= 16) never take the closed blocks
-    assert INVERSE_PANEL >= 16
     rng = np.random.default_rng(2024)
-    p = INVERSE_PANEL
-    # a dense matrix takes the column loop at every n: the same bits
+    # a matrix takes the column loop at every n: the same bits
     cases = [
-        (f"random n={n}", rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        for n in (*range(1, p + 1), p + 1, 2 * p, 2 * p + 1, 100)
+        (f"{kind} n={n}", m)
+        for n in (*range(1, 34), 64, 65, 100, 200)
+        for kind, m in _dense_inverse_cases(rng, n)
     ]
     cases += [(w, m) for w, m in _inverse_reference_cases(rng) if w.startswith("tiny")]
     for where, m in cases:
@@ -767,38 +732,24 @@ def test_single_panel_inverse_is_the_unpanelled_kernel():
 
 
 def test_truncation_inverses_are_bit_identical_across_panels():
-    # 2 x 2 blocks never straddle an even block edge, so from L = 17 on the
-    # family is closed and eliminates block by block; the whole-matrix
-    # loop's updates off the blocks subtract exact zeros, which may flip the
-    # sign of a zero entry, and array_equal has -0.0 == +0.0
+    # the examples invert the 2 x 2 blocks as a stack: the whole-matrix loop
+    # pivots inside each block, so its blocks are the stack's, bit for bit,
+    # and off the blocks it leaves exact zeros
     for level in (1, 2, 3, 8, 15, 16, 17, 33, 64, 100, 128):
         fam = truncation_family(level)
         eye = np.eye(2 * level, dtype=complex)
+        off = ~np.kron(np.eye(level, dtype=bool), np.ones((2, 2), dtype=bool))
         for m in (eye + fam.operator, fam.operator - eye):
-            assert np.array_equal(inverse(m), _unpanelled_inverse(m)), level
-
-
-def test_panelled_inverse_matches_the_unpanelled_kernel():
-    rng = np.random.default_rng(31)
-    p = INVERSE_PANEL
-    # closed blocks, rows permuted inside each block so that pivots move:
-    # a lone full block (n < 2p) or a stack of them, then a narrower last one
-    for n in (p + 1, p + 16, 2 * p - 1, 2 * p, 2 * p + 1, 100):
-        sizes = [min(p, n - s) for s in range(0, n, p)]
-        m = _block_diagonal(rng, sizes)
-        m = m[np.concatenate([s + rng.permutation(b) for s, b in zip(range(0, n, p), sizes)])]
-        got, ref = inverse(m), _unpanelled_inverse(m)
-        # each block takes the loop's steps on its own entries, bit for bit;
-        # off the blocks only the sign of a zero may differ
-        assert np.array_equal(got, ref), n
-        on = np.equal.outer(np.arange(n) // p, np.arange(n) // p)
-        assert np.array_equal(got[on].view(np.uint64), ref[on].view(np.uint64)), n
+            got, ref = inverse(m), _unpanelled_inverse(m)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), level
+            stacked = inverse(_diagonal_blocks(m))
+            assert _same_bits(stacked, _diagonal_blocks(ref)), level
+            assert not ref[off].any(), level
 
 
 def test_singular_column_in_a_later_panel_matches_the_reference():
     rng = np.random.default_rng(17)
-    n = 2 * INVERSE_PANEL + 7
-    column = INVERSE_PANEL + 3
+    n, column = 71, 35
     zero = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     zero[:, column] = 0.0
     # a dependent column leaves rounding noise far below the floor
@@ -825,11 +776,11 @@ def _block_diagonal(rng, sizes):
 
 
 def _straddling_sizes(rng, n):
-    """Block sizes 1-5 summing to n, with a block across every panel edge."""
+    """Block sizes 1-5 summing to n, with a block across every EDGE multiple."""
     sizes, i = [], 0
     while i < n:
         b = min(int(rng.integers(1, 6)), n - i)
-        edge = (i // INVERSE_PANEL + 1) * INVERSE_PANEL
+        edge = (i // EDGE + 1) * EDGE
         if edge < n and edge - i <= 4:
             b = min(int(rng.integers(edge - i + 1, 6)), n - i)  # across the edge
         elif i + b == edge < n:
@@ -845,135 +796,135 @@ def _block_structured_cases(rng):
         eye = np.eye(2 * level, dtype=complex)
         yield f"I + A, L={level}", eye + fam.operator
         yield f"A - I, L={level}", fam.operator - eye
-    for n in (INVERSE_PANEL + 1, 2 * INVERSE_PANEL + 3, 100, 200):
+    for n in (EDGE + 1, 2 * EDGE + 3, 100, 200):
         sizes = _straddling_sizes(rng, n)
         starts = np.cumsum([0, *sizes[:-1]])
-        for edge in range(INVERSE_PANEL, n, INVERSE_PANEL):
+        for edge in range(EDGE, n, EDGE):
             assert any(s < edge < s + b for s, b in zip(starts, sizes)), (n, edge)
         m = _block_diagonal(rng, sizes)
         yield f"blocks n={n}", m
-        # pivots then come from rows outside the panel's own rows
+        # pivots then come from rows outside the block's own rows
         yield f"blocks, rows permuted n={n}", m[rng.permutation(n)]
-    for n, width in ((INVERSE_PANEL + 9, 2), (100, 3), (200, 5)):
+    for n, width in ((EDGE + 9, 2), (100, 3), (200, 5)):
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= width
         yield f"band {width} n={n}", np.where(band, z, 0.0)
-    p = INVERSE_PANEL
-    for n in (p + 16, 2 * p, 3 * p + 7, 16 * p):
-        # closed: dense diagonal blocks, rows permuted inside each block so
-        # that pivots move; n = p + 16 is a lone full block and a narrower one
-        sizes = [min(p, n - s) for s in range(0, n, p)]
+    for n in (EDGE + 16, 2 * EDGE, 3 * EDGE + 7):
+        # dense diagonal blocks of EDGE, the last possibly narrower, rows
+        # permuted inside each block so that pivots move
+        sizes = [min(EDGE, n - s) for s in range(0, n, EDGE)]
         m = _block_diagonal(rng, sizes)
-        m = m[np.concatenate([s + rng.permutation(b) for s, b in zip(range(0, n, p), sizes)])]
-        yield f"closed panels n={n}", m
-    # one nonzero off the blocks, below block 0 or right of it; the
-    # whole-matrix nonzero count must find either
-    for i, j in ((p + 3, 5), (5, 2 * p + 1)):
-        off = m.copy()
-        off[i, j] = 1.5 - 0.5j
-        yield f"closed panels but ({i}, {j}) n={n}", off
+        m = m[np.concatenate([s + rng.permutation(b) for s, b in zip(range(0, n, EDGE), sizes)])]
+        yield f"diagonal blocks n={n}", m
 
 
-def _is_closed(m):
-    """inverse's closed rule: n > INVERSE_PANEL and every nonzero of m in a
-    diagonal block of INVERSE_PANEL."""
-    r, c = np.nonzero(m)
-    return len(m) > INVERSE_PANEL and np.array_equal(r // INVERSE_PANEL, c // INVERSE_PANEL)
-
-
-def test_contiguous_panels_match_the_strided_kernel():
+def test_block_structured_inverses_match_the_unpanelled_kernel():
     rng = np.random.default_rng(1401)
-    p = INVERSE_PANEL
-    for n in (*range(1, p + 1), p + 1, 2 * p - 1, 2 * p, 2 * p + 1, 3 * p, 100, 4 * p, 200, 16 * p):
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        # column k's dominant entry sits in row k + INVERSE_PANEL (mod n), so
-        # nearly every pivot row lies beyond the current block
-        far = np.roll(3.0 * np.eye(n) + z / math.sqrt(2 * n), p, axis=0)
-        assert int(np.argmax(np.abs(far[:, 0]))) == p % n
-        for where, m in (("gaussian", z), ("far pivots", far)):
-            before = m.copy()
-            # a dense matrix takes the column loop: the same bits, the sign
-            # of each zero included
-            got, ref = inverse(m), _unpanelled_inverse(m)
-            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (where, n)
-            assert np.array_equal(m.view(np.uint64), before.view(np.uint64)), (where, n)
     for where, m in _block_structured_cases(rng):
         before = m.copy()
-        closed = _is_closed(m)
-        # a closed matrix's blocks step alone, as the strided kernel's panels
-        # did; any other takes the column loop
-        got = inverse(m)
-        ref = (_strided_panel_inverse if closed else _unpanelled_inverse)(m)
-        if where.startswith("A - I"):
-            # the strided kernel adds exact zeros to a side block that is
-            # zero in the panel's rows, which the kernel never touches; A - I
-            # leaves negative zeros there, which that addition turns
-            # positive, so only the sign of a zero differs
-            assert np.array_equal(got, ref), where
-        else:
-            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), where
+        got, ref = inverse(m), _unpanelled_inverse(m)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), where
         assert np.array_equal(m.view(np.uint64), before.view(np.uint64)), where
-        stepped = numkernel._closed_blocks(m.copy(), 0.0)
-        assert (stepped is not None) == closed, where
 
 
-def test_contiguous_panels_keep_the_strided_kernels_singular_messages():
+def test_block_structured_singular_messages_match_the_unpanelled_kernel():
     rng = np.random.default_rng(1402)
-    p = INVERSE_PANEL
-    n = 3 * p + 5
+    n = 3 * EDGE + 5
     cases = []
-    for column in (p + 3, 2 * p + 31):
+    for column in (EDGE + 3, 2 * EDGE + 31):
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         zero, dependent = z.copy(), z.copy()
         zero[:, column] = 0.0
         dependent[:, column] = z[:, 0] - 2.0 * z[:, 5]
         cases += [(zero, [column]), (dependent, [column])]
     # block-structured: a zero 2 x 2 block in the third block, and a zero
-    # column in blocks that straddle every block edge
-    n = 3 * p + 6
+    # column in blocks that straddle every edge
+    n = 3 * EDGE + 6
     blocks = _block_diagonal(rng, [2] * (n // 2))
-    blocks[2 * p + 6 : 2 * p + 8] = 0.0
+    blocks[2 * EDGE + 6 : 2 * EDGE + 8] = 0.0
     straddle = _block_diagonal(rng, _straddling_sizes(rng, n))
     zero, above, below = straddle.copy(), straddle.copy(), straddle.copy()
-    zero[:, p + 9] = 0.0
-    # column p + 3 is a sum of earlier columns, so its nonzeros lie in rows
-    # above its block and it fails at once; column 2p + 4 is a sum of later
-    # columns, so its nonzeros lie in rows below its block, it takes a pivot
-    # from one of them, and the rank is found missing in the last block
-    above[:, p + 3] = 2.0 * straddle[:, 3] - 3.0j * straddle[:, 20]
-    below[:, 2 * p + 4] = straddle[:, 3 * p + 1] + 0.5 * straddle[:, 3 * p + 3]
-    cases += [(blocks, [2 * p + 6]), (zero, [p + 9]), (above, [p + 3]), (below, range(3 * p, n))]
-    # closed blocks eliminate as one stack: two singular members, the lower
-    # one failing at a later step than the higher one, or at the same step;
-    # a member's dependent column, with a rounding-noise pivot; and a
-    # singular narrower last block
-    closed = _block_diagonal(rng, [p, p, p, 6])
-    later, same, dependent, last = (closed.copy() for _ in range(4))
-    later[:, [p + 20, 2 * p + 5]] = 0.0
-    same[:, [p + 5, 2 * p + 5]] = 0.0
-    dependent[:, 2 * p + 9] = closed[:, 2 * p + 1] - 2.0j * closed[:, 2 * p + 3]
-    last[:, 3 * p + 2] = 0.0
-    cases += [(later, [p + 20]), (same, [p + 5]), (dependent, range(2 * p + 9, 3 * p))]
-    cases += [(last, [3 * p + 2])]
-    # a lone full block with a dependent column, then a narrower block
-    lone = _block_diagonal(rng, [p, 16])
-    lone[:, 20] = lone[:, 1] - 2.0j * lone[:, 3]
-    cases += [(lone, range(20, p))]
+    zero[:, EDGE + 9] = 0.0
+    # column EDGE + 3 is a sum of earlier columns, so its nonzeros lie in rows
+    # above its block and it fails at once; column 2 EDGE + 4 is a sum of
+    # later columns, so its nonzeros lie in rows below its block, it takes a
+    # pivot from one of them, and the rank is found missing in the last block
+    above[:, EDGE + 3] = 2.0 * straddle[:, 3] - 3.0j * straddle[:, 20]
+    below[:, 2 * EDGE + 4] = straddle[:, 3 * EDGE + 1] + 0.5 * straddle[:, 3 * EDGE + 3]
+    cases += [(blocks, [2 * EDGE + 6]), (zero, [EDGE + 9]), (above, [EDGE + 3])]
+    cases += [(below, range(3 * EDGE, n))]
     for m, columns in cases:
         before = m.copy()
         with pytest.raises(Singular) as got:
             inverse(m)
         with pytest.raises(Singular) as ref:
-            (_strided_panel_inverse if _is_closed(m) else _unpanelled_inverse)(m)
+            _unpanelled_inverse(m)
         # the column and the pivot's magnitude are the reference's
         assert str(got.value) == str(ref.value)
         assert any(f"at column {c} " in str(got.value) for c in columns), str(got.value)
         assert np.array_equal(m.view(np.uint64), before.view(np.uint64))
 
 
-def test_closed_inverse_steps_no_more_rows_than_a_block(monkeypatch):
-    # a closed matrix whose closed test broke would take the n x n column
-    # loop and still be right, only about 60 times slower at n = 512
+def test_stacked_inverse_members_are_their_own_calls():
+    rng = np.random.default_rng(1405)
+    # scales 1e-12 to 1e12 side by side: a member's pivots pass or fail
+    # against its own floor, not a stack mate's
+    scales = 10.0 ** np.arange(-12, 13, 6)
+    for n in (*range(1, 17), 32, 64):
+        cases = _mixed_kinds(rng, n, 200, _dense_inverse_cases)
+        mats = [m * scales[b % len(scales)] for b, (_, m) in enumerate(cases)]
+        ones = [inverse(m) for m in mats]
+        stack = np.stack(mats)
+        # the reversed stack is a negative-stride view, so the kernel copies it
+        runs = [(count, inverse(stack[:count])) for count in (1, 3, 200)]
+        runs.append((200, inverse(stack[::-1])[::-1]))
+        for count, got in runs:
+            assert got.shape == (count, n, n)
+            for b in range(count):
+                assert _same_bits(got[b], ones[b]), (n, count, b)
+
+
+def test_stacked_inverse_errors_name_the_stack_index():
+    rng = np.random.default_rng(1406)
+    good = [m for _, m in _mixed_kinds(rng, 6, 4, _dense_inverse_cases)]
+    later, earlier, also_earlier, dependent = (m.copy() for m in good)
+    later[:, 4] = 0.0
+    earlier[:, 1] = 0.0
+    also_earlier[:, 1] = 0.0
+    # a rounding-noise pivot: the member's own arithmetic, bit for bit
+    dependent[:, 3] = good[3][:, 0] - 2.0j * good[3][:, 2]
+    # the earliest failing column wins, then the lowest stack index
+    cases = [
+        ([good[0], later, good[2], earlier], 3),
+        ([later, earlier, good[2], also_earlier], 1),
+        ([good[0], later, dependent], 2),
+    ]
+    for mats, index in cases:
+        stack = np.stack(mats)
+        before = stack.copy()
+        with pytest.raises(Singular) as got:
+            inverse(stack)
+        with pytest.raises(Singular) as own:
+            inverse(mats[index])
+        with pytest.raises(Singular) as ref:
+            _unpanelled_inverse(mats[index])
+        assert str(own.value) == str(ref.value)
+        assert str(got.value) == f"stack index {index}: {own.value}"
+        assert np.array_equal(stack.view(np.uint64), before.view(np.uint64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OutOfRange, match="stack index 1: .* overflows to inf"):
+            inverse(np.stack([good[0][:2, :2], 1e200 * np.eye(2)]))
+    for shape in ((3,), (0, 2, 2), (2, 2, 3), (1, 2, 2, 2)):
+        with pytest.raises(DimensionMismatch):
+            inverse(np.ones(shape, dtype=complex))
+    with pytest.raises(DimensionMismatch):
+        inverse(np.stack([good[0], np.full((6, 6), np.nan)]))
+
+
+def test_truncation_examples_step_no_more_than_two_rows(monkeypatch):
+    # the examples invert their 2 x 2 blocks as a stack; one that went back
+    # to the dense 2L x 2L matrix would still be right, but its L = 256
+    # inverse would take the 512 x 512 column loop, about 0.5 s a call
     rows = []
     for name in ("_steps", "_stacked_steps"):
         def spy(a, floor, step=getattr(numkernel, name)):
@@ -982,9 +933,10 @@ def test_closed_inverse_steps_no_more_rows_than_a_block(monkeypatch):
 
         monkeypatch.setattr(numkernel, name, spy)
     for level in (24, 181, 256):
-        rows.clear()
-        inverse(np.eye(2 * level, dtype=complex) + truncation_family(level).operator)
-        assert rows and max(rows) <= INVERSE_PANEL, (level, rows)
+        for probe in (growth_probe, cayley_v, norm_growth):
+            rows.clear()
+            probe(level)
+            assert rows and max(rows) <= 2, (probe.__name__, level, rows)
 
 
 def test_per_stack_norm_is_frobenius_bit_for_bit():

@@ -13,8 +13,9 @@ outside the timed call).
 * herm_eig on a stack of three at n = 16;
 * herm_eig on the 256 2 x 2 Gram blocks that norm_growth(256) decomposes;
 * singular_extremes on the blocks themselves, as norm_growth(256) calls it;
-* inverse on one random matrix at n = 4, 16, 64 and 200, and on I + A of
-  the truncation family at L = 24, 181 and 256 (n = 2L).
+* inverse on one random matrix at n = 4, 16, 64 and 200, on a stack of
+  200 at n = 16, and on the (L, 2, 2) stacks of I + A's blocks that
+  growth_probe inverts at L = 24, 181 and 256.
 """
 
 import resource
@@ -45,9 +46,11 @@ def cases():
     for n in (4, 16, 64, 200):
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         out[f"inverse n={n}"] = (inverse, z)
+    z = rng.standard_normal((200, 16, 16)) + 1j * rng.standard_normal((200, 16, 16))
+    out["inverse 200 x n=16"] = (inverse, z)
     for level in (24, 181, 256):
-        eye = np.eye(2 * level, dtype=complex)
-        out[f"inverse I+A L={level}"] = (inverse, eye + truncation_family(level).operator)
+        blocks = _diagonal_blocks(truncation_family(level).operator) + np.eye(2)
+        out[f"inverse I+A L={level}"] = (inverse, blocks)
     return out
 
 
