@@ -9,7 +9,8 @@ under the canonical conjugation.  Each block is self-adjoint and
 J-skew-self-adjoint with spectrum {-beta, beta}; as k grows the resolvent
 at -1 blows up like k^2 / (2k - 1) and the Cayley transform
 V = (A + I)(A - I)^{-1} has block norms 2k - 1.  This is the
-finite-dimensional shadow of an unbounded multivalued limit.
+finite-dimensional shadow of an unbounded multivalued limit.  The family
+holds its (n, 2, 2) blocks and forms the dense ``operator`` only when read.
 """
 
 from __future__ import annotations
@@ -38,10 +39,15 @@ def block_a0(beta):
 
 @dataclass(frozen=True)
 class TruncationFamily:
-    """Level-n truncation: 2n-dimensional operator under the canonical conjugation."""
+    """Level-n truncation: n 2 x 2 blocks under the canonical conjugation."""
 
     level: int
-    operator: np.ndarray
+    blocks: np.ndarray
+
+    @property
+    def operator(self):
+        """The dense 2n x 2n operator, scattered from the blocks when read."""
+        return _block_diagonal(self.blocks)
 
     @property
     def conjugation(self):
@@ -52,8 +58,7 @@ class TruncationFamily:
         """The k-th 2 x 2 block (1-based, beta = 1 - 1/k)."""
         if not 1 <= k <= self.level:
             raise OutOfRange(f"block index {k} outside [1, {self.level}]")
-        i = 2 * (k - 1)
-        return self.operator[i : i + 2, i : i + 2]
+        return self.blocks[k - 1]
 
 
 def truncation_family(n):
@@ -61,14 +66,20 @@ def truncation_family(n):
     n = int(n)
     if n < 1:
         raise OutOfRange(f"level must be at least 1, got {n}")
-    op = np.zeros((2 * n, 2 * n), dtype=complex)
-    # block k holds beta_k * 1j at (2k - 2, 2k - 1) and -beta_k * 1j at
-    # (2k - 1, 2k - 2): block_a0's own products, so the zero signs match too
+    blocks = np.zeros((n, 2, 2), dtype=complex)
+    # block_a0's own products, so the zero signs match too
     beta = 1.0 - 1.0 / np.arange(1, n + 1)
-    i = 2 * np.arange(n)
-    op[i, i + 1] = beta * 1j
-    op[i + 1, i] = -beta * 1j
-    return TruncationFamily(n, op)
+    blocks[:, 0, 1] = beta * 1j
+    blocks[:, 1, 0] = -beta * 1j
+    return TruncationFamily(n, blocks)
+
+
+def _block_diagonal(blocks):
+    """The 2n x 2n matrix with the (n, 2, 2) blocks on its diagonal, zeros off it."""
+    k = np.arange(len(blocks))
+    m = np.zeros((len(k), 2, len(k), 2), dtype=complex)
+    m[k, :, k] = blocks
+    return m.reshape(2 * len(k), 2 * len(k))
 
 
 def resolvent_check(beta):
@@ -99,8 +110,7 @@ def growth_probe(n):
     its 2 x 2 blocks' inverses, entry for entry: the whole-matrix column loop
     pivots inside each block and off the blocks only subtracts zeros.
     """
-    fam = truncation_family(n)
-    inv = inverse(_diagonal_blocks(fam.operator) + np.eye(2))
+    inv = inverse(truncation_family(n).blocks + np.eye(2))
     rows = []
     for k, computed in enumerate(inv[:, 0, 0].real.tolist(), start=1):
         formula = k * k / (2.0 * k - 1.0)
@@ -108,16 +118,9 @@ def growth_probe(n):
     return rows
 
 
-def _diagonal_blocks(m):
-    """The n 2 x 2 diagonal blocks of a 2n x 2n array, as one (n, 2, 2) gather."""
-    n = m.shape[0] // 2
-    k = np.arange(n)
-    return m.reshape(n, 2, n, 2)[k, :, k]
-
-
 def _cayley_blocks(n):
     """V's n diagonal blocks (A_k + I)(A_k - I)^{-1}, one (n, 2, 2) product."""
-    blocks = _diagonal_blocks(truncation_family(n).operator)
+    blocks = truncation_family(n).blocks
     return (blocks + np.eye(2)) @ inverse(blocks - np.eye(2))
 
 
@@ -128,11 +131,7 @@ def cayley_v(n):
     of (A - I)^{-1} is the inverse of A0(beta_k) - I, entry for entry (see
     growth_probe), so V's blocks are one stacked product of 2 x 2 blocks.
     """
-    blocks = _cayley_blocks(n)
-    k = np.arange(len(blocks))
-    v = np.zeros((len(k), 2, len(k), 2), dtype=complex)
-    v[k, :, k] = blocks
-    return v.reshape(2 * len(k), 2 * len(k))
+    return _block_diagonal(_cayley_blocks(n))
 
 
 def norm_growth(n):

@@ -10,7 +10,8 @@ behaviour is pinned by this module rather than by a LAPACK build:
   It takes one matrix or a (B, n, n) stack.  Each round's disjoint rotations,
   and the gate, live test, sort and clustering, run per stack, while every
   matrix keeps its own scale, skip threshold, target and sweep count, so its
-  result is bit-identical to its own call's whatever its stack mates;
+  result is bit-identical to its own call's whatever its stack mates.  Its
+  sorted spectrum alone gives ``singular_extremes``, with no SpectralDecomp;
 * ``inverse`` - in-place Gauss-Jordan on a working copy, partial pivoting,
   relative pivot floor, with no matrix product: the classic column loop on
   a matrix, and the same steps on all members at once on a stack.
@@ -97,14 +98,11 @@ def frobenius(m):
 
 
 def _as_stack(m, square):
-    """A matrix as the stack of one, or a 3-D stack of matrices.
-
-    Returns (stack, single).  Every matrix must be finite with positive
-    dimensions, and square when square is set.
+    """A matrix as the stack of one, or a 3-D stack of matrices.  Every matrix
+    must be finite with positive dimensions, and square when square is set.
     """
     a = np.asarray(m, dtype=complex)
-    single = a.ndim == 2
-    if single:
+    if a.ndim == 2:
         a = a[None]
     if a.ndim != 3 or 0 in a.shape or (square and a.shape[1] != a.shape[2]):
         kind = "square matrix" if square else "matrix"
@@ -113,7 +111,7 @@ def _as_stack(m, square):
         )
     if not np.isfinite(a).all():
         raise DimensionMismatch("matrix: entries must be finite")
-    return a, single
+    return a
 
 
 def _frobenius_rows(f):
@@ -236,27 +234,11 @@ def _flat_rounds(n, count):
     return tuple(rounds), diag, eye
 
 
-def herm_eig(m):
-    """Eigendecomposition of Hermitian matrices by round-robin (Brent-Luk) Jacobi.
-
-    Takes one n x n matrix and returns one SpectralDecomp, or a (B, n, n)
-    stack and returns a tuple of B; a matrix is the stack of one.  Every
-    round's disjoint rotations, and the Hermitian gate, the live test, the
-    sort and the clustering, are numpy calls over the whole stack; each
-    matrix keeps its own scale, skip threshold, target and sweep count: a
-    skipped pair, or any pair of a matrix that has converged and left the
-    stack, gets no rotation, so a matrix's result is bit-identical to its
-    own call's whatever its stack mates.
-
-    Convergence: off-diagonal Frobenius norm <= JACOBI_REL_TOL * ||M||_F
-    within JACOBI_SWEEP_LIMIT sweeps; clusters at CLUSTER_REL_TOL.  Raises
-    NotHermitian if ||M - M*||_F exceeds HERMITIAN_REL_TOL * (1 + ||M||_F),
-    OutOfRange if ||M||_F overflows, and NoConvergence if the sweep budget
-    runs out; each names the stack index.
-    """
-    stack, single = _as_stack(m, square=True)
+def _sorted_spectrum(m):
+    """herm_eig's gate, Jacobi sweeps and one stable sort, without the
+    clustering: (vals (B, n) ascending, vecs (B, n, n) matching columns)."""
     # symmetrize once so representational noise cannot bias the rotations
-    a, scales = _hermitian_part(stack)
+    a, scales = _hermitian_part(_as_stack(m, square=True))
     targets = JACOBI_REL_TOL * scales
     count, n = a.shape[:2]
     rounds, diag, eye = _flat_rounds(n, count)
@@ -318,17 +300,37 @@ def herm_eig(m):
             if cold is not None and np.count_nonzero(cold):
                 w[cold], wv[cold] = w0[cold], wv0[cold]
         sweeps += 1
-    # one stable sort and one clustering pass for the whole stack
+    # one stable sort for the whole stack
     order = vals.argsort(axis=1, kind="stable")
     rows = np.arange(count)[:, None]
     # indices either side of the slice put the gathered axis first: swap it back
-    vals, vecs = vals[rows, order], vecs[rows, :, order].swapaxes(1, 2).copy()
+    return vals[rows, order], vecs[rows, :, order].swapaxes(1, 2).copy()
+
+
+def herm_eig(m):
+    """Eigendecomposition of Hermitian matrices by round-robin (Brent-Luk) Jacobi.
+
+    Takes one n x n matrix and returns one SpectralDecomp, or a (B, n, n)
+    stack and returns a tuple of B; a matrix is the stack of one.  The gate,
+    rotations, live test and sort (_sorted_spectrum) and the clustering are
+    numpy calls over the whole stack; each matrix keeps its own scale, skip
+    threshold, target and sweep count: a skipped pair, or any pair of a
+    matrix that has converged and left the stack, gets no rotation, so a
+    matrix's result is bit-identical to its own call's whatever its mates.
+
+    Convergence: off-diagonal Frobenius norm <= JACOBI_REL_TOL * ||M||_F
+    within JACOBI_SWEEP_LIMIT sweeps; clusters at CLUSTER_REL_TOL.  Raises
+    NotHermitian if ||M - M*||_F exceeds HERMITIAN_REL_TOL * (1 + ||M||_F),
+    OutOfRange if ||M||_F overflows, and NoConvergence if the sweep budget
+    runs out; each names the stack index.
+    """
+    vals, vecs = _sorted_spectrum(m)
+    # one clustering pass for the whole stack
     prev = vals[:, :-1]
-    joined = (np.abs(vals[:, 1:] - prev) <= CLUSTER_REL_TOL * (1.0 + np.abs(prev))).tobytes()
-    width = n - 1
-    groups = [_clusters(joined[i * width : i * width + width]) for i in range(count)]
+    joined = np.abs(vals[:, 1:] - prev) <= CLUSTER_REL_TOL * (1.0 + np.abs(prev))
+    groups = [_clusters(row.tobytes()) for row in joined]
     decs = tuple(map(SpectralDecomp, vals, vecs, groups))
-    return decs[0] if single else decs
+    return decs[0] if np.ndim(m) == 2 else decs
 
 
 def nonpositive_pivot(m):
@@ -434,7 +436,7 @@ def inverse(m):
     column, at the lowest index failing there.
     """
     if np.ndim(m) != 2:
-        t = _as_stack(m, square=True)[0].copy()
+        t = _as_stack(m, square=True).copy()
         floors = PIVOT_REL_TOL * _frobenius_rows(t.reshape(len(t), -1))
         ok = np.isfinite(floors)
         if not ok.all():
@@ -502,16 +504,15 @@ def orth_complement(basis, *, name="basis"):
 def singular_extremes(m):
     """(smallest, largest) singular value via the Hermitian spectrum of M*M.
 
-    Takes a matrix, or a (B, r, c) stack and returns a tuple of B pairs
-    from one stacked herm_eig call; both ends of every member are taken in
-    one gather, one clip at 0 (which keeps a NaN NaN) and one sqrt, and each
-    pair is bit-identical to the matrix's own call.
+    Takes a matrix, or a (B, r, c) stack and returns a tuple of B pairs.  Both
+    ends of every member are read from the sorted spectrum of one stacked
+    _sorted_spectrum call (no SpectralDecomp), with one clip at 0 that keeps
+    a NaN NaN, and each pair is bit-identical to the matrix's own call.
     """
-    a, single = _as_stack(m, square=False)
-    decs = herm_eig(a.conj().swapaxes(1, 2) @ a)
-    ends = np.stack([dec.eigenvalues for dec in decs])[:, [0, -1]]
+    a = _as_stack(m, square=False)
+    ends = _sorted_spectrum(a.conj().swapaxes(1, 2) @ a)[0][:, [0, -1]]
     pairs = tuple(map(tuple, np.sqrt(np.clip(ends, 0.0, None)).tolist()))
-    return pairs[0] if single else pairs
+    return pairs[0] if np.ndim(m) == 2 else pairs
 
 
 def subspace_gap(u, v):

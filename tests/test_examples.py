@@ -5,6 +5,7 @@ import pytest
 
 from jlab.errors import BadShape, OutOfRange
 from jlab.examples import (
+    TruncationFamily,
     block_a0,
     cayley_v,
     growth_probe,
@@ -55,6 +56,31 @@ def test_truncation_family_equals_the_per_block_build():
         for part in ("real", "imag"):
             got, want = getattr(op, part), getattr(ref, part)
             assert np.array_equal(np.signbit(got), np.signbit(want)), (n, part)
+
+
+def test_truncation_family_blocks_are_block_a0():
+    for n in (1, 2, 5, 16, 256):
+        got = truncation_family(n).blocks
+        want = np.stack([block_a0(1.0 - 1.0 / k) for k in range(1, n + 1)])
+        assert got.shape == (n, 2, 2), n
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+        for part in ("real", "imag"):
+            got_part, want_part = getattr(got, part), getattr(want, part)
+            assert np.array_equal(np.signbit(got_part), np.signbit(want_part)), (n, part)
+
+
+def test_probes_never_read_the_dense_operator(monkeypatch):
+    # the probes work on the (L, 2, 2) blocks; reading operator would build
+    # the 2L x 2L matrix, 4 MiB at L = 256, only to gather its blocks back
+    def dense(fam):
+        raise AssertionError(f"operator read at level {fam.level}")
+
+    monkeypatch.setattr(TruncationFamily, "operator", property(dense))
+    with pytest.raises(AssertionError, match="level 3"):
+        truncation_family(3).operator
+    for level in (24, 181, 256):
+        assert len(growth_probe(level)) == level
+        assert len(norm_growth(level)) == level
 
 
 def test_resolvent_check_against_closed_form():

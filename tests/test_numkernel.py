@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from jlab import conjugation, jclass, numkernel
-from jlab.examples import _diagonal_blocks, cayley_v, growth_probe, norm_growth, truncation_family
+from jlab.examples import cayley_v, growth_probe, norm_growth, truncation_family
 from jlab.errors import (
     DimensionMismatch,
     DomainError,
@@ -51,6 +51,13 @@ from jlab.numkernel import (
 LN2 = math.log(2.0)
 # the width on which the block-structured inverse cases lay their blocks
 EDGE = 32
+
+
+def _diagonal_blocks(m):
+    """The n 2 x 2 diagonal blocks of a 2n x 2n array, as one (n, 2, 2) gather."""
+    n = m.shape[0] // 2
+    k = np.arange(n)
+    return m.reshape(n, 2, n, 2)[k, :, k]
 
 
 def random_hermitian(rng, n):
@@ -452,17 +459,14 @@ def test_stacked_herm_eig_errors_name_the_stack_index(monkeypatch):
 
 
 def test_nan_eigenvalue_propagates_to_the_singular_values(monkeypatch):
-    original = numkernel.herm_eig
+    original = numkernel._sorted_spectrum
 
     def faulty(m):
-        out = []
-        for dec in original(m):
-            vals = dec.eigenvalues.copy()
-            vals[-1] = np.nan
-            out.append(SpectralDecomp(vals, dec.vectors, dec.clusters))
-        return tuple(out)
+        vals, vecs = original(m)
+        vals[:, -1] = np.nan
+        return vals, vecs
 
-    monkeypatch.setattr(numkernel, "herm_eig", faulty)
+    monkeypatch.setattr(numkernel, "_sorted_spectrum", faulty)
     lo, hi = singular_extremes(np.diag([1.0, 2.0]).astype(complex))
     assert lo == 1.0 and math.isnan(hi)
     # the spans share e1 only: true gap 1.0, and a clamp to 0.0 read them equal
@@ -476,6 +480,21 @@ def test_stacked_singular_extremes_match_one_call_each():
         stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         pairs = singular_extremes(stack)
         assert pairs == tuple(singular_extremes(m) for m in stack)
+
+
+def test_singular_extremes_are_the_decomposition_route_bit_for_bit():
+    # singular_extremes reads the sorted spectrum without building a
+    # SpectralDecomp; its ends must be herm_eig's eigenvalues, bit for bit
+    rng = np.random.default_rng(2721)
+    blocks = _diagonal_blocks(cayley_v(256))
+    stacks = [blocks]
+    for shape in ((7, 2, 2), (3, 5, 2), (2, 2, 5), (1, 4, 4)):
+        stacks.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    for stack in stacks:
+        decs = herm_eig(stack.conj().swapaxes(1, 2) @ stack)
+        want = [np.sqrt(np.clip(dec.eigenvalues[[0, -1]], 0.0, None)) for dec in decs]
+        for got in (singular_extremes(stack), [singular_extremes(m) for m in stack]):
+            assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
 
 
 def test_apply_is_the_cluster_sum_in_one_product():
