@@ -44,10 +44,11 @@ from .polar import random_j_real_unitary
 from .report import ResidualReport
 
 ORTHO_TOL = 1e-8
-# smallest trusted singular value of V - I.  Estimated through the Gram
-# matrix, whose eigenvalue noise is ~1e-12, so sigma below ~2e-6 cannot be
-# told from zero; and the inverse-Cayley residuals degrade like eps/sigma,
-# so anything below 1e-5 would break the 1e-8 diagnostic budget anyway.
+# smallest trusted singular value of V - I; the inverse-Cayley residuals
+# degrade like eps/sigma, so anything below 1e-5 would break the 1e-8
+# diagnostic budget.  sigma_min >= 1/||(V - I)^-1||_F, so an elimination
+# inverse with ||(V - I)^-1||_F * SINGULAR_FLOOR < 1 certifies V - I; only
+# a singular or undecided attempt estimates sigma through the Gram matrix.
 SINGULAR_FLOOR = 1e-5
 
 
@@ -161,15 +162,20 @@ def extend(j, t, tol=DEFAULT_TOL):
     """Self-adjoint J-imaginary extension of T through the Cayley transform.
 
     Builds V = U + W from the Cayley isometry U and a J-fixed defect pairing
-    W, then inverts: A~ = iI + 2i (V - I)^{-1}.  When the unflipped V - I is
-    singular with m = dim ker(V - I), one retry negates m columns of the
-    J-fixed basis f_- of N_{-i}: those whose partners in f_+ overlap
-    ker(V - I) most (row norms of f_+* K, ties in stable order).  Each flip
-    multiplies the real orthogonal V by a reflection, so a flip set S can
-    clear the kernel only if |S| >= m and |S| = m (mod 2); the rule takes
-    the smallest such set.  There is no further retry, so at most two
-    attempts.  Raises MultivaluedRelation if both leave V - I singular,
-    reporting ker(V - I) of the unflipped attempt.
+    W, then inverts: A~ = iI + 2i (V - I)^{-1}.  An attempt whose inverse
+    certifies sigma_min(V - I) >= 1/||(V - I)^{-1}||_F > SINGULAR_FLOOR runs
+    no eigensolve; a singular or undecided one is judged on the Gram matrix
+    (V - I)*(V - I), whose eigenvectors below the floor span ker(V - I).
+    When the unflipped V - I is singular with m = dim ker(V - I), one retry
+    negates m columns of the J-fixed basis f_- of N_{-i}: those whose
+    partners in f_+ overlap ker(V - I) most (row norms of f_+* K, ties in
+    stable order).  Each flip multiplies the real orthogonal V by a
+    reflection, so a flip set S can clear the kernel only if |S| >= m and
+    |S| = m (mod 2); the rule takes the smallest such set.  There is no
+    further retry, so at most two attempts.  Raises MultivaluedRelation if
+    both leave V - I singular, reporting ker(V - I) of the unflipped
+    attempt.  The extra min_singular_bound, 1/||(V - I)^{-1}||_F of the
+    accepted attempt, is within a factor sqrt(n) below sigma_min.
     """
     rep0 = verify_symmetric_jimaginary(j, t, tol)
     if not rep0.passed:
@@ -188,28 +194,27 @@ def extend(j, t, tol=DEFAULT_TOL):
         w = fm @ f_plus.conj().T
         v = uop + w
         vm = v - eye
+        try:
+            vm_inv = inverse(vm)
+        except Singular:
+            vm_inv = None
+        if vm_inv is not None and frobenius(vm_inv) * SINGULAR_FLOOR < 1:
+            return w, v, eye[:, :0], vm_inv
         dec = herm_eig(vm.conj().T @ vm)
         svals = dec.singular_values()
-        smin = float(svals[0])
-        vm_inv = None
-        if smin > SINGULAR_FLOOR:
-            try:
-                vm_inv = inverse(vm)
-            except Singular:
-                # the floor screens this out in practice, but elimination
-                # has the final word on whether V - I is usable
-                pass
-        return w, v, smin, dec.vectors[:, svals <= SINGULAR_FLOOR], vm_inv
+        if not svals[0] > SINGULAR_FLOOR:
+            vm_inv = None
+        return w, v, dec.vectors[:, svals <= SINGULAR_FLOOR], vm_inv
 
     flips = []
     attempts = 1
-    w, v, smin, kernel, vm_inv = attempt_v(flips)
+    w, v, kernel, vm_inv = attempt_v(flips)
     base_kernel = kernel.shape[1]
     if vm_inv is None and base_kernel:
         overlap = np.linalg.norm(f_plus.conj().T @ kernel, axis=1)
         flips = sorted(np.argsort(-overlap, kind="stable")[:base_kernel].tolist())
         attempts = 2
-        w, v, smin, _, vm_inv = attempt_v(flips)
+        w, v, _, vm_inv = attempt_v(flips)
     if vm_inv is None:
         raise MultivaluedRelation(
             f"V - I stayed singular through {attempts} attempt(s); "
@@ -226,7 +231,7 @@ def extend(j, t, tol=DEFAULT_TOL):
             "defect_numbers": defect.defect_numbers,
             "flipped_columns": flips or None,
             "attempts": attempts,
-            "min_singular_value": smin,
+            "min_singular_bound": 1.0 / frobenius(vm_inv),
         }
     )
     rep.add("v_unitary", frobenius(v.conj().T @ v - eye) / (1.0 + nv), tol)

@@ -25,7 +25,10 @@ first pivot that is not positive (<= 0 or NaN), which exists exactly when
 the matrix is not positive definite.
 
 numpy's QR is used for orthonormal frames and complements; that is container
-infrastructure, not part of the pinned numerics.
+infrastructure, not part of the pinned numerics.  What is pinned is the
+algorithms, tolerances and sweep order, with no LAPACK eigensolver; what is
+not is the last bits of matrix products (Jacobi rotations, Gram and residual
+products), which follow the BLAS kernel numpy dispatches to at run time.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from jlab.extension import (
     ranges_defects,
     verify_symmetric_jimaginary,
 )
-from jlab.numkernel import frobenius
+from jlab.numkernel import frobenius, herm_eig
 
 
 def test_partial_operator_shape_gates():
@@ -143,7 +143,8 @@ def test_extend_jacobi_two_frozen():
     assert res.report.extras["defect_numbers"] == (1, 1)
     assert res.report.extras["flipped_columns"] == [0]
     assert res.report.extras["attempts"] == 2
-    assert res.report.extras["min_singular_value"] > 1.0
+    # sigma(V - I) = {sqrt 2, sqrt 2}, so 1/||(V - I)^-1||_F = 1
+    assert res.report.extras["min_singular_bound"] == pytest.approx(1.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("n, d", [(n, d) for n in range(2, 9) for d in range(1, n)])
@@ -184,6 +185,12 @@ def test_extend_flips_by_the_kernel_parity_rule():
         # V is real orthogonal in a J-fixed frame: det V (-1)^n = (-1)^dim ker(V - I)
         det = np.linalg.det(v)
         assert abs(det * (-1) ** n - (-1) ** kernel_dim) < 1e-8, tseed
+        # 1/||X^-1||_F <= sigma_min(X) <= sqrt(n)/||X^-1||_F, with equality on
+        # the right when every singular value is equal: allow rounding there
+        bound = res.report.extras["min_singular_bound"]
+        smin = np.linalg.svd(res.v - np.eye(n), compute_uv=False)[-1]
+        assert bound <= smin * (1 + 1e-12), tseed
+        assert smin <= math.sqrt(n) * bound * (1 + 1e-12), tseed
 
 
 def test_extend_multivalued_after_the_flip_reports_kernel(monkeypatch):
@@ -197,6 +204,44 @@ def test_extend_multivalued_after_the_flip_reports_kernel(monkeypatch):
             extend(j, t)
         assert info.value.kernel_dim == kernel_dim
         assert f"kernel dimension {kernel_dim} on the unflipped pairing" in str(info.value)
+
+
+def _count_eigensolves(monkeypatch):
+    calls = []
+
+    def spy(m):
+        calls.append(m.shape)
+        return herm_eig(m)
+
+    monkeypatch.setattr(extension, "herm_eig", spy)
+    return calls
+
+
+def test_extend_decomposes_only_attempts_the_inverse_cannot_certify(monkeypatch):
+    calls = _count_eigensolves(monkeypatch)
+    m = np.array(
+        [[0.0, 2.0j, 0.0], [-2.0j, 0.0, 1j], [0.0, -1j, 0.0]], dtype=complex
+    )
+    extend(canonical(3), PartialSymmetricOperator(3, np.eye(3, dtype=complex), m))
+    assert calls == []
+    # the unflipped V - I is singular and needs its kernel; the flip is certified
+    res = extend(*jacobi_imag(2, 1))
+    assert res.report.extras["attempts"] == 2
+    assert calls == [(2, 2)]
+
+
+def test_extend_undecided_bound_falls_back_to_the_gram_estimate(monkeypatch):
+    # sigma(V - I) = {2, sqrt 2, sqrt 2} after the flip, so the bound
+    # 1/sqrt(1.25) ~ 0.894 cannot certify a floor of 1; the Gram estimate
+    # sqrt 2 clears it
+    monkeypatch.setattr(extension, "SINGULAR_FLOOR", 1.0)
+    calls = _count_eigensolves(monkeypatch)
+    res = extend(*jacobi_imag(3, 1))
+    assert res.report.passed
+    assert res.report.extras["attempts"] == 2
+    assert res.report.extras["flipped_columns"] == [0, 1]
+    assert res.report.extras["min_singular_bound"] == pytest.approx(1 / math.sqrt(1.25))
+    assert calls == [(3, 3), (3, 3)]
 
 
 def test_extend_zero_defect_round_trip():

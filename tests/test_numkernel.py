@@ -1,6 +1,6 @@
 """Kernel checks: Jacobi eigensolver (its stacked form, its serial
 one-matrix reference and its cyclic reference), elimination inverse (its
-stacked form, its unpanelled and its augmented-array references), the
+stacked form, its column-loop and its augmented-array references), the
 Cholesky positivity gate, frames, gaps, and the Frobenius norm against
 numpy's and against its per-stack form.
 
@@ -221,9 +221,10 @@ def _serial_herm_eig(
     return SpectralDecomp(vals, vecs, _cluster_indices(vals, cluster_rel))
 
 
-def _unpanelled_inverse(m, *, pivot_rel=PIVOT_REL_TOL):
-    """Reference: in-place Gauss-Jordan with one rank-1 pass over the whole
-    n x n working copy per column (the kernel before panelling)."""
+def _column_loop_inverse(m, *, pivot_rel=PIVOT_REL_TOL):
+    """Reference: the classic column loop, in-place Gauss-Jordan with one
+    rank-1 pass over the whole n x n working copy per column.  A NaN pivot
+    is not above the floor, so it raises as a pivot at or below it."""
     a = as_square(m).copy()
     n = a.shape[0]
     floor = pivot_rel * frobenius(a)
@@ -231,7 +232,7 @@ def _unpanelled_inverse(m, *, pivot_rel=PIVOT_REL_TOL):
     for k in range(n):
         piv = int(np.argmax(np.abs(a[k:, k]))) + k
         mag = abs(a[piv, k])
-        if mag <= floor:
+        if not mag > floor:
             raise Singular(
                 f"pivot {mag:.3e} at column {k} is at or below the floor {floor:.3e}"
             )
@@ -261,7 +262,7 @@ def _augmented_inverse(m, *, pivot_rel=PIVOT_REL_TOL):
     for k in range(n):
         piv = int(np.argmax(np.abs(aug[k:, k]))) + k
         mag = abs(aug[piv, k])
-        if mag <= floor:
+        if not mag > floor:
             raise Singular(
                 f"pivot {mag:.3e} at column {k} is at or below the floor {floor:.3e}"
             )
@@ -736,7 +737,7 @@ def test_inverse_leaves_the_callers_array_unchanged():
         assert np.array_equal(a.view(np.uint64), before.view(np.uint64)), shape
 
 
-def test_single_panel_inverse_is_the_unpanelled_kernel():
+def test_matrix_inverse_is_the_column_loop_reference():
     rng = np.random.default_rng(2024)
     # a matrix takes the column loop at every n: the same bits
     cases = [
@@ -746,11 +747,11 @@ def test_single_panel_inverse_is_the_unpanelled_kernel():
     ]
     cases += [(w, m) for w, m in _inverse_reference_cases(rng) if w.startswith("tiny")]
     for where, m in cases:
-        got, ref = inverse(m), _unpanelled_inverse(m)
+        got, ref = inverse(m), _column_loop_inverse(m)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), where
 
 
-def test_truncation_inverses_are_bit_identical_across_panels():
+def test_truncation_inverses_are_the_column_loop_reference_bit_for_bit():
     # the examples invert the 2 x 2 blocks as a stack: the whole-matrix loop
     # pivots inside each block, so its blocks are the stack's, bit for bit,
     # and off the blocks it leaves exact zeros
@@ -759,14 +760,14 @@ def test_truncation_inverses_are_bit_identical_across_panels():
         eye = np.eye(2 * level, dtype=complex)
         off = ~np.kron(np.eye(level, dtype=bool), np.ones((2, 2), dtype=bool))
         for m in (eye + fam.operator, fam.operator - eye):
-            got, ref = inverse(m), _unpanelled_inverse(m)
+            got, ref = inverse(m), _column_loop_inverse(m)
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), level
             stacked = inverse(_diagonal_blocks(m))
             assert _same_bits(stacked, _diagonal_blocks(ref)), level
             assert not ref[off].any(), level
 
 
-def test_singular_column_in_a_later_panel_matches_the_reference():
+def test_singular_column_deep_in_the_matrix_matches_the_column_loop_reference():
     rng = np.random.default_rng(17)
     n, column = 71, 35
     zero = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -774,13 +775,30 @@ def test_singular_column_in_a_later_panel_matches_the_reference():
     # a dependent column leaves rounding noise far below the floor
     dependent = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     dependent[:, column] = dependent[:, 0] - 2.0 * dependent[:, 5]
-    for m in (zero, dependent):
-        with pytest.raises(Singular) as got:
-            inverse(m)
-        with pytest.raises(Singular) as ref:
-            _unpanelled_inverse(m)
-        assert f"at column {column} " in str(got.value)
+    cases = [(zero, column), (dependent, column), (_nan_pivot_matrix(), 524)]
+    for m, col in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(Singular) as got:
+                inverse(m)
+            with pytest.raises(Singular) as ref:
+                _column_loop_inverse(m)
+        assert f"at column {col} " in str(got.value)
         assert str(got.value) == str(ref.value)
+
+
+def _nan_pivot_matrix():
+    """A finite 525 x 525 matrix whose elimination meets a NaN pivot.
+
+    Wilkinson's growth matrix (g on the diagonal, -g below it, s in the last
+    column) doubles the last column each step, so row k holds s 2^k there
+    when column k is eliminated, and s 2^523 overflows to inf.  The last
+    row's +g in column 523 subtracts that inf from its own, leaving NaN
+    for the final pivot.  Every pivot before it is g, above the floor."""
+    n, g, s = 525, 1e140, 1e151
+    m = g * (np.eye(n) - np.tril(np.ones((n, n)), -1))
+    m[:, -1] = s
+    m[-1, n - 2] = g
+    return m
 
 
 def _block_diagonal(rng, sizes):
@@ -841,7 +859,7 @@ def test_block_structured_inverses_match_the_unpanelled_kernel():
     rng = np.random.default_rng(1401)
     for where, m in _block_structured_cases(rng):
         before = m.copy()
-        got, ref = inverse(m), _unpanelled_inverse(m)
+        got, ref = inverse(m), _column_loop_inverse(m)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), where
         assert np.array_equal(m.view(np.uint64), before.view(np.uint64)), where
 
@@ -877,7 +895,7 @@ def test_block_structured_singular_messages_match_the_unpanelled_kernel():
         with pytest.raises(Singular) as got:
             inverse(m)
         with pytest.raises(Singular) as ref:
-            _unpanelled_inverse(m)
+            _column_loop_inverse(m)
         # the column and the pivot's magnitude are the reference's
         assert str(got.value) == str(ref.value)
         assert any(f"at column {c} " in str(got.value) for c in columns), str(got.value)
@@ -926,7 +944,7 @@ def test_stacked_inverse_errors_name_the_stack_index():
         with pytest.raises(Singular) as own:
             inverse(mats[index])
         with pytest.raises(Singular) as ref:
-            _unpanelled_inverse(mats[index])
+            _column_loop_inverse(mats[index])
         assert str(own.value) == str(ref.value)
         assert str(got.value) == f"stack index {index}: {own.value}"
         assert np.array_equal(stack.view(np.uint64), before.view(np.uint64))
