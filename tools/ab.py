@@ -23,7 +23,6 @@ import importlib.util
 import io
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -32,10 +31,13 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "tools"))
+sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "bench")]
 
 from digest import blas_core  # noqa: E402  (puts this checkout's src on sys.path)
+from run import machine_facts  # noqa: E402
 
 import jlab.suites  # noqa: E402
 
@@ -70,8 +72,8 @@ def _records(out):
 def _timed(fn, args):
     gc.collect()
     start = time.perf_counter()
-    out = fn(*args)
-    return time.perf_counter() - start, out
+    fn(*args)
+    return time.perf_counter() - start
 
 
 def _summary(samples):
@@ -86,7 +88,7 @@ def run_case(suites, name, args, pairs):
     times = {"parent": [], "change": []}
     for i in range(pairs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            times[side].append(_timed(sides[side], args)[0])
+            times[side].append(_timed(sides[side], args))
     ratios = [c / p for p, c in zip(times["parent"], times["change"])]
     return {
         "parent_s": times["parent"],
@@ -96,25 +98,6 @@ def run_case(suites, name, args, pairs):
         "median_ratio": statistics.median(ratios),
         "change_faster_pairs": sum(r < 1.0 for r in ratios),
         "same_records": same,
-    }
-
-
-def machine_facts():
-    import numpy as np
-
-    model = platform.processor() or None
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            model = next(line.split(":", 1)[1].strip() for line in fh if line.startswith("model name"))
-    except (OSError, StopIteration):
-        pass
-    return {
-        "cpu_model": model,
-        "usable_cpus": len(os.sched_getaffinity(0)),
-        "loadavg": os.getloadavg(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": blas_core(),
     }
 
 
@@ -134,7 +117,12 @@ def main(argv=None):
             "parent": parent_commit,
             "change": _git("rev-parse", "HEAD").decode().strip() + ("+src-edits" if dirty else ""),
             "pairs": args.pairs,
-            "machine": machine_facts(),
+            "machine": {
+                **machine_facts(),
+                "loadavg": os.getloadavg(),
+                "numpy": np.__version__,
+                "blas": blas_core(),
+            },
             "cases": {},
         }
         for label, name, call_args in CASES:
