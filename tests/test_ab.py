@@ -1,0 +1,78 @@
+"""tools/ab.py: its cases run on both sides, its output comparison sees
+bytes that repr hides, and it refuses fewer than ten pairs."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from jlab.report import ResidualReport
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "ab.py"
+
+
+@pytest.fixture(scope="module")
+def ab():
+    spec = importlib.util.spec_from_file_location("ab", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SMALLEST = [
+    "herm_eig n=4",
+    "herm_eig 40 x n=4",
+    "inverse n=4",
+    "inverse 40 x n=4",
+    "fixed_basis n=4",
+    "classify n=4",
+    "refined_polar n=4",
+    "polar checks n=4",
+    "extend n=4",
+    "inverse I+A L=24",
+]
+
+
+def test_every_layer_is_swept_at_every_size(ab):
+    labels = set(ab.cases())
+    for label in SMALLEST[:-1]:
+        for n in (4, 8, 16, 32, 64):
+            assert label.replace("n=4", f"n={n}") in labels
+
+
+@pytest.mark.parametrize("label", SMALLEST)
+def test_smallest_cases_report_equal_outputs_on_one_checkout(ab, monkeypatch, label):
+    monkeypatch.setattr(ab, "SAMPLE_S", 1e-3)
+    side = ab.modules("jlab")
+    case = ab.run_case({"parent": side, "change": side}, ab.cases()[label], 2)
+    assert case["same_outputs"] and case["first_difference"] is None
+    count = case["calls_per_sample"]
+    assert count & (count - 1) == 0
+    assert len(case["parent_s"]) == len(case["change_s"]) == 2
+    assert set(case["minflt_per_call"]) == {"parent", "change"}
+    assert case["parent"]["q1"] <= case["parent"]["median"] <= case["parent"]["q3"]
+
+
+def test_one_ulp_in_a_64_by_64_array_differs_though_repr_hides_it(ab):
+    a = np.random.default_rng(0).standard_normal((64, 64))
+    b = a.copy()
+    b[32, 32] = np.nextafter(b[32, 32], np.inf)
+    assert repr(a) == repr(b)
+    assert ab.first_difference(a, a.copy()) is None
+    assert ab.first_difference(a, b) == "output"
+    nested = ({"x": ResidualReport(extras={"m": a})}, {"x": ResidualReport(extras={"m": b})})
+    assert ab.first_difference(*nested) == "output['x']['extras']['m']"
+
+
+def test_negative_zero_and_renamed_keys_differ(ab):
+    assert ab.first_difference(np.zeros(3), -np.zeros(3)) == "output"
+    assert ab.first_difference({"a": 1.0}, {"b": 1.0}) == "output"
+    assert ab.first_difference([1.0, 2.0], [1.0, 2.0]) is None
+
+
+def test_fewer_than_ten_pairs_is_rejected(ab, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        ab.main(["--parent", "HEAD", "--out", str(tmp_path / "ab.json"), "--pairs", "9"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "ab.json").exists()

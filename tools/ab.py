@@ -2,31 +2,28 @@
 
     python tools/ab.py --parent REV --out BENCH.json [--pairs 10]
 
-Extracts ``git archive REV`` into a temporary directory and imports its
-``src/jlab`` under the package name ``jlab_parent``, beside this checkout's
-``jlab``, so both run in one process on one numpy and BLAS.  Each case runs
-once per side as warm-up, then ``--pairs`` (at least 10) pairs of calls, the
-parent first in even pairs and the change first in odd ones, with a garbage
-collection before each call.  The in-process ratio is the number to compare
-across machines, since separate processes on one machine can differ by more
-than the change.
-
-The JSON holds the machine facts (BLAS core included), both revisions, and
-per case: the paired samples in seconds, each side's median and quartiles,
-the median of the per-pair ratios change / parent, how many pairs the change
-won, and whether both sides returned repr-identical records.
+Imports ``src/jlab`` of ``git archive REV`` as ``jlab_parent`` beside this
+checkout's ``jlab``, so both run in one process, numpy, BLAS and allocator
+state.  Each side builds the inputs of a case (see ``cases``) with its own
+generators and seeds, outside the timed calls.  The warm-up doubles the calls
+per sample until a sample takes SAMPLE_S on both sides; ``--pairs`` (>= 10)
+pairs of samples follow, the parent first in even pairs, each after a
+garbage collection.  Per case the JSON holds the calls per sample, the paired
+per-call times in seconds, each side's median and quartiles, the median ratio
+change / parent, the pairs the change won, minor page faults per call and
+the path of the first difference between the outputs (None when equal).
 """
 
 import argparse
+import dataclasses
 import gc
-import importlib.util
-import io
+import importlib
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -39,41 +36,134 @@ sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "bench")]
 from digest import blas_core  # noqa: E402  (puts this checkout's src on sys.path)
 from run import machine_facts  # noqa: E402
 
-import jlab.suites  # noqa: E402
-
-CASES = (
-    ("run_verify_program(200, 16, 0)", "run_verify_program", (200, 16, 0)),
-    ("extension_trials(100, 12, 100_000)", "extension_trials", (100, 12, 100_000)),
-    ("zero_defect_trials(50, 16, 200_000)", "zero_defect_trials", (50, 16, 200_000)),
-)
+SAMPLE_S = 0.02
+MODULES = ("conjugation", "examples", "extension", "jclass", "numkernel", "polar", "suites")
 
 
 def _git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
 
+def modules(package):
+    """The jlab modules the cases call, imported from ``package``."""
+    return argparse.Namespace(**{m: importlib.import_module(f"{package}.{m}") for m in MODULES})
+
+
 def load_parent(rev, into):
     """Import ``src/jlab`` of ``git archive rev`` as the package jlab_parent."""
-    tarfile.open(fileobj=io.BytesIO(_git("archive", rev))).extractall(into)
-    pkg = Path(into) / "src" / "jlab"
-    spec = importlib.util.spec_from_file_location(
-        "jlab_parent", pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+    subprocess.run(["tar", "-x", "-C", into], input=_git("archive", rev, "src/jlab"), check=True)
+    (Path(into) / "src" / "jlab").rename(Path(into) / "jlab_parent")
+    sys.path.insert(0, into)
+    return modules("jlab_parent")
+
+
+def _gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _hermitian(z):
+    return 0.5 * (z + z.conj().swapaxes(-1, -2))
+
+
+def _layers(n):
+    """The sweep's cases at dimension n, their inputs seeded by n."""
+    rng = np.random.default_rng(n)
+    herm, herms = _hermitian(_gaussian(rng, n, n)), _hermitian(_gaussian(rng, 40, n, n))
+    mat, mats = _gaussian(rng, n, n), _gaussian(rng, 40, n, n)
+    coeffs = _gaussian(rng, n // 2, n // 2)
+
+    def j_unitary(m):
+        j = m.conjugation.random_conjugation(n, n)
+        return j, m.polar.random_j_unitary(j, n)
+
+    def fixed_basis(m):
+        j = m.conjugation.random_conjugation(n, n)
+        return m.conjugation.fixed_basis, (j, j.fixed_frame()[:, : n // 2] @ coeffs)
+
+    def checks(m):
+        fns = (m.polar.check_prop21, m.polar.check_unitary_equiv, m.polar.check_reciprocity)
+        return (lambda parts: [f(parts) for f in fns]), (m.polar.refined_polar(*j_unitary(m)),)
+
+    def extend(m):
+        j = m.conjugation.random_conjugation(n, n)
+        return m.extension.extend, (j, m.extension.random_jimaginary_partial(j, n // 2, n))
+
+    return {
+        f"herm_eig n={n}": lambda m: (m.numkernel.herm_eig, (herm,)),
+        f"herm_eig 40 x n={n}": lambda m: (m.numkernel.herm_eig, (herms,)),
+        f"inverse n={n}": lambda m: (m.numkernel.inverse, (mat,)),
+        f"inverse 40 x n={n}": lambda m: (m.numkernel.inverse, (mats,)),
+        f"fixed_basis n={n}": fixed_basis,
+        f"classify n={n}": lambda m: (m.jclass.classify, j_unitary(m)),
+        f"refined_polar n={n}": lambda m: (m.polar.refined_polar, j_unitary(m)),
+        f"polar checks n={n}": checks,
+        f"extend n={n}": extend,
+    }
+
+
+def _suite(name, *args):
+    return lambda m: (getattr(m.suites, name), args)
+
+
+def _gram(m):
+    blocks = m.examples._cayley_blocks(256)
+    return m.numkernel.herm_eig, (blocks.conj().swapaxes(1, 2) @ blocks,)
+
+
+def cases():
+    """Label -> build(m) -> (fn, args): the suites, the per-layer sweep, and
+    the kernel shapes of ``refined_polar``, ``norm_growth`` and ``growth_probe``."""
+    out = {
+        "run_verify_program(200, 16, 0)": _suite("run_verify_program", 200, 16, 0),
+        "extension_trials(100, 12, 100_000)": _suite("extension_trials", 100, 12, 100_000),
+        "zero_defect_trials(50, 16, 200_000)": _suite("zero_defect_trials", 50, 16, 200_000),
+    }
+    for n in (4, 8, 16, 32, 64):
+        out.update(_layers(n))
+    herms = _hermitian(_gaussian(np.random.default_rng(3), 3, 16, 16))
+    out["herm_eig 3 x n=16"] = lambda m: (m.numkernel.herm_eig, (herms,))
+    out["herm_eig L=256 Gram"] = _gram
+    out["singular_extremes L=256"] = lambda m: (
+        m.numkernel.singular_extremes, (m.examples._cayley_blocks(256),)
     )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["jlab_parent"] = module
-    spec.loader.exec_module(module)
-    return importlib.import_module("jlab_parent.suites")
+    for level in (24, 181, 256):
+        out[f"inverse I+A L={level}"] = lambda m, level=level: (
+            m.numkernel.inverse, (m.examples.truncation_family(level).blocks + np.eye(2),))
+    return out
 
 
-def _records(out):
-    return out["records"] if isinstance(out, dict) else out
+def first_difference(a, b, path="output"):
+    """None when a and b are equal, else the path of their first difference.
+
+    Arrays compare by dtype, shape and bytes (numpy's repr elides arrays of
+    over 1,000 entries), dataclasses by class name and then field by field
+    (each side defines its own classes), dicts, lists and tuples item by
+    item, and every other leaf by repr.
+    """
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        same = type(a) is type(b) and (a.dtype, a.shape) == (b.dtype, b.shape)
+        return None if same and a.tobytes() == b.tobytes() else path
+    if dataclasses.is_dataclass(a) and dataclasses.is_dataclass(b):
+        if type(a).__name__ != type(b).__name__:
+            return path
+        a, b = ({f.name: getattr(x, f.name) for f in dataclasses.fields(x)} for x in (a, b))
+    if isinstance(a, dict) and isinstance(b, dict) and list(a) == list(b):
+        keys = list(a)
+    elif isinstance(a, (list, tuple)) and type(a) is type(b) and len(a) == len(b):
+        keys = range(len(a))
+    else:
+        return None if repr(a) == repr(b) else path
+    return next(filter(None, (first_difference(a[k], b[k], f"{path}[{k!r}]") for k in keys)), None)
 
 
-def _timed(fn, args):
+def _sample(fn, args, calls):
     gc.collect()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
-    fn(*args)
-    return time.perf_counter() - start
+    for _ in range(calls):
+        fn(*args)
+    elapsed = time.perf_counter() - start
+    return elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
 def _summary(samples):
@@ -81,23 +171,28 @@ def _summary(samples):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def run_case(suites, name, args, pairs):
-    sides = {"parent": getattr(suites["parent"], name), "change": getattr(suites["change"], name)}
-    outs = {side: fn(*args) for side, fn in sides.items()}
-    same = repr(_records(outs["parent"])) == repr(_records(outs["change"]))
-    times = {"parent": [], "change": []}
+def run_case(sides, build, pairs):
+    calls = {side: build(m) for side, m in sides.items()}
+    diff = first_difference(*(fn(*args) for fn, args in calls.values()))
+    count = 1
+    while min(_sample(fn, args, count)[0] for fn, args in calls.values()) < SAMPLE_S:
+        count *= 2
+    times, faults = {side: [] for side in sides}, dict.fromkeys(sides, 0)
     for i in range(pairs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            times[side].append(_timed(sides[side], args))
+            elapsed, minflt = _sample(*calls[side], count)
+            times[side].append(elapsed / count)
+            faults[side] += minflt
     ratios = [c / p for p, c in zip(times["parent"], times["change"])]
     return {
-        "parent_s": times["parent"],
-        "change_s": times["change"],
-        "parent": _summary(times["parent"]),
-        "change": _summary(times["change"]),
+        "calls_per_sample": count,
+        **{f"{side}_s": samples for side, samples in times.items()},
+        **{side: _summary(samples) for side, samples in times.items()},
         "median_ratio": statistics.median(ratios),
         "change_faster_pairs": sum(r < 1.0 for r in ratios),
-        "same_records": same,
+        "minflt_per_call": {side: faults[side] / (pairs * count) for side in sides},
+        "same_outputs": diff is None,
+        "first_difference": diff,
     }
 
 
@@ -111,33 +206,25 @@ def main(argv=None):
         parser.error("--pairs must be at least 10")
     parent_commit = _git("rev-parse", args.parent).decode().strip()
     dirty = bool(_git("status", "--porcelain", "--", "src").strip())
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="jlab-ab-") as tmp:
-        suites = {"parent": load_parent(parent_commit, tmp), "change": jlab.suites}
+        sides = {"parent": load_parent(parent_commit, tmp), "change": modules("jlab")}
         result = {
             "parent": parent_commit,
             "change": _git("rev-parse", "HEAD").decode().strip() + ("+src-edits" if dirty else ""),
             "pairs": args.pairs,
-            "machine": {
-                **machine_facts(),
-                "loadavg": os.getloadavg(),
-                "numpy": np.__version__,
-                "blas": blas_core(),
-            },
+            "machine": {**machine_facts(), "loadavg": os.getloadavg(), "numpy": np.__version__,
+                        "blas": blas_core()},
             "cases": {},
         }
-        for label, name, call_args in CASES:
-            case = run_case(suites, name, call_args, args.pairs)
-            result["cases"][label] = case
-            print(
-                f"{label}: parent {case['parent']['median']:.4f} s, change "
-                f"{case['change']['median']:.4f} s, ratio {case['median_ratio']:.3f}, "
-                f"change faster in {case['change_faster_pairs']}/{args.pairs}, "
-                f"same records {case['same_records']}",
-                flush=True,
-            )
+        for label, build in cases().items():
+            case = result["cases"][label] = run_case(sides, build, args.pairs)
+            print(f"{label}: {case['parent']['median']:.4g} -> {case['change']['median']:.4g} s, "
+                  f"ratio {case['median_ratio']:.3f}, same {case['same_outputs']}, "
+                  f"won {case['change_faster_pairs']}/{args.pairs}", flush=True)
     result["machine"]["loadavg_end"] = os.getloadavg()
+    result["wall_s"] = time.perf_counter() - start
     args.out.write_text(json.dumps(result, indent=1) + "\n")
-    return 0
 
 
 if __name__ == "__main__":
