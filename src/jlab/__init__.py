@@ -58,7 +58,6 @@ from .numkernel import (
     herm_eig,
     inverse,
     nonpositive_pivot,
-    orth_complement,
     subspace_gap,
 )
 from .polar import (

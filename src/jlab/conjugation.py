@@ -182,17 +182,16 @@ def fixed_basis(j, basis):
     if k == 0:
         return np.zeros((n, 0), dtype=complex)
     q0, _ = orthonormal_columns(b, name="fixed_basis input")
-    inv_res = invariance_residual(j, q0)
+    inv_res = invariance_residual(j, q0[:, :k])
     if not inv_res <= INVARIANCE_TOL:
         raise NotInvariant(
             f"span is not conjugation-invariant: projector residual {inv_res:.3e}"
         )
     cols = [b[:, i] / np.linalg.norm(b[:, i]) for i in range(k)]
-    candidates = [v + j.apply(v) for v in cols]
-    candidates += [1j * (v - j.apply(v)) for v in cols]
+    pairs = [(v, j.apply(v)) for v in cols]
+    candidates = [v + jv for v, jv in pairs] + [1j * (v - jv) for v, jv in pairs]
     out = []
     for w in candidates:
-        w = w.astype(complex, copy=True)
         for _ in range(2):  # one re-orthogonalization pass for stability
             for g in out:
                 w = w - np.real(np.vdot(g, w)) * g

@@ -37,7 +37,6 @@ from .numkernel import (
     frobenius,
     herm_eig,
     inverse,
-    orth_complement,
     orthonormal_columns,
 )
 from .polar import random_j_real_unitary
@@ -92,13 +91,15 @@ class PartialSymmetricOperator:
 
 @dataclass(frozen=True)
 class DefectData:
-    """Ranges of T -+ i and orthonormal bases of their complements."""
+    """Ranges of T -+ i, orthonormal bases of their complements, and T - i's QR."""
 
     m_plus: np.ndarray
     m_minus: np.ndarray
     n_plus: np.ndarray
     n_minus: np.ndarray
     defect_numbers: tuple
+    q_plus: np.ndarray
+    r_plus: np.ndarray
 
 
 @dataclass
@@ -135,13 +136,16 @@ def verify_symmetric_jimaginary(j, t, tol=DEFAULT_TOL):
 
 
 def ranges_defects(t):
-    """Ranges of T -+ i (as column frames) and their orthogonal complements."""
+    """Ranges of T -+ i (as column frames) and their orthogonal complements,
+    from one complete QR of each; T - i's frame and triangle are kept."""
     m_plus = t.action - 1j * t.domain_basis
     m_minus = t.action + 1j * t.domain_basis
-    n_plus = orth_complement(m_plus, name="range of T - i")
-    n_minus = orth_complement(m_minus, name="range of T + i")
-    k = t.ambient - t.domain_dim
-    return DefectData(m_plus, m_minus, n_plus, n_minus, (k, k))
+    q_plus, r_plus = orthonormal_columns(m_plus, name="range of T - i")
+    q_minus, _ = orthonormal_columns(m_minus, name="range of T + i")
+    d = t.domain_dim
+    k = t.ambient - d
+    n_plus, n_minus = q_plus[:, d:], q_minus[:, d:]
+    return DefectData(m_plus, m_minus, n_plus, n_minus, (k, k), q_plus[:, :d], r_plus)
 
 
 def check_defect_j_invariance(j, defect):
@@ -153,9 +157,9 @@ def check_defect_j_invariance(j, defect):
 
 
 def cayley_isometry(defect):
-    """Partial isometry (T - i)f -> (T + i)f from T's DefectData, zero on N_i."""
-    q, r = orthonormal_columns(defect.m_plus, name="range of T - i")
-    return (defect.m_minus @ inverse(r)) @ q.conj().T
+    """Partial isometry (T - i)f -> (T + i)f from T's DefectData, zero on N_i;
+    it reads T - i = q_plus r_plus and runs no QR."""
+    return (defect.m_minus @ inverse(defect.r_plus)) @ defect.q_plus.conj().T
 
 
 def extend(j, t, tol=DEFAULT_TOL):

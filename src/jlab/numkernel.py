@@ -24,11 +24,12 @@ pinned Cholesky pivot scan (n numpy steps on a working copy) and reports the
 first pivot that is not positive (<= 0 or NaN), which exists exactly when
 the matrix is not positive definite.
 
-numpy's QR is used for orthonormal frames and complements; that is container
-infrastructure, not part of the pinned numerics.  What is pinned is the
-algorithms, tolerances and sweep order, with no LAPACK eigensolver; what is
-not is the last bits of matrix products (Jacobi rotations, Gram and residual
-products), which follow the BLAS kernel numpy dispatches to at run time.
+numpy's complete QR (``orthonormal_columns``) gives a span's frame and its
+complement in one call; that is container infrastructure, not part of the
+pinned numerics.  What is pinned is the algorithms, tolerances and sweep
+order, with no LAPACK eigensolver; what is not is the last bits of matrix
+products (Jacobi rotations, Gram and residual products), which follow the
+BLAS kernel numpy dispatches to at run time.
 """
 
 from __future__ import annotations
@@ -458,13 +459,18 @@ def inverse(m):
     return a.take(cols, axis=1)
 
 
-def _rank_checked_qr(b, mode, name):
-    """numpy QR of an n x k matrix in mode "reduced" or "complete"; raises
-    RankDeficient when k > n or some |R[i, i]| <= RANK_REL_TOL * max column norm."""
+def orthonormal_columns(b, *, name="frame"):
+    """Complete QR of an n x k B: (Q, R) with Q unitary, B = Q[:, :k] R, R k x k
+    upper triangular, and Q[:, k:] spanning B's complement (none when k = n).
+
+    Raises RankDeficient when k > n or some |R[i, i]| <= RANK_REL_TOL times
+    the largest column norm.
+    """
+    b = as_matrix(b, name)
     n, k = b.shape
     if k > n:
         raise RankDeficient(f"{name}: {k} columns cannot be independent in dimension {n}")
-    q, r = np.linalg.qr(b, mode=mode)
+    q, r = np.linalg.qr(b, mode="complete")
     colmax = float(np.max(np.linalg.norm(b, axis=0)))
     diag = np.abs(np.diag(r))
     if np.any(diag <= RANK_REL_TOL * colmax):
@@ -473,35 +479,7 @@ def _rank_checked_qr(b, mode, name):
             f"{name}: column {j} is dependent (R diagonal {diag[j]:.3e} "
             f"vs scale {colmax:.3e})"
         )
-    return q, r
-
-
-def orthonormal_columns(b, *, name="frame"):
-    """QR-orthonormalize independent columns; returns (Q, R) with B = Q R.
-
-    Raises RankDeficient when some R diagonal entry falls at or below
-    RANK_REL_TOL times the largest column norm.
-    """
-    return _rank_checked_qr(as_matrix(b, name), "reduced", name)
-
-
-def orth_complement(basis, *, name="basis"):
-    """Orthonormal basis of the orthogonal complement of the column span.
-
-    Accepts an n x k matrix with independent columns, 0 <= k <= n; returns
-    an n x (n - k) matrix with orthonormal columns (empty when k = n).
-    """
-    b = np.asarray(basis, dtype=complex)
-    if b.ndim != 2:
-        raise DimensionMismatch(f"{name}: expected a 2-D matrix, got shape {b.shape}")
-    n, k = b.shape
-    if n < 1:
-        raise DimensionMismatch(f"{name}: ambient dimension must be positive")
-    if k == 0:
-        return np.eye(n, dtype=complex)
-    if not np.all(np.isfinite(b)):
-        raise DimensionMismatch(f"{name}: entries must be finite")
-    return _rank_checked_qr(b, "complete", name)[0][:, k:]
+    return q, r[:k]
 
 
 def singular_extremes(m):

@@ -120,6 +120,31 @@ def test_cayley_isometry_spectral_mapping():
     assert frobenius(u.conj().T @ u - np.eye(2)) < 1e-12
 
 
+def test_extend_factors_each_range_once(monkeypatch):
+    # ranges_defects factors T - i and T + i, fixed_basis each defect space:
+    # four QRs per extend, and cayley_isometry reuses T - i's
+    cases = []
+    for n, d, seed in ((8, 3, 0), (5, 1, 1), (6, 5, 2)):
+        j = random_conjugation(n, seed)
+        cases.append((j, random_jimaginary_partial(j, d, seed)))
+    calls = []
+    qr = np.linalg.qr
+
+    def spy(b, *args, **kwargs):
+        calls.append(b.shape)
+        return qr(b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    for j, t in cases:
+        calls.clear()
+        extend(j, t)
+        assert len(calls) == 4, calls
+        defect = ranges_defects(t)
+        calls.clear()
+        cayley_isometry(defect)
+        assert calls == []
+
+
 def test_build_w_pairs_fixed_defect_bases():
     # extend's pairing W: each column of W f+ is the matching column of f-,
     # up to the sign a retry flipped

@@ -42,7 +42,6 @@ from jlab.numkernel import (
     herm_eig,
     inverse,
     nonpositive_pivot,
-    orth_complement,
     orthonormal_columns,
     singular_extremes,
     subspace_gap,
@@ -589,7 +588,6 @@ def test_kernels_take_no_tolerance_keywords():
         herm_eig,
         inverse,
         orthonormal_columns,
-        orth_complement,
         conjugation.fixed_basis,
         jclass.definitional_oracle,
     )
@@ -1012,30 +1010,37 @@ def test_frobenius_is_numpys_norm_bit_for_bit():
 
 def test_orthonormal_columns_properties():
     rng = np.random.default_rng(17)
-    b = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    q, r = orthonormal_columns(b)
-    assert frobenius(q.conj().T @ q - np.eye(3)) < 1e-13
-    assert frobenius(q @ r - b) < 1e-13
+    for n, k in ((5, 3), (4, 1)):
+        b = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        q, r = orthonormal_columns(b)
+        assert q.shape == (n, n) and r.shape == (k, k)
+        assert frobenius(q.conj().T @ q - np.eye(n)) < 1e-13
+        assert frobenius(q[:, :k] @ r - b) < 1e-13
+        assert np.array_equal(r, np.triu(r))
+        # the trailing columns span the complement of B
+        assert np.max(np.abs(q[:, k:].conj().T @ b)) < 1e-13
+    q, r = orthonormal_columns(np.eye(3, dtype=complex))
+    assert q.shape == (3, 3) and q[:, 3:].shape == (3, 0)
+    assert frobenius(q @ r - np.eye(3)) < 1e-13
     with pytest.raises(RankDeficient):
         orthonormal_columns(np.column_stack([b[:, 0], 2.0 * b[:, 0]]))
+    with pytest.raises(RankDeficient):
+        orthonormal_columns(np.column_stack([b, b]))
     with pytest.raises(RankDeficient):
         orthonormal_columns(np.ones((2, 3), dtype=complex))
 
 
-def test_orth_complement_spans_and_edges():
-    rng = np.random.default_rng(23)
-    b = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
-    q = orth_complement(b)
-    assert q.shape == (4, 3)
-    assert frobenius(q.conj().T @ q - np.eye(3)) < 1e-13
-    assert np.max(np.abs(q.conj().T @ b)) < 1e-13
-    np.testing.assert_allclose(
-        orth_complement(np.zeros((3, 0), dtype=complex)), np.eye(3), atol=0
-    )
-    full = orth_complement(np.eye(3, dtype=complex))
-    assert full.shape == (3, 0)
-    with pytest.raises(RankDeficient):
-        orth_complement(np.column_stack([b, b]))
+def test_orthonormal_columns_leading_frame_is_the_reduced_qr():
+    # ranges_defects takes T - i's frame and its complement from one complete
+    # QR; that rests on the leading columns and R being the reduced QR's bits
+    rng = np.random.default_rng(29)
+    for n in range(1, 17):
+        for k in range(1, n + 1):
+            b = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+            q, r = orthonormal_columns(b)
+            q_red, r_red = np.linalg.qr(b, mode="reduced")
+            assert q[:, :k].tobytes() == q_red.tobytes(), (n, k)
+            assert r.tobytes() == r_red.tobytes(), (n, k)
 
 
 def test_singular_extremes_match_numpy_svd():
