@@ -53,7 +53,9 @@ SINGULAR_FLOOR = 1e-5
 
 @dataclass(frozen=True)
 class PartialSymmetricOperator:
-    """Operator defined on a subspace: domain basis Q and image columns A Q."""
+    """Operator defined on a subspace: domain basis Q and image columns A Q.
+    The arrays are not copied and ``ranges_defects`` keeps T's DefectData on
+    T, so they must not be mutated after first use; eq and repr ignore it."""
 
     ambient: int
     domain_basis: np.ndarray
@@ -91,9 +93,8 @@ class PartialSymmetricOperator:
 
 @dataclass(frozen=True)
 class DefectData:
-    """Ranges of T -+ i, orthonormal bases of their complements, and T - i's QR."""
+    """Range of T + i, bases of the complements N_+- of ran(T -+ i), T - i's QR."""
 
-    m_plus: np.ndarray
     m_minus: np.ndarray
     n_plus: np.ndarray
     n_minus: np.ndarray
@@ -136,16 +137,18 @@ def verify_symmetric_jimaginary(j, t, tol=DEFAULT_TOL):
 
 
 def ranges_defects(t):
-    """Ranges of T -+ i (as column frames) and their orthogonal complements,
-    from one complete QR of each; T - i's frame and triangle are kept."""
-    m_plus = t.action - 1j * t.domain_basis
-    m_minus = t.action + 1j * t.domain_basis
-    q_plus, r_plus = orthonormal_columns(m_plus, name="range of T - i")
-    q_minus, _ = orthonormal_columns(m_minus, name="range of T + i")
-    d = t.domain_dim
-    k = t.ambient - d
-    n_plus, n_minus = q_plus[:, d:], q_minus[:, d:]
-    return DefectData(m_plus, m_minus, n_plus, n_minus, (k, k), q_plus[:, :d], r_plus)
+    """T's DefectData from one complete QR of each of T -+ i, built on the first
+    call and kept read-only on T: later calls return it and run no QR."""
+    if "_defect" not in t.__dict__:
+        m_minus = t.action + 1j * t.domain_basis
+        q_plus, r_plus = orthonormal_columns(t.action - 1j * t.domain_basis, name="range of T - i")
+        q_minus, _ = orthonormal_columns(m_minus, name="range of T + i")
+        d, k = t.domain_dim, t.ambient - t.domain_dim
+        defect = DefectData(m_minus, q_plus[:, d:], q_minus[:, d:], (k, k), q_plus[:, :d], r_plus)
+        for arr in (m_minus, defect.n_plus, defect.n_minus, defect.q_plus, r_plus):
+            arr.setflags(write=False)
+        object.__setattr__(t, "_defect", defect)
+    return t._defect
 
 
 def check_defect_j_invariance(j, defect):

@@ -1,5 +1,6 @@
 """tools/ab.py: its cases run on both sides, its output comparison sees
-bytes that repr hides, and it refuses fewer than ten pairs."""
+bytes that repr hides, its verdict follows the pair and quartile rule, and
+it refuses fewer than ten pairs."""
 
 import importlib.util
 from pathlib import Path
@@ -52,6 +53,29 @@ def test_smallest_cases_report_equal_outputs_on_one_checkout(ab, monkeypatch, la
     assert len(case["parent_s"]) == len(case["change_s"]) == 2
     assert set(case["minflt_per_call"]) == {"parent", "change"}
     assert case["parent"]["q1"] <= case["parent"]["median"] <= case["parent"]["q3"]
+    assert case["verdict"] in {"faster", "slower", "unresolved"}
+
+
+PARENT = [1.0 + 0.01 * i for i in range(10)]  # median 1.045, q3 - q1 = 0.045
+
+
+def test_verdict_faster_needs_nine_in_ten_and_a_gap_beyond_the_parent_spread(ab):
+    assert ab.verdict(PARENT, [p - 0.5 for p in PARENT]) == "faster"
+    # one pair lost of ten still counts
+    assert ab.verdict(PARENT, [p - 0.5 for p in PARENT[:9]] + [PARENT[9] + 0.1]) == "faster"
+
+
+def test_verdict_slower_is_the_mirror(ab):
+    assert ab.verdict(PARENT, [p + 0.5 for p in PARENT]) == "slower"
+
+
+def test_verdict_unresolved_on_two_lost_pairs_or_a_gap_inside_the_spread(ab):
+    two_lost = [p - 0.5 for p in PARENT[:8]] + [p + 0.1 for p in PARENT[8:]]
+    assert ab.verdict(PARENT, two_lost) == "unresolved"
+    assert ab.verdict(PARENT, [p - 0.04 for p in PARENT]) == "unresolved"
+    assert ab.verdict(PARENT, [p + 0.04 for p in PARENT]) == "unresolved"
+    # ties count for neither side
+    assert ab.verdict(PARENT, list(PARENT)) == "unresolved"
 
 
 def test_one_ulp_in_a_64_by_64_array_differs_though_repr_hides_it(ab):

@@ -230,6 +230,20 @@ def test_demo_jacobi(tmp_path, capsys, monkeypatch):
     assert run(["demo", "jacobi", "--n", 3, "--d", 1, "--alphas", "1,0"]) == 2
 
 
+def test_demo_jacobi_factors_t_minus_and_plus_i_once(monkeypatch, capsys):
+    # the printed defect numbers and extend share T's DefectData
+    real = extension.orthonormal_columns
+    names = []
+
+    def spy(b, *, name="frame"):
+        names.append(name)
+        return real(b, name=name)
+
+    monkeypatch.setattr(extension, "orthonormal_columns", spy)
+    assert run(["demo", "jacobi", "--n", 3, "--d", 1]) == 0
+    assert names == ["range of T - i", "range of T + i"]
+
+
 def test_random_generators_and_determinism(tmp_path):
     for kind in ("conjugation", "j-real-unitary", "positive-j-unitary", "j-unitary"):
         p1 = tmp_path / f"{kind}-1.json"

@@ -1,6 +1,7 @@
 """Cayley extension machinery: defects, pairings, the parity-rule flip, round trips."""
 
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -91,9 +92,12 @@ def test_ranges_defects_frozen_jacobi():
     j, t = jacobi_imag(3, 1)
     defect = ranges_defects(t)
     assert defect.defect_numbers == (2, 2)
-    np.testing.assert_allclose(defect.m_plus, np.array([[-1j], [-1j], [0.0]]), atol=0)
+    # T - i = q_plus r_plus; N_+ is orthogonal to q_plus's span, N_- to T + i's
+    np.testing.assert_allclose(
+        defect.q_plus @ defect.r_plus, np.array([[-1j], [-1j], [0.0]]), rtol=0, atol=1e-15
+    )
     np.testing.assert_allclose(defect.m_minus, np.array([[1j], [-1j], [0.0]]), atol=0)
-    for frame, rng_col in ((defect.n_plus, defect.m_plus), (defect.n_minus, defect.m_minus)):
+    for frame, rng_col in ((defect.n_plus, defect.q_plus), (defect.n_minus, defect.m_minus)):
         assert frame.shape == (3, 2)
         assert frobenius(frame.conj().T @ frame - np.eye(2)) < 1e-12
         assert np.max(np.abs(frame.conj().T @ rng_col)) < 1e-12
@@ -121,8 +125,9 @@ def test_cayley_isometry_spectral_mapping():
 
 
 def test_extend_factors_each_range_once(monkeypatch):
-    # ranges_defects factors T - i and T + i, fixed_basis each defect space:
-    # four QRs per extend, and cayley_isometry reuses T - i's
+    # ranges_defects factors T - i and T + i on its first call on T, fixed_basis
+    # each defect space: four QRs per extend of a fresh T; a second
+    # ranges_defects returns T's kept data and cayley_isometry reuses T - i's frame
     cases = []
     for n, d, seed in ((8, 3, 0), (5, 1, 1), (6, 5, 2)):
         j = random_conjugation(n, seed)
@@ -139,10 +144,44 @@ def test_extend_factors_each_range_once(monkeypatch):
         calls.clear()
         extend(j, t)
         assert len(calls) == 4, calls
-        defect = ranges_defects(t)
         calls.clear()
-        cayley_isometry(defect)
+        cayley_isometry(ranges_defects(t))
         assert calls == []
+
+
+def test_ranges_defects_is_kept_read_only_on_the_operator():
+    j = random_conjugation(6, 3)
+    t = random_jimaginary_partial(j, 2, 3)
+    defect = ranges_defects(t)
+    assert ranges_defects(t) is defect
+    for name in ("m_minus", "n_plus", "n_minus", "q_plus", "r_plus"):
+        with pytest.raises(ValueError):
+            getattr(defect, name)[0, 0] = 1.0
+    fresh = PartialSymmetricOperator(t.ambient, t.domain_basis, t.action)
+    assert "_defect" not in fresh.__dict__
+    assert repr(fresh) == repr(t)
+
+
+def test_extend_after_ranges_defects_runs_only_fixed_basis_qrs(monkeypatch):
+    # the kept DefectData leaves extend the two QRs of fixed_basis, one per
+    # defect space, and changes no output bit
+    j = random_conjugation(8, 4)
+    t = random_jimaginary_partial(j, 3, 4)
+    ranges_defects(t)
+    in_fixed_basis = []
+    qr = np.linalg.qr
+
+    def spy(b, *args, **kwargs):
+        in_fixed_basis.append(any(f.name == "fixed_basis" for f in traceback.extract_stack()))
+        return qr(b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    kept = extend(j, t)
+    assert in_fixed_basis == [True, True]
+    fresh = extend(j, PartialSymmetricOperator(t.ambient, t.domain_basis, t.action))
+    for name in ("a_tilde", "v", "w"):
+        got, want = getattr(kept, name), getattr(fresh, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 def test_build_w_pairs_fixed_defect_bases():

@@ -124,3 +124,21 @@ def test_generated_trials_make_no_whole_space_frame_search(monkeypatch):
     suites.zero_defect_trials(4, 6, 0)
     suites.oracle_trials(12, 6, 0)  # trials 5 and 11 draw J-unitaries under a random J
     assert widths and not any(widths)
+
+
+def test_trials_factor_t_minus_and_plus_i_once(monkeypatch):
+    # the defect records and extend share T's DefectData: one QR of each of
+    # T -+ i per trial, whether the trial extends or ends multivalued
+    real = extension.orthonormal_columns
+    calls = []
+
+    def spy(b, *, name="frame"):
+        calls.append(name)
+        return real(b, name=name)
+
+    monkeypatch.setattr(extension, "orthonormal_columns", spy)
+    for suite, maxdim in ((suites.extension_trials, 12), (suites.zero_defect_trials, 16)):
+        for seed in (0, 100_000, 200_000):
+            calls.clear()
+            suite(1, maxdim, seed)
+            assert calls == ["range of T - i", "range of T + i"], (suite.__name__, seed)

@@ -10,8 +10,9 @@ per sample until a sample takes SAMPLE_S on both sides; ``--pairs`` (>= 10)
 pairs of samples follow, the parent first in even pairs, each after a
 garbage collection.  Per case the JSON holds the calls per sample, the paired
 per-call times in seconds, each side's median and quartiles, the median ratio
-change / parent, the pairs the change won, minor page faults per call and
-the path of the first difference between the outputs (None when equal).
+change / parent, the pairs the change won, the ``verdict`` on the pairs, minor
+page faults per call and the path of the first difference between the outputs
+(None when equal).  The ``extend`` cases build a fresh operator in every call.
 """
 
 import argparse
@@ -85,8 +86,15 @@ def _layers(n):
         return (lambda parts: [f(parts) for f in fns]), (m.polar.refined_polar(*j_unitary(m)),)
 
     def extend(m):
+        # a fresh operator per call, so no DefectData kept on T carries over
+        ext = m.extension
         j = m.conjugation.random_conjugation(n, n)
-        return m.extension.extend, (j, m.extension.random_jimaginary_partial(j, n // 2, n))
+        t = ext.random_jimaginary_partial(j, n // 2, n)
+
+        def call():
+            return ext.extend(j, ext.PartialSymmetricOperator(t.ambient, t.domain_basis, t.action))
+
+        return call, ()
 
     return {
         f"herm_eig n={n}": lambda m: (m.numkernel.herm_eig, (herm,)),
@@ -171,6 +179,22 @@ def _summary(samples):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(parent_s, change_s):
+    """"faster" when the change won at least 9 in 10 of the paired samples
+    and the parent's median exceeds the change's by more than the parent's
+    q3 - q1; "slower" for the mirror case; else "unresolved"."""
+    base = _summary(parent_s)
+    spread = base["q3"] - base["q1"]
+    gap = base["median"] - statistics.median(change_s)
+    won = sum(c < p for p, c in zip(parent_s, change_s))
+    lost = sum(c > p for p, c in zip(parent_s, change_s))
+    if 10 * won >= 9 * len(parent_s) and gap > spread:
+        return "faster"
+    if 10 * lost >= 9 * len(parent_s) and -gap > spread:
+        return "slower"
+    return "unresolved"
+
+
 def run_case(sides, build, pairs):
     calls = {side: build(m) for side, m in sides.items()}
     diff = first_difference(*(fn(*args) for fn, args in calls.values()))
@@ -190,6 +214,7 @@ def run_case(sides, build, pairs):
         **{side: _summary(samples) for side, samples in times.items()},
         "median_ratio": statistics.median(ratios),
         "change_faster_pairs": sum(r < 1.0 for r in ratios),
+        "verdict": verdict(times["parent"], times["change"]),
         "minflt_per_call": {side: faults[side] / (pairs * count) for side in sides},
         "same_outputs": diff is None,
         "first_difference": diff,
@@ -221,7 +246,7 @@ def main(argv=None):
             case = result["cases"][label] = run_case(sides, build, args.pairs)
             print(f"{label}: {case['parent']['median']:.4g} -> {case['change']['median']:.4g} s, "
                   f"ratio {case['median_ratio']:.3f}, same {case['same_outputs']}, "
-                  f"won {case['change_faster_pairs']}/{args.pairs}", flush=True)
+                  f"won {case['change_faster_pairs']}/{args.pairs}, {case['verdict']}", flush=True)
     result["machine"]["loadavg_end"] = os.getloadavg()
     result["wall_s"] = time.perf_counter() - start
     args.out.write_text(json.dumps(result, indent=1) + "\n")
