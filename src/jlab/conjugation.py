@@ -6,7 +6,9 @@ and unitary; the constructor checks the axioms (``verify``) and raises
 NotConjugation, naming each that fails.  The linear map x -> J M J x then
 has matrix C conj(M) C* (``sandwich``), and spans with a vanishing
 projector residual ||P - J P J||_F (``invariance_residual``) admit
-orthonormal bases of J-fixed vectors (``fixed_basis``).  J's frame of the
+orthonormal bases of J-fixed vectors (``fixed_basis``); both take the span
+as orthonormal columns, and ``fixed_basis`` checks them at ORTHO_TOL
+(raising BadShape) instead of factoring them.  J's frame of the
 whole space (``Conjugation.fixed_frame``) is data where J was drawn from one:
 C = Q Q^T gives J Q = Q Q^T conj(Q) = Q, so the unitary Q is a J-fixed frame
 (the Takagi factorization; Garcia & Putinar, Trans. Amer. Math. Soc. 358
@@ -21,19 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotConjugation, NotInvariant, RankLoss
-from .numkernel import (
-    as_matrix,
-    as_square,
-    as_vector,
-    frobenius,
-    orthonormal_columns,
-)
+from .errors import BadShape, DimensionMismatch, NotConjugation, NotInvariant, RankLoss
+from .numkernel import as_matrix, as_square, as_vector, frobenius
 from .report import ResidualReport
 
 AXIOM_TOL = 1e-10
 FIXED_DISCARD_TOL = 1e-10
 INVARIANCE_TOL = 1e-8
+ORTHO_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -161,13 +158,16 @@ def random_conjugation(dim, seed):
 def fixed_basis(j, basis):
     """Orthonormal basis of J-fixed vectors spanning a J-invariant subspace.
 
-    basis is an n x k matrix whose columns span the subspace (k = 0 allowed,
-    returning an n x 0 result).  Candidates are generated deterministically:
-    v + Jv for each input column v in order, then i(v - Jv), orthonormalized
-    with real coefficients (which preserves J-fixedness) and discarded when
-    the residual norm falls below FIXED_DISCARD_TOL.
+    basis is an n x k matrix with orthonormal columns spanning the subspace
+    (k = 0 allowed, returning an n x 0 result), so its projector is B B*
+    and no QR is run.  Candidates are generated deterministically: v + Jv
+    for each input column v in order, then i(v - Jv), orthonormalized with
+    real coefficients (which preserves J-fixedness) and discarded when the
+    residual norm falls below FIXED_DISCARD_TOL.
 
-    Raises RankDeficient on dependent columns (numkernel.RANK_REL_TOL),
+    Raises DimensionMismatch on non-finite entries, BadShape when
+    ||B* B - I||_F exceeds ORTHO_TOL (a scaled or dependent basis; a tiny
+    span's projector residual is tiny whether or not it is invariant),
     NotInvariant when the span is not J-invariant at INVARIANCE_TOL
     (projector residual ||P - J P J||_F; a NaN residual fails), and RankLoss
     if fewer than k fixed vectors survive, which cannot happen for a
@@ -181,8 +181,11 @@ def fixed_basis(j, basis):
     n, k = b.shape
     if k == 0:
         return np.zeros((n, 0), dtype=complex)
-    q0, _ = orthonormal_columns(b, name="fixed_basis input")
-    inv_res = invariance_residual(j, q0[:, :k])
+    b = as_matrix(b, "fixed_basis input")
+    ortho_res = frobenius(b.conj().T @ b - np.eye(k))
+    if not ortho_res <= ORTHO_TOL:
+        raise BadShape(f"fixed_basis input columns are not orthonormal (residual {ortho_res:.3e})")
+    inv_res = invariance_residual(j, b)
     if not inv_res <= INVARIANCE_TOL:
         raise NotInvariant(
             f"span is not conjugation-invariant: projector residual {inv_res:.3e}"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugation import as_seed_sequence, fixed_basis, invariance_residual
+from .conjugation import ORTHO_TOL, as_seed_sequence, fixed_basis, invariance_residual
 from .errors import (
     BadShape,
     DomainNotJInvariant,
@@ -42,7 +42,6 @@ from .numkernel import (
 from .polar import random_j_real_unitary
 from .report import ResidualReport
 
-ORTHO_TOL = 1e-8
 # smallest trusted singular value of V - I; the inverse-Cayley residuals
 # degrade like eps/sigma, so anything below 1e-5 would break the 1e-8
 # diagnostic budget.  sigma_min >= 1/||(V - I)^-1||_F, so an elimination

@@ -53,13 +53,6 @@ class ResidualReport:
                 return item
         raise KeyError(name)
 
-    def residual(self, name):
-        return self.item(name).residual
-
-    def worst(self):
-        """Largest defined residual (undefined checks are skipped), 0.0 if none."""
-        return worst_of(item.residual for item in self.items if item.residual is not None)
-
     def to_dict(self):
         """JSON-ready form; an undefined or non-finite residual is written as null."""
         return {

@@ -115,7 +115,7 @@ def test_criterion_3_cayley_transform_structure():
         if n == 64:
             prof = classify(fam.conjugation, v)
             for name in ("self-adjoint", "J-unitary"):
-                r = prof.residual(name)
+                r = prof.item(name).residual
                 if r is None or r > 1e-6:
                     problems.append(f"n=64 {name}: residual {r}")
             for k in range(1, 65):

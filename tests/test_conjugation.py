@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 from jlab.conjugation import (
+    INVARIANCE_TOL,
     Conjugation,
     as_seed_sequence,
     canonical,
     fixed_basis,
+    invariance_residual,
     random_conjugation,
     random_unitary,
     verify,
 )
-from jlab.errors import DimensionMismatch, NotConjugation, NotInvariant
+from jlab.errors import BadShape, DimensionMismatch, NotConjugation, NotInvariant
 from jlab.fileio import read_conjugation, write_conjugation
 from jlab.numkernel import frobenius, subspace_gap
+from jlab.report import worst_of
 
 
 def test_canonical_is_entrywise_conjugation():
@@ -78,7 +81,8 @@ def test_random_conjugation_axioms_and_determinism():
     for dim in range(1, 9):
         j = random_conjugation(dim, 100 + dim)
         rep = verify(j)
-        assert rep.passed, f"dim {dim}: worst axiom residual {rep.worst():.3e}"
+        worst = worst_of(it.residual for it in rep.items)
+        assert rep.passed, f"dim {dim}: worst axiom residual {worst:.3e}"
     a = random_conjugation(5, 42)
     b = random_conjugation(5, 42)
     c = random_conjugation(5, 43)
@@ -126,10 +130,10 @@ def test_fixed_basis_preserves_invariant_spans():
     for dim, k, seed in ((3, 2, 0), (5, 3, 1), (6, 1, 2), (4, 4, 3)):
         j = random_conjugation(dim, seed)
         frame = fixed_basis(j, np.eye(dim, dtype=complex))[:, :k]
-        # scramble the generators with complex coefficients; the span stays
-        # J-invariant because the frame vectors are individually fixed
-        mix = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        basis = frame @ (mix + 3.0 * np.eye(k))
+        # scramble the frame with a complex unitary: the columns stay
+        # orthonormal and the span J-invariant, but they are no longer J-fixed
+        mix, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+        basis = frame @ mix
         out = fixed_basis(j, basis)
         assert out.shape == (dim, k)
         assert frobenius(out.conj().T @ out - np.eye(k)) < 1e-10
@@ -152,6 +156,41 @@ def test_fixed_basis_rejects_non_invariant_span():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NotInvariant, match="residual nan"):
             fixed_basis(huge, np.eye(2, dtype=complex))
+
+
+def test_fixed_basis_takes_only_orthonormal_frames():
+    j = random_conjugation(4, 0)
+    frame = j.fixed_frame()[:, :2]
+    assert fixed_basis(j, frame).shape == (4, 2)
+    with pytest.raises(BadShape, match="not orthonormal"):
+        fixed_basis(j, 2.0 * frame)
+    with pytest.raises(BadShape, match="not orthonormal"):
+        fixed_basis(j, frame[:, [0, 0]])
+    # a tiny span has a tiny projector residual whether or not it is
+    # invariant: this one passes INVARIANCE_TOL, so only the frame check stops it
+    tiny = 1e-6 * np.array([[1.0], [1j]]) / np.sqrt(2.0)
+    assert invariance_residual(canonical(2), tiny) <= INVARIANCE_TOL
+    with pytest.raises(BadShape, match="not orthonormal"):
+        fixed_basis(canonical(2), tiny)
+    with pytest.raises(DimensionMismatch, match="finite"):
+        fixed_basis(j, np.where(np.eye(4, 2) == 1.0, np.nan, frame))
+
+
+def test_fixed_basis_and_a_coefficient_frame_run_no_qr(monkeypatch):
+    dims = (1, 2, 5, 9)
+    drawn = [random_conjugation(dim, seed) for seed, dim in enumerate(dims)]
+    calls = []
+    qr = np.linalg.qr
+
+    def spy(b, *args, **kwargs):
+        calls.append(b.shape)
+        return qr(b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    for j in drawn:
+        fixed_basis(j, j.fixed_frame()[:, ::-1])
+        Conjugation(j.dim, j.coeff.copy()).fixed_frame()
+    assert calls == []
 
 
 def test_fixed_basis_empty_input():

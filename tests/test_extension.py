@@ -1,7 +1,6 @@
 """Cayley extension machinery: defects, pairings, the parity-rule flip, round trips."""
 
 import math
-import traceback
 
 import numpy as np
 import pytest
@@ -125,9 +124,10 @@ def test_cayley_isometry_spectral_mapping():
 
 
 def test_extend_factors_each_range_once(monkeypatch):
-    # ranges_defects factors T - i and T + i on its first call on T, fixed_basis
-    # each defect space: four QRs per extend of a fresh T; a second
-    # ranges_defects returns T's kept data and cayley_isometry reuses T - i's frame
+    # ranges_defects factors T - i and T + i on its first call on T and
+    # fixed_basis takes the defect frames as they are: two QRs per extend of a
+    # fresh T; a second ranges_defects returns T's kept data and
+    # cayley_isometry reuses T - i's frame
     cases = []
     for n, d, seed in ((8, 3, 0), (5, 1, 1), (6, 5, 2)):
         j = random_conjugation(n, seed)
@@ -143,7 +143,7 @@ def test_extend_factors_each_range_once(monkeypatch):
     for j, t in cases:
         calls.clear()
         extend(j, t)
-        assert len(calls) == 4, calls
+        assert len(calls) == 2, calls
         calls.clear()
         cayley_isometry(ranges_defects(t))
         assert calls == []
@@ -161,22 +161,22 @@ def test_ranges_defects_is_kept_read_only_on_the_operator():
     assert repr(PartialSymmetricOperator(t.ambient, t.domain_basis, t.action)) == repr(t)
 
 
-def test_extend_after_ranges_defects_runs_only_fixed_basis_qrs(monkeypatch):
-    # the kept DefectData leaves extend the two QRs of fixed_basis, one per
-    # defect space, and changes no output bit
+def test_extend_after_ranges_defects_runs_no_qr(monkeypatch):
+    # the kept DefectData holds both defect frames, which fixed_basis takes as
+    # they are, so extend runs no QR and changes no output bit
     j = random_conjugation(8, 4)
     t = random_jimaginary_partial(j, 3, 4)
     ranges_defects(t)
-    in_fixed_basis = []
+    calls = []
     qr = np.linalg.qr
 
     def spy(b, *args, **kwargs):
-        in_fixed_basis.append(any(f.name == "fixed_basis" for f in traceback.extract_stack()))
+        calls.append(b.shape)
         return qr(b, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", spy)
     kept = extend(j, t)
-    assert in_fixed_basis == [True, True]
+    assert calls == []
     fresh = extend(j, PartialSymmetricOperator(t.ambient, t.domain_basis, t.action))
     for name in ("a_tilde", "v", "w"):
         got, want = getattr(kept, name), getattr(fresh, name)

@@ -184,7 +184,7 @@ def test_random_positive_j_unitary_properties():
     # spectrum bounded by the generator cap: exp of [-2, 2]
     assert dec.eigenvalues[0] > math.exp(-2.0) - 1e-9
     assert dec.eigenvalues[-1] < math.exp(2.0) + 1e-9
-    assert classify(j, b).residual("J-unitary") < 1e-10
+    assert classify(j, b).item("J-unitary").residual < 1e-10
     np.testing.assert_array_equal(b, random_positive_j_unitary(j, 8))
 
 
@@ -278,7 +278,7 @@ def test_nan_in_the_cogram_spectrum_fails_spectra_match(monkeypatch):
     monkeypatch.setattr(jlab.polar, "herm_eig", faulty)
     rep = check_unitary_equiv(refined_polar(canonical(2), R2 @ B2))
     assert rep.item("similarity").passed
-    assert math.isnan(rep.residual("spectra_match"))
+    assert math.isnan(rep.item("spectra_match").residual)
     assert not rep.item("spectra_match").passed
 
 
@@ -292,7 +292,7 @@ def test_nan_cluster_value_fails_eigenvalue_reciprocity():
     assert check_reciprocity(parts).passed
     parts.dec = _nan_at(parts.dec, 1)
     rep = check_reciprocity(parts)
-    assert math.isnan(rep.residual("eigenvalue_reciprocity"))
+    assert math.isnan(rep.item("eigenvalue_reciprocity").residual)
     assert not rep.item("eigenvalue_reciprocity").passed
 
 
@@ -314,7 +314,7 @@ def test_nan_singular_value_fails_eigenspace_reciprocity(monkeypatch):
 
     monkeypatch.setattr(jlab.numkernel, "_sorted_spectrum", faulty)
     rep = check_reciprocity(parts)
-    assert math.isnan(rep.residual("eigenspace_reciprocity"))
+    assert math.isnan(rep.item("eigenspace_reciprocity").residual)
     assert not rep.item("eigenspace_reciprocity").passed
 
 

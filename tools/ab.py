@@ -71,7 +71,8 @@ def _layers(n):
     rng = np.random.default_rng(n)
     herm, herms = _hermitian(_gaussian(rng, n, n)), _hermitian(_gaussian(rng, 40, n, n))
     mat, mats = _gaussian(rng, n, n), _gaussian(rng, 40, n, n)
-    coeffs = _gaussian(rng, n // 2, n // 2)
+    # fixed_basis takes J-fixed columns times a unitary: orthonormal, not J-fixed
+    mix, _ = np.linalg.qr(_gaussian(rng, n // 2, n // 2))
 
     def j_unitary(m):
         j = m.conjugation.random_conjugation(n, n)
@@ -79,7 +80,7 @@ def _layers(n):
 
     def fixed_basis(m):
         j = m.conjugation.random_conjugation(n, n)
-        return m.conjugation.fixed_basis, (j, j.fixed_frame()[:, : n // 2] @ coeffs)
+        return m.conjugation.fixed_basis, (j, j.fixed_frame()[:, : n // 2] @ mix)
 
     def checks(m):
         fns = (m.polar.check_prop21, m.polar.check_unitary_equiv, m.polar.check_reciprocity)
