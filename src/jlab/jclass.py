@@ -8,7 +8,8 @@ itself (J-real / J-imaginary).  ``classify`` measures all of these at once,
 plus plain self-adjointness; ``definitional_oracle`` recomputes the same
 residuals from the definitions, one basis pair at a time, sharing no matrix
 algebra with classify.  The oracle applies J once per basis vector and once
-per column of A, and reads each pair's form values against those images.
+per column of A; a form value against a basis vector is read as an entry of
+those images, and only [Ae_i, e_k] and [Ae_i, Ae_k] are np.vdot products.
 Both return a ``ResidualReport`` with one item per class, in ``CLASS_NAMES``
 order at threshold tol, and extras ``invertible`` and ``cond``.  The
 J-unitary item of a singular A is undefined (residual None, failing).
@@ -118,7 +119,10 @@ def classify(j, a, tol=DEFAULT_TOL):
 
 
 def _rss(values):
-    return math.sqrt(sum(float(abs(v)) ** 2 for v in values))
+    # scalar hypot and pow in order: numpy's array abs and square round differently
+    if isinstance(values, np.ndarray):
+        values = values.ravel().tolist()
+    return math.sqrt(sum(abs(v) ** 2 for v in values))
 
 
 def definitional_oracle(j, a):
@@ -129,9 +133,11 @@ def definitional_oracle(j, a):
     deviations in root-sum-square form with the same denominators as
     classify.  J is applied once per basis vector e_k and once per column
     A e_k; each pair's form values [x, y] = (x, Jy) are read against those
-    images.  The inverse route uses numpy's solver, not the elimination
-    code.  Verdicts are at DEFAULT_TOL.  Quadratic in basis pairs, so
-    capped: raises CapExceeded above dimension ORACLE_DIM_CAP.
+    images.  A value against a basis vector is read as an entry, exact up to
+    a zero's sign: (e_k, Ae_i) = A[k, i], [e_i, Ae_k] = conj((JAe_k)[i]) and
+    [e_i, e_k] = conj((Je_k)[i]).  The inverse route uses numpy's solver, not
+    the elimination code.  Verdicts are at DEFAULT_TOL.  Quadratic in basis
+    pairs, so capped: raises CapExceeded above dimension ORACLE_DIM_CAP.
     """
     a = as_square(a, "operator")
     n = a.shape[0]
@@ -143,21 +149,24 @@ def definitional_oracle(j, a):
         raise CapExceeded(
             f"definitional oracle is capped at dimension {ORACLE_DIM_CAP}, got {n}"
         )
-    basis = [np.eye(n, dtype=complex)[:, i] for i in range(n)]
+    eye = np.eye(n, dtype=complex)
+    basis = [eye[:, i] for i in range(n)]
     acols = [a @ e for e in basis]
     astar = a.conj().T
-    na = _rss(abs(a[i, k]) for i in range(n) for k in range(n))
+    na = _rss(a)
     den = 1.0 + na
 
     try:
-        ainv = np.linalg.solve(a, np.eye(n, dtype=complex))
-        if not np.all(np.isfinite(ainv)):
+        ainv = np.linalg.solve(a, eye)
+        if not np.isfinite(ainv).all():
             ainv = None
     except np.linalg.LinAlgError:
         ainv = None
 
     jbasis = [j.apply(e) for e in basis]
     jacols = [j.apply(c) for c in acols]
+    # the same images as Python scalars, for the values that are entries
+    a_ent, ja_ent, j_ent = ([v.tolist() for v in vs] for vs in (acols, jacols, jbasis))
 
     dev = {name: [] for name in CLASS_NAMES}
     for i in range(n):
@@ -168,31 +177,29 @@ def definitional_oracle(j, a):
         ajei = a @ jei
         jastar_jei = j.apply(astar @ jei)
         # per-column deviations (vector-valued conditions)
-        dev["J-self-adjoint"].extend(aei - jastar_jei)
-        dev["J-skew-self-adjoint"].extend(aei + jastar_jei)
-        dev["J-real"].extend(ajei - jaei)
-        dev["J-imaginary"].extend(ajei + jaei)
+        dev["J-self-adjoint"].extend((aei - jastar_jei).tolist())
+        dev["J-skew-self-adjoint"].extend((aei + jastar_jei).tolist())
+        dev["J-real"].extend((ajei - jaei).tolist())
+        dev["J-imaginary"].extend((ajei + jaei).tolist())
         if ainv is not None:
-            dev["J-unitary"].extend(ainv @ ei - jastar_jei)
+            dev["J-unitary"].extend((ainv @ ei - jastar_jei).tolist())
         # per-pair deviations (scalar conditions through the forms)
         for k in range(n):
-            ek = basis[k]
-            aek = acols[k]
-            dev["self-adjoint"].append(np.vdot(ek, aei) - np.vdot(aek, ei))
+            # (e_k, Ae_i) - (Ae_k, e_i)
+            dev["self-adjoint"].append(a_ent[i][k] - a_ent[k][i].conjugate())
             fwd = complex(np.vdot(jbasis[k], aei))  # [Ae_i, e_k]
-            bwd = complex(np.vdot(jacols[k], ei))  # [e_i, Ae_k]
+            bwd = ja_ent[k][i].conjugate()  # [e_i, Ae_k]
             dev["J-symmetric"].append(fwd - bwd)
             dev["J-skew-symmetric"].append(fwd + bwd)
-            dev["J-isometric"].append(
-                complex(np.vdot(jacols[k], aei)) - complex(np.vdot(jbasis[k], ei))
-            )
+            # [Ae_i, Ae_k] - [e_i, e_k]
+            dev["J-isometric"].append(complex(np.vdot(jacols[k], aei)) - j_ent[k][i].conjugate())
 
     res = {name: _rss(dev[name]) / den for name in CLASS_NAMES if name != "J-unitary"}
     if ainv is None:
         res["J-unitary"] = None
         cond = None
     else:
-        ninv = _rss(abs(ainv[i, k]) for i in range(n) for k in range(n))
+        ninv = _rss(ainv)
         res["J-unitary"] = _rss(dev["J-unitary"]) / (den + ninv)
         cond = na * ninv
     return _profile_from_residuals(res, ainv, cond, DEFAULT_TOL)

@@ -66,7 +66,7 @@ def as_matrix(m, name="matrix"):
         raise DimensionMismatch(
             f"{name}: expected a 2-D matrix with positive dimensions, got shape {a.shape}"
         )
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DimensionMismatch(f"{name}: entries must be finite")
     return a
 
@@ -80,7 +80,7 @@ def as_square(m, name="matrix"):
 
 def as_vector(x, dim=None, name="vector"):
     v = np.asarray(x, dtype=complex).reshape(-1)
-    if v.size < 1 or not np.all(np.isfinite(v)):
+    if v.size < 1 or not np.isfinite(v).all():
         raise DimensionMismatch(f"{name}: expected a finite non-empty vector")
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"{name}: expected length {dim}, got {v.size}")
@@ -473,7 +473,7 @@ def orthonormal_columns(b, *, name="frame"):
     q, r = np.linalg.qr(b, mode="complete")
     colmax = float(np.max(np.linalg.norm(b, axis=0)))
     diag = np.abs(np.diag(r))
-    if np.any(diag <= RANK_REL_TOL * colmax):
+    if (diag <= RANK_REL_TOL * colmax).any():
         j = int(np.argmin(diag))
         raise RankDeficient(
             f"{name}: column {j} is dependent (R diagonal {diag[j]:.3e} "

@@ -21,7 +21,7 @@ from .extension import (
     random_jimaginary_partial,
     ranges_defects,
 )
-from .jclass import DEFAULT_TOL, classify, definitional_oracle
+from .jclass import DEFAULT_TOL, classify, definitional_oracle, j_unitary_residual
 from .numkernel import frobenius
 from .polar import (
     check_prop21,
@@ -244,7 +244,8 @@ def _oracle_matrix(kind, j, n, rng):
 
 
 def oracle_trials(trials, maxdim, seed):
-    """classify versus the definitional oracle, plus the canonical bridge."""
+    """classify versus the definitional oracle, plus the canonical bridge;
+    odd trials take the bridge's verdict from the gate j_unitary_residual."""
     records = []
     for i, tseed, rng, n, (s_j,) in _trials(trials, seed, 1, min(int(maxdim), 6), 1):
         j = canonical(n) if i % 2 == 0 else random_conjugation(n, s_j)
@@ -266,13 +267,14 @@ def oracle_trials(trials, maxdim, seed):
             mismatch = 1.0
         gap = worst_of(gaps)
         # even trials were already classified against canonical(n)
-        prof_can = prof if i % 2 == 0 else classify(canonical(n), a)
+        if i % 2 == 0:
+            invertible, unitary = prof.extras["invertible"], prof.item("J-unitary").passed
+        else:
+            r, ainv, _ = j_unitary_residual(canonical(n), a)
+            invertible, unitary = ainv is not None, r is not None and r <= DEFAULT_TOL
         eye = np.eye(n, dtype=complex)
-        direct = (
-            prof_can.extras["invertible"]
-            and frobenius(a.T @ a - eye) / (1.0 + frobenius(a)) <= DEFAULT_TOL
-        )
-        bridge = 0.0 if direct == prof_can.item("J-unitary").passed else 1.0
+        direct = invertible and frobenius(a.T @ a - eye) / (1.0 + frobenius(a)) <= DEFAULT_TOL
+        bridge = 0.0 if direct == unitary else 1.0
         rec = TrialRecord(i, tseed, n, notes={"kind": kind})
         rec.residuals.update(
             {"verdict_mismatch": mismatch, "residual_gap": gap, "bridge_mismatch": bridge}

@@ -42,7 +42,14 @@ def test_every_layer_is_swept_at_every_size(ab):
             assert label.replace("n=4", f"n={n}") in labels
 
 
-@pytest.mark.parametrize("label", SMALLEST)
+def test_the_oracle_is_swept_within_its_dimension_cap(ab):
+    labels = set(ab.cases())
+    assert "oracle_trials(200, 16, 300_000)" in labels
+    swept = {label for label in labels if label.startswith("definitional_oracle")}
+    assert swept == {"definitional_oracle n=4", "definitional_oracle n=8"}
+
+
+@pytest.mark.parametrize("label", SMALLEST + ["definitional_oracle n=4"])
 def test_smallest_cases_report_equal_outputs_on_one_checkout(ab, monkeypatch, label):
     monkeypatch.setattr(ab, "SAMPLE_S", 1e-3)
     side = ab.modules("jlab")

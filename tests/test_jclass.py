@@ -3,6 +3,7 @@ reference), and the canonical bridge."""
 
 import inspect
 import json
+import math
 
 import numpy as np
 import pytest
@@ -333,3 +334,50 @@ def test_oracle_applies_j_once_per_vector(monkeypatch):
         # e_k, A e_k and J A* J e_k: three J images per basis index
         assert 0 < len(applies) <= 3 * n
         assert forms == []
+
+
+def _per_value_rss(values):
+    """The oracle's root-sum-square as it was written per numpy scalar."""
+    return math.sqrt(sum(float(abs(v)) ** 2 for v in values))
+
+
+def test_rss_matches_the_per_value_form_bit_for_bit():
+    # _rss squares each scalar hypot with Python's pow.  On 200,000 standard
+    # complex normal values (seed 0, numpy 2.4, x86-64), numpy's array np.abs
+    # differs from the scalar hypot on 69,988 and np.square (x * x) from x ** 2
+    # on 159, so neither array route can stand in for the scalar sum.
+    rng = np.random.default_rng(31)
+    size = 10_000
+    scale = 10.0 ** rng.uniform(-8.0, 8.0, size)
+    z = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * scale
+    assert _rss(z) == _per_value_rss(z)
+    assert _rss(z[:64].reshape(8, 8)) == _per_value_rss(z[:64])
+    start = 0
+    for count in range(1, 65):  # the oracle's batches: n to n^2 values, n <= 8
+        batch = z[start : start + count]
+        start += count
+        want = _per_value_rss(batch)
+        assert _rss(batch) == want, count
+        assert _rss(batch.tolist()) == want, count
+        assert _rss(v for v in batch) == want, count
+
+
+def test_oracle_makes_two_vdots_per_basis_pair(monkeypatch):
+    # only [Ae_i, e_k] and [Ae_i, Ae_k] are dot products; a form against a
+    # basis vector is read as an entry of an image
+    calls = []
+    vdot = np.vdot
+
+    def counting_vdot(x, y):
+        calls.append(1)
+        return vdot(x, y)
+
+    monkeypatch.setattr(np, "vdot", counting_vdot)
+    for n in range(1, ORACLE_DIM_CAP + 1):
+        rng = np.random.default_rng(60 + n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for j in (canonical(n), random_conjugation(n, 60 + n)):
+            for m in (a, np.where(np.arange(n) == 0, 0.0, a)):  # then a singular A
+                calls.clear()
+                definitional_oracle(j, m)
+                assert len(calls) == 2 * n * n, n

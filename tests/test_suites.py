@@ -6,6 +6,9 @@ import math
 import numpy as np
 
 from jlab import conjugation, extension, suites
+from jlab.conjugation import canonical
+from jlab.jclass import DEFAULT_TOL, classify, j_unitary_residual
+from jlab.numkernel import frobenius
 from jlab.report import worst_of
 from jlab.suites import (
     MULTIVALUED_FRACTION_CAP,
@@ -138,3 +141,56 @@ def test_trials_factor_t_minus_and_plus_i_once(monkeypatch):
             calls.clear()
             suite(1, maxdim, seed)
             assert calls == ["range of T - i", "range of T + i"], (suite.__name__, seed)
+
+
+def test_oracle_trials_classify_once_per_trial(monkeypatch):
+    # the canonical bridge of an odd trial asks j_unitary_residual, not classify
+    real = suites.classify
+    calls = []
+
+    def spy(j, a):
+        calls.append(j.dim)
+        return real(j, a)
+
+    monkeypatch.setattr(suites, "classify", spy)
+    records = suites.oracle_trials(12, 6, 0)
+    assert len(calls) == len(records) == 12
+
+
+def _complex_rotation(n, scale=1.0):
+    """scale times a complex orthogonal A (A^T A = I), J-unitary under canonical(n)."""
+    w = 0.3 + 0.2j
+    q = np.eye(n, dtype=complex)
+    q[:2, :2] = [[np.cos(w), np.sin(w)], [-np.sin(w), np.cos(w)]]
+    return scale * q
+
+
+def test_bridge_gate_matches_the_classify_route(monkeypatch):
+    inputs = {
+        "singular": lambda n: np.diag(np.arange(n, dtype=complex)),
+        "complex orthogonal": _complex_rotation,
+        "just above tol": lambda n: _complex_rotation(n, 1.0 + 1.5e-8),
+    }
+    gate = {}
+    for label, build in inputs.items():
+        # trial 1 of seed 0 is odd (a random J) and three-dimensional
+        monkeypatch.setattr(suites, "_oracle_matrix", lambda kind, j, n, rng: build(n))
+        rec = suites.oracle_trials(2, 6, 0)[1]
+        assert rec.dim == 3, label
+        a = build(3)
+        prof = classify(canonical(3), a)
+        r, ainv, _ = j_unitary_residual(canonical(3), a)
+        assert r == prof.item("J-unitary").residual, label
+        assert (ainv is not None) == prof.extras["invertible"], label
+        gate[label] = r is not None and r <= DEFAULT_TOL
+        assert gate[label] == prof.item("J-unitary").passed, label
+        # the bridge record the classify(canonical(n), a) route gave
+        direct = prof.extras["invertible"] and (
+            frobenius(a.T @ a - np.eye(3)) / (1.0 + frobenius(a)) <= DEFAULT_TOL
+        )
+        want = 0.0 if direct == prof.item("J-unitary").passed else 1.0
+        assert rec.residuals["bridge_mismatch"] == want, label
+    assert j_unitary_residual(canonical(3), inputs["singular"](3)) == (None, None, None)
+    r, _, _ = j_unitary_residual(canonical(3), inputs["just above tol"](3))
+    assert DEFAULT_TOL < r < 2.0 * DEFAULT_TOL
+    assert gate == {"singular": False, "complex orthogonal": True, "just above tol": False}

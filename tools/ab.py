@@ -37,6 +37,8 @@ sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "bench")]
 from digest import blas_core  # noqa: E402  (puts this checkout's src on sys.path)
 from run import machine_facts  # noqa: E402
 
+from jlab.jclass import ORACLE_DIM_CAP  # noqa: E402
+
 SAMPLE_S = 0.02
 MODULES = ("conjugation", "examples", "extension", "jclass", "numkernel", "polar", "suites")
 
@@ -97,7 +99,7 @@ def _layers(n):
 
         return call, ()
 
-    return {
+    out = {
         f"herm_eig n={n}": lambda m: (m.numkernel.herm_eig, (herm,)),
         f"herm_eig 40 x n={n}": lambda m: (m.numkernel.herm_eig, (herms,)),
         f"inverse n={n}": lambda m: (m.numkernel.inverse, (mat,)),
@@ -108,6 +110,9 @@ def _layers(n):
         f"polar checks n={n}": checks,
         f"extend n={n}": extend,
     }
+    if n <= ORACLE_DIM_CAP:
+        out[f"definitional_oracle n={n}"] = lambda m: (m.jclass.definitional_oracle, j_unitary(m))
+    return out
 
 
 def _suite(name, *args):
@@ -126,6 +131,7 @@ def cases():
         "run_verify_program(200, 16, 0)": _suite("run_verify_program", 200, 16, 0),
         "extension_trials(100, 12, 100_000)": _suite("extension_trials", 100, 12, 100_000),
         "zero_defect_trials(50, 16, 200_000)": _suite("zero_defect_trials", 50, 16, 200_000),
+        "oracle_trials(200, 16, 300_000)": _suite("oracle_trials", 200, 16, 300_000),
     }
     for n in (4, 8, 16, 32, 64):
         out.update(_layers(n))
