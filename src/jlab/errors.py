@@ -38,7 +38,18 @@ class DomainError(JLabError):
 
 
 class Singular(JLabError):
-    """Elimination hit a pivot below the relative floor."""
+    """Elimination hit a pivot below the relative floor.
+
+    When a matrix elimination fails at its last column, ``kernel`` is a unit
+    null vector candidate x of M and ``second_sigma_bound`` a lower bound on
+    M's second-smallest singular value, both read from the eliminated
+    columns; every other raise carries None in both.
+    """
+
+    def __init__(self, message, kernel=None, second_sigma_bound=None):
+        super().__init__(message)
+        self.kernel = kernel
+        self.second_sigma_bound = second_sigma_bound
 
 
 class RankDeficient(JLabError):

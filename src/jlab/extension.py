@@ -45,8 +45,11 @@ from .report import ResidualReport
 # smallest trusted singular value of V - I; the inverse-Cayley residuals
 # degrade like eps/sigma, so anything below 1e-5 would break the 1e-8
 # diagnostic budget.  sigma_min >= 1/||(V - I)^-1||_F, so an elimination
-# inverse with ||(V - I)^-1||_F * SINGULAR_FLOOR < 1 certifies V - I; only
-# a singular or undecided attempt estimates sigma through the Gram matrix.
+# inverse with ||(V - I)^-1||_F * SINGULAR_FLOOR < 1 certifies V - I.  An
+# elimination that fails at its last column certifies a one-dimensional
+# kernel when its bound on sigma_{n-1} clears the floor and its null vector
+# x has ||(V - I) x||_F <= SINGULAR_FLOOR; only an undecided attempt, or an
+# unflipped one that fails earlier, estimates sigma through the Gram matrix.
 SINGULAR_FLOOR = 1e-5
 
 
@@ -170,7 +173,11 @@ def extend(j, t, tol=DEFAULT_TOL):
     Builds V = U + W from the Cayley isometry U and a J-fixed defect pairing
     W, then inverts: A~ = iI + 2i (V - I)^{-1}.  An attempt whose inverse
     certifies sigma_min(V - I) >= 1/||(V - I)^{-1}||_F > SINGULAR_FLOOR runs
-    no eigensolve; a singular or undecided one is judged on the Gram matrix
+    no eigensolve.  Nor does an unflipped one whose elimination fails at its
+    last column with a bound on sigma_{n-1} above the floor and a null
+    vector x with ||(V - I) x||_F <= SINGULAR_FLOOR: ker(V - I) is then
+    spanned by x.  Nor does a singular retry, which is multivalued whatever
+    its kernel.  Any other attempt is judged on the Gram matrix
     (V - I)*(V - I), whose eigenvectors below the floor span ker(V - I).
     When the unflipped V - I is singular with m = dim ker(V - I), one retry
     negates m columns of the J-fixed basis f_- of N_{-i}: those whose
@@ -194,7 +201,7 @@ def extend(j, t, tol=DEFAULT_TOL):
     n = t.ambient
     eye = np.eye(n, dtype=complex)
 
-    def attempt_v(flips):
+    def attempt_v(flips, retry):
         fm = f_minus.copy()
         fm[:, flips] = -fm[:, flips]
         w = fm @ f_plus.conj().T
@@ -202,7 +209,16 @@ def extend(j, t, tol=DEFAULT_TOL):
         vm = v - eye
         try:
             vm_inv = inverse(vm)
-        except Singular:
+        except Singular as exc:
+            if retry:
+                return w, v, None, None
+            x = exc.kernel
+            if (
+                x is not None
+                and exc.second_sigma_bound > SINGULAR_FLOOR
+                and frobenius(vm @ x) <= SINGULAR_FLOOR
+            ):
+                return w, v, x[:, None], None
             vm_inv = None
         if vm_inv is not None and frobenius(vm_inv) * SINGULAR_FLOOR < 1:
             return w, v, eye[:, :0], vm_inv
@@ -214,13 +230,13 @@ def extend(j, t, tol=DEFAULT_TOL):
 
     flips = []
     attempts = 1
-    w, v, kernel, vm_inv = attempt_v(flips)
+    w, v, kernel, vm_inv = attempt_v(flips, retry=False)
     base_kernel = kernel.shape[1]
     if vm_inv is None and base_kernel:
         overlap = np.linalg.norm(f_plus.conj().T @ kernel, axis=1)
         flips = sorted(np.argsort(-overlap, kind="stable")[:base_kernel].tolist())
         attempts = 2
-        w, v, _, vm_inv = attempt_v(flips)
+        w, v, _, vm_inv = attempt_v(flips, retry=True)
     if vm_inv is None:
         raise MultivaluedRelation(
             f"V - I stayed singular through {attempts} attempt(s); "

@@ -356,10 +356,27 @@ def nonpositive_pivot(m):
     return None
 
 
+def _last_column_null(a):
+    """What a working array that failed its last pivot certifies about M.
+
+    Rows :n-1 of the spent columns hold rows :n-1 of the accumulated row
+    operations E, whose remaining column is e_{n-1}, so they are a left
+    inverse of M's first n - 1 columns: 1/||a[:n-1, :n-1]||_F <= their
+    sigma_min <= sigma_{n-1}(M) by interlacing (inf when n = 1).  The last
+    column holds y = E M e_{n-1}, so x = [-y[:n-1]; 1]/||.|| is a unit null
+    vector candidate, sigma_min(M) <= ||M x||.  Returns (x, the bound)."""
+    x = -a[:, -1]
+    x[-1] = 1.0
+    x /= frobenius(x)
+    spent = frobenius(a[:-1, :-1])
+    return x, 1.0 / spent if spent else math.inf
+
+
 def _steps(a, floor):
     """The classic Gauss-Jordan column loop on a, in place.  Returns the row
     labels: column k then holds inverse column rows[k].  Raises Singular for
-    the first pivot at or below the floor."""
+    the first pivot at or below the floor, with _last_column_null's payload
+    when that is the last column."""
     n = a.shape[0]
     rows = list(range(n))
     for k in range(n):
@@ -367,7 +384,8 @@ def _steps(a, floor):
         mag = abs(a[piv, k])
         if not mag > floor:
             raise Singular(
-                f"pivot {mag:.3e} at column {k} is at or below the floor {floor:.3e}"
+                f"pivot {mag:.3e} at column {k} is at or below the floor {floor:.3e}",
+                *(_last_column_null(a) if k == n - 1 else ()),
             )
         if piv != k:
             a[[k, piv]] = a[[piv, k]]
@@ -437,7 +455,11 @@ def inverse(m):
     Raises OutOfRange when ||M||_F overflows, and Singular unless the best
     available pivot (NaN included) exceeds PIVOT_REL_TOL * ||M||_F; for a
     stack each names the stack index, and Singular the earliest failing
-    column, at the lowest index failing there.
+    column, at the lowest index failing there.  A matrix that fails at its
+    last column raises Singular with ``kernel``, a unit x with
+    sigma_min(M) <= ||M x||, and ``second_sigma_bound``, a lower bound on
+    M's second-smallest singular value (_last_column_null); every other
+    Singular, a stack's included, carries None in both.
     """
     if np.ndim(m) != 2:
         t = _as_stack(m, square=True).copy()

@@ -14,6 +14,7 @@ from jlab.errors import (
     MultivaluedRelation,
     NotConjugation,
     NotJImaginary,
+    Singular,
 )
 from jlab.examples import jacobi_imag
 from jlab.extension import (
@@ -26,7 +27,7 @@ from jlab.extension import (
     ranges_defects,
     verify_symmetric_jimaginary,
 )
-from jlab.numkernel import frobenius, herm_eig
+from jlab.numkernel import frobenius, herm_eig, inverse
 
 
 def test_partial_operator_shape_gates():
@@ -287,10 +288,93 @@ def test_extend_decomposes_only_attempts_the_inverse_cannot_certify(monkeypatch)
     )
     extend(canonical(3), PartialSymmetricOperator(3, np.eye(3, dtype=complex), m))
     assert calls == []
-    # the unflipped V - I is singular and needs its kernel; the flip is certified
+    # the unflipped V - I fails elimination at its last column, which gives
+    # its one-dimensional kernel; the flip is certified
     res = extend(*jacobi_imag(2, 1))
     assert res.report.extras["attempts"] == 2
-    assert calls == [(2, 2)]
+    assert calls == []
+    # a two-dimensional kernel fails elimination earlier and takes the Gram route
+    res = extend(*jacobi_imag(3, 1))
+    assert res.report.extras["attempts"] == 2
+    assert calls == [(3, 3)]
+
+
+def test_extend_trusts_the_elimination_kernel_only_when_it_certifies(monkeypatch):
+    # a bound at the floor, or a unit vector that V - I does not annihilate
+    # (the one orthogonal to the true kernel, ||(V - I) y|| = 2), certifies
+    # nothing: the attempt takes the Gram route and ends where it would
+    j, t = jacobi_imag(2, 1)
+    want = _extend_outcome(j, t)
+    calls = _count_eigensolves(monkeypatch)
+    payloads = (
+        lambda x, bound: (x, SINGULAR_FLOOR),
+        lambda x, bound: (np.array([-x[1].conj(), x[0].conj()]), bound),
+    )
+    for payload in payloads:
+
+        def weak_singular(m):
+            try:
+                return inverse(m)
+            except Singular as err:
+                raise Singular(str(err), *payload(err.kernel, err.second_sigma_bound)) from None
+
+        monkeypatch.setattr(extension, "inverse", weak_singular)
+        calls.clear()
+        assert _extend_outcome(j, t) == want
+        assert calls == [(2, 2)]
+
+
+def test_extend_singular_retry_runs_no_eigensolve(monkeypatch):
+    # a coupling of 1e12 leaves V - I within rounding of singular on both
+    # pairings: the unflipped attempt needs the Gram route for its
+    # three-dimensional kernel, and the retry is multivalued whatever its own
+    calls = _count_eigensolves(monkeypatch)
+    with pytest.raises(MultivaluedRelation, match=r"through 2 attempt\(s\)") as info:
+        extend(*jacobi_imag(3, 1, [1e12, 1.0]))
+    assert info.value.kernel_dim == 3
+    assert "kernel dimension 3 on the unflipped pairing" in str(info.value)
+    assert calls == [(3, 3)]
+
+
+def _extension_trial_inputs(count, seed):
+    """(J, T) of the first count trials of extension_trials(..., 12, seed)."""
+    for tseed in range(seed, seed + count):
+        rng = np.random.default_rng(tseed)
+        n = int(rng.integers(2, 13))
+        d = int(rng.integers(1, n))
+        s_j, s_t = np.random.SeedSequence(tseed).spawn(2)
+        j = random_conjugation(n, s_j)
+        yield j, random_jimaginary_partial(j, d, s_t)
+
+
+def _extend_outcome(j, t):
+    try:
+        res = extend(j, t)
+    except MultivaluedRelation as err:
+        return repr((str(err), err.kernel_dim))
+    return repr(res.report) + "".join(
+        a.tobytes().hex() for a in (res.v, res.a_tilde, res.w)
+    )
+
+
+def test_extend_with_the_elimination_kernel_equals_the_gram_route(monkeypatch):
+    cases = list(_extension_trial_inputs(200, 100_000))
+    cases += [jacobi_imag(n, d) for n in range(2, 9) for d in range(1, n)]
+    calls = _count_eigensolves(monkeypatch)
+    got = [_extend_outcome(j, t) for j, t in cases]
+    certified = len(calls)
+
+    def bare_singular(m):
+        try:
+            return inverse(m)
+        except Singular as err:
+            raise Singular(str(err)) from None
+
+    monkeypatch.setattr(extension, "inverse", bare_singular)
+    for (j, t), outcome in zip(cases, got):
+        assert _extend_outcome(j, t) == outcome
+    # the payload spared eigensolves that the Gram route runs
+    assert len(calls) - certified > certified
 
 
 def test_extend_undecided_bound_falls_back_to_the_gram_estimate(monkeypatch):

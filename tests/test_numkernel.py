@@ -658,6 +658,44 @@ def test_inverse_rejects_singular():
         inverse(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
+def _rank_deficient(rng, n, rank):
+    u = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    return u @ (rng.standard_normal((rank, n)) + 1j * rng.standard_normal((rank, n)))
+
+
+def test_a_last_column_singular_carries_a_null_vector_and_a_sigma_bound():
+    rng = np.random.default_rng(1407)
+    for n in range(2, 13):
+        for _ in range(50):
+            m = _rank_deficient(rng, n, n - 1)
+            with pytest.raises(Singular, match=f"at column {n - 1} ") as info:
+                inverse(m)
+            x, bound = info.value.kernel, info.value.second_sigma_bound
+            assert x.shape == (n,)
+            assert abs(frobenius(x) - 1.0) <= 1e-15
+            assert frobenius(m @ x) <= 1e-12 * frobenius(m)
+            assert 0.0 < bound <= np.linalg.svd(m, compute_uv=False)[-2]
+    # n = 1: the whole space is the kernel and no other singular value exists
+    with pytest.raises(Singular) as info:
+        inverse(np.zeros((1, 1)))
+    assert info.value.kernel.tolist() == [1.0]
+    assert info.value.second_sigma_bound == math.inf
+
+
+def test_other_singular_raises_carry_no_payload():
+    rng = np.random.default_rng(1408)
+    for n in range(2, 13):
+        with pytest.raises(Singular) as early:
+            inverse(_rank_deficient(rng, n, n - 2))
+        assert f"at column {n - 2} " in str(early.value)
+        # a stack member failing at its last column carries nothing either
+        mats = np.stack([_rank_deficient(rng, n, n), _rank_deficient(rng, n, n - 1)])
+        with pytest.raises(Singular, match=f"stack index 1: .* at column {n - 1} ") as stacked:
+            inverse(mats)
+        for err in (early.value, stacked.value):
+            assert err.kernel is None and err.second_sigma_bound is None
+
+
 def test_inverse_and_classify_reject_an_overflowing_norm():
     # ||1e200 I||_F overflows, so no pivot floor can be set; the matrix must
     # not read as singular, since 1e-200 I is its representable inverse

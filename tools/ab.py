@@ -68,6 +68,12 @@ def _hermitian(z):
     return 0.5 * (z + z.conj().swapaxes(-1, -2))
 
 
+def _extend(m, j, t):
+    """extend on a fresh operator per call, so no DefectData kept on T carries over."""
+    ext = m.extension
+    return (lambda: ext.extend(j, ext.PartialSymmetricOperator(t.ambient, t.domain_basis, t.action))), ()
+
+
 def _layers(n):
     """The sweep's cases at dimension n, their inputs seeded by n."""
     rng = np.random.default_rng(n)
@@ -89,15 +95,8 @@ def _layers(n):
         return (lambda parts: [f(parts) for f in fns]), (m.polar.refined_polar(*j_unitary(m)),)
 
     def extend(m):
-        # a fresh operator per call, so no DefectData kept on T carries over
-        ext = m.extension
         j = m.conjugation.random_conjugation(n, n)
-        t = ext.random_jimaginary_partial(j, n // 2, n)
-
-        def call():
-            return ext.extend(j, ext.PartialSymmetricOperator(t.ambient, t.domain_basis, t.action))
-
-        return call, ()
+        return _extend(m, j, m.extension.random_jimaginary_partial(j, n // 2, n))
 
     out = {
         f"herm_eig n={n}": lambda m: (m.numkernel.herm_eig, (herm,)),
@@ -125,8 +124,9 @@ def _gram(m):
 
 
 def cases():
-    """Label -> build(m) -> (fn, args): the suites, the per-layer sweep, and
-    the kernel shapes of ``refined_polar``, ``norm_growth`` and ``growth_probe``."""
+    """Label -> build(m) -> (fn, args): the suites, the per-layer sweep, an
+    ``extend`` whose unflipped V - I is singular, and the kernel shapes of
+    ``refined_polar``, ``norm_growth`` and ``growth_probe``."""
     out = {
         "run_verify_program(200, 16, 0)": _suite("run_verify_program", 200, 16, 0),
         "extension_trials(100, 12, 100_000)": _suite("extension_trials", 100, 12, 100_000),
@@ -135,6 +135,8 @@ def cases():
     }
     for n in (4, 8, 16, 32, 64):
         out.update(_layers(n))
+    # the unflipped V - I is singular with a one-dimensional kernel
+    out["extend jacobi_imag(8, 7)"] = lambda m: _extend(m, *m.examples.jacobi_imag(8, 7))
     herms = _hermitian(_gaussian(np.random.default_rng(3), 3, 16, 16))
     out["herm_eig 3 x n=16"] = lambda m: (m.numkernel.herm_eig, (herms,))
     out["herm_eig L=256 Gram"] = _gram
