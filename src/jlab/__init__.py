@@ -38,7 +38,6 @@ from .extension import (
     DefectData,
     ExtensionResult,
     PartialSymmetricOperator,
-    cayley_isometry,
     check_defect_j_invariance,
     extend,
     random_jimaginary_partial,

@@ -35,20 +35,23 @@ ORTHO_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Conjugation:
-    """Conjugation J x = C conj(x) with C symmetric unitary at AXIOM_TOL."""
+    """Conjugation J x = C conj(x) with C symmetric unitary at AXIOM_TOL.
+    J keeps a read-only copy of C, so no later edit of the caller's array
+    reaches C or the fixed frame kept with it."""
 
     dim: int
     coeff: np.ndarray
 
     def __post_init__(self):
-        c = as_square(self.coeff, "conjugation coefficient")
+        c = as_square(self.coeff, "conjugation coefficient").copy(order="K")
+        c.setflags(write=False)
         if c.shape[0] != self.dim:
             raise DimensionMismatch(
                 f"conjugation: dim {self.dim} does not match coefficient shape {c.shape}"
             )
         object.__setattr__(self, "coeff", c)
         # the identity meets the axioms exactly; skipping its products keeps
-        # the large canonical conjugations of the worked examples cheap
+        # canonical(n) cheap, which the oracle suite builds on every trial
         if not np.array_equal(c, np.eye(self.dim)):
             rep = verify(self)
             bad = [f"{it.name} residual {it.residual:.3e}" for it in rep.items if not it.passed]

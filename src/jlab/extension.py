@@ -46,26 +46,30 @@ from .report import ResidualReport
 # degrade like eps/sigma, so anything below 1e-5 would break the 1e-8
 # diagnostic budget.  sigma_min >= 1/||(V - I)^-1||_F, so an elimination
 # inverse with ||(V - I)^-1||_F * SINGULAR_FLOOR < 1 certifies V - I.  An
-# elimination that fails at its last column certifies a one-dimensional
-# kernel when its bound on sigma_{n-1} clears the floor and its null vector
-# x has ||(V - I) x||_F <= SINGULAR_FLOOR; only an undecided attempt, or an
-# unflipped one that fails earlier, estimates sigma through the Gram matrix.
+# unflipped elimination that fails at its last column certifies a
+# one-dimensional kernel, spanned by its null vector x (see Singular), when
+# its bound on sigma_{n-1} clears the floor and ||(V - I) x||_F <=
+# SINGULAR_FLOOR.  A retry that elimination cannot invert is multivalued
+# whatever its kernel.  Only an undecided attempt, or an unflipped one that
+# fails earlier, is judged on the Gram matrix (V - I)*(V - I), whose
+# eigenvectors below the floor span ker(V - I).
 SINGULAR_FLOOR = 1e-5
 
 
 @dataclass(frozen=True)
 class PartialSymmetricOperator:
     """Operator defined on a subspace: domain basis Q and image columns A Q.
-    The arrays are not copied and ``ranges_defects`` keeps T's DefectData on
-    T, so they must not be mutated after first use; eq and repr ignore it."""
+    T keeps read-only copies of both arrays, so no later edit of the caller's
+    arrays reaches it or the DefectData that ``ranges_defects`` keeps on T;
+    eq and repr ignore the latter."""
 
     ambient: int
     domain_basis: np.ndarray
     action: np.ndarray
 
     def __post_init__(self):
-        q = as_matrix(self.domain_basis, "domain_basis")
-        a = as_matrix(self.action, "action")
+        q = as_matrix(self.domain_basis, "domain_basis").copy(order="K")
+        a = as_matrix(self.action, "action").copy(order="K")
         n = int(self.ambient)
         if n < 1:
             raise BadShape(f"ambient dimension must be positive, got {n}")
@@ -85,8 +89,9 @@ class PartialSymmetricOperator:
                 f"domain_basis columns are not orthonormal (residual {frobenius(gram):.3e})"
             )
         object.__setattr__(self, "ambient", n)
-        object.__setattr__(self, "domain_basis", q)
-        object.__setattr__(self, "action", a)
+        for name, arr in (("domain_basis", q), ("action", a)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def domain_dim(self):
@@ -95,14 +100,14 @@ class PartialSymmetricOperator:
 
 @dataclass(frozen=True)
 class DefectData:
-    """Range of T + i, bases of the complements N_+- of ran(T -+ i), T - i's QR."""
+    """T's Cayley geometry: orthonormal bases of the complements N_+- of
+    ran(T -+ i), their dimensions, and the isometry (T - i)f -> (T + i)f,
+    zero on N_+."""
 
-    m_minus: np.ndarray
     n_plus: np.ndarray
     n_minus: np.ndarray
     defect_numbers: tuple
-    q_plus: np.ndarray
-    r_plus: np.ndarray
+    isometry: np.ndarray
 
 
 @dataclass
@@ -140,14 +145,17 @@ def verify_symmetric_jimaginary(j, t, tol=DEFAULT_TOL):
 
 def ranges_defects(t):
     """T's DefectData from one complete QR of each of T -+ i, built on the first
-    call and kept read-only on T: later calls return it and run no QR."""
+    call and kept read-only on T: later calls return it and run no QR.  The
+    isometry is (T + i) R^{-1} F*, where T - i = F R and F is the first d
+    columns of its complete QR."""
     if "_defect" not in t.__dict__:
         m_minus = t.action + 1j * t.domain_basis
         q_plus, r_plus = orthonormal_columns(t.action - 1j * t.domain_basis, name="range of T - i")
         q_minus, _ = orthonormal_columns(m_minus, name="range of T + i")
         d, k = t.domain_dim, t.ambient - t.domain_dim
-        defect = DefectData(m_minus, q_plus[:, d:], q_minus[:, d:], (k, k), q_plus[:, :d], r_plus)
-        for arr in (m_minus, defect.n_plus, defect.n_minus, defect.q_plus, r_plus):
+        isometry = (m_minus @ inverse(r_plus)) @ q_plus[:, :d].conj().T
+        defect = DefectData(q_plus[:, d:], q_minus[:, d:], (k, k), isometry)
+        for arr in (defect.n_plus, defect.n_minus, isometry):
             arr.setflags(write=False)
         object.__setattr__(t, "_defect", defect)
     return t._defect
@@ -161,30 +169,18 @@ def check_defect_j_invariance(j, defect):
     return rep
 
 
-def cayley_isometry(defect):
-    """Partial isometry (T - i)f -> (T + i)f from T's DefectData, zero on N_i;
-    it reads T - i = q_plus r_plus and runs no QR."""
-    return (defect.m_minus @ inverse(defect.r_plus)) @ defect.q_plus.conj().T
-
-
 def extend(j, t, tol=DEFAULT_TOL):
     """Self-adjoint J-imaginary extension of T through the Cayley transform.
 
-    Builds V = U + W from the Cayley isometry U and a J-fixed defect pairing
-    W, then inverts: A~ = iI + 2i (V - I)^{-1}.  An attempt whose inverse
-    certifies sigma_min(V - I) >= 1/||(V - I)^{-1}||_F > SINGULAR_FLOOR runs
-    no eigensolve.  Nor does an unflipped one whose elimination fails at its
-    last column with a bound on sigma_{n-1} above the floor and a null
-    vector x with ||(V - I) x||_F <= SINGULAR_FLOOR: ker(V - I) is then
-    spanned by x.  Nor does a singular retry, which is multivalued whatever
-    its kernel.  Any other attempt is judged on the Gram matrix
-    (V - I)*(V - I), whose eigenvectors below the floor span ker(V - I).
-    When the unflipped V - I is singular with m = dim ker(V - I), one retry
-    negates m columns of the J-fixed basis f_- of N_{-i}: those whose
-    partners in f_+ overlap ker(V - I) most (row norms of f_+* K, ties in
-    stable order).  Each flip multiplies the real orthogonal V by a
-    reflection, so a flip set S can clear the kernel only if |S| >= m and
-    |S| = m (mod 2); the rule takes the smallest such set.  There is no
+    Builds V = U + W from T's Cayley isometry U (``ranges_defects``) and a
+    J-fixed defect pairing W, then inverts: A~ = iI + 2i (V - I)^{-1}.  Each
+    attempt judges V - I singular or not, and finds ker(V - I), by the rule
+    stated at SINGULAR_FLOOR.  When the unflipped V - I is singular with
+    m = dim ker(V - I), one retry negates m columns of the J-fixed basis f_-
+    of N_{-i}: those whose partners in f_+ overlap ker(V - I) most (row
+    norms of f_+* K, ties in stable order).  Each flip multiplies the real
+    orthogonal V by a reflection, so a flip set S can clear the kernel only
+    if |S| >= m and |S| = m (mod 2); the rule takes the smallest such set.  There is no
     further retry, so at most two attempts.  Raises MultivaluedRelation if
     both leave V - I singular, reporting ker(V - I) of the unflipped
     attempt.  The extra min_singular_bound, 1/||(V - I)^{-1}||_F of the
@@ -195,7 +191,6 @@ def extend(j, t, tol=DEFAULT_TOL):
         bad = ", ".join(it.name for it in rep0.items if not it.passed)
         raise NotJImaginary(f"operator gate failed: {bad}")
     defect = ranges_defects(t)
-    uop = cayley_isometry(defect)
     f_plus = fixed_basis(j, defect.n_plus)
     f_minus = fixed_basis(j, defect.n_minus)
     n = t.ambient
@@ -205,7 +200,7 @@ def extend(j, t, tol=DEFAULT_TOL):
         fm = f_minus.copy()
         fm[:, flips] = -fm[:, flips]
         w = fm @ f_plus.conj().T
-        v = uop + w
+        v = defect.isometry + w
         vm = v - eye
         try:
             vm_inv = inverse(vm)

@@ -455,11 +455,10 @@ def inverse(m):
     Raises OutOfRange when ||M||_F overflows, and Singular unless the best
     available pivot (NaN included) exceeds PIVOT_REL_TOL * ||M||_F; for a
     stack each names the stack index, and Singular the earliest failing
-    column, at the lowest index failing there.  A matrix that fails at its
-    last column raises Singular with ``kernel``, a unit x with
-    sigma_min(M) <= ||M x||, and ``second_sigma_bound``, a lower bound on
-    M's second-smallest singular value (_last_column_null); every other
-    Singular, a stack's included, carries None in both.
+    column, at the lowest index failing there.  Only a single matrix that
+    fails at its last column raises Singular with ``kernel`` and
+    ``second_sigma_bound`` set (_last_column_null); extension.SINGULAR_FLOOR
+    states how extend certifies V - I from them and from the inverse.
     """
     if np.ndim(m) != 2:
         t = _as_stack(m, square=True).copy()

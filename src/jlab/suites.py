@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conjugation import canonical, random_conjugation
-from .errors import BadFactor, MultivaluedRelation, NotJUnitary
+from .errors import BadFactor, MultivaluedRelation, NotJUnitary, OutOfRange
 from .extension import (
     PartialSymmetricOperator,
     check_defect_j_invariance,
@@ -133,8 +133,10 @@ def polar_trials(trials, maxdim, seed, corrupt_index=None):
     J-unitary B0, synthesizes A = U0 B0, and measures every residual of the
     decomposition round trip and the structural checks on A.  With
     corrupt_index set, that trial's A gets a deliberate dent so the gate
-    must fail (harness self-test).
+    must fail (harness self-test); OutOfRange unless it names a trial.
     """
+    if corrupt_index is not None and int(corrupt_index) not in range(int(trials)):
+        raise OutOfRange(f"corrupt_index {corrupt_index} names none of {trials} trials")
     records = []
     for i, tseed, _, dim, (s_j, s_u, s_b) in _trials(trials, seed, 1, maxdim, 3):
         j = random_conjugation(dim, s_j)

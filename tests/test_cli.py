@@ -288,6 +288,12 @@ def test_verify_suite_bad_parameters():
     assert run(["verify-suite", "--trials", 4, "--maxdim", 0]) == 2
 
 
+def test_verify_suite_corrupt_trial_must_name_a_trial(capsys):
+    for index in (8, -1):
+        assert run(["verify-suite", "--trials", 8, "--maxdim", 4, "--corrupt-trial", index]) == 2
+        assert "names none of 8 trials" in capsys.readouterr().err
+
+
 def test_verify_suite_multivalued_fraction_at_the_cap_fails(tmp_path, capsys, monkeypatch):
     records = [
         TrialRecord(i, 100 + i, 3, {"defect_match": 0.0}, {"multivalued": i == 0})

@@ -19,6 +19,7 @@ from jlab.conjugation import (
 from jlab.errors import BadShape, DimensionMismatch, NotConjugation, NotInvariant
 from jlab.fileio import read_conjugation, write_conjugation
 from jlab.numkernel import frobenius, subspace_gap
+from jlab.polar import random_j_real_unitary
 from jlab.report import worst_of
 
 
@@ -267,3 +268,18 @@ def test_reloaded_conjugation_keeps_c_and_j_and_searches_its_frame(tmp_path):
         assert frobenius(back.apply(frame) - frame) <= 1e-13
         assert frobenius(frame.conj().T @ frame - np.eye(dim)) <= 1e-13
         assert np.array_equal(frame, fixed_basis(back, np.eye(dim, dtype=complex)))
+
+
+def test_conjugation_keeps_a_read_only_copy_of_its_coefficient():
+    # J's kept frame was found from C; an edit of the caller's array after
+    # that must reach neither C nor the J-real generators drawn on the frame
+    want = random_conjugation(4, 3).coeff
+    c = want.copy()
+    j = Conjugation(4, c)
+    assert j.coeff is not c and not j.coeff.flags.writeable
+    j.fixed_frame()
+    c[:] = random_conjugation(4, 9).coeff
+    assert j.coeff.tobytes() == want.tobytes()
+    assert verify(j).passed
+    u = random_j_real_unitary(j, 5)
+    assert frobenius(u - j.sandwich(u)) / (1.0 + frobenius(u)) < 1e-12

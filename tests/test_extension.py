@@ -1,5 +1,6 @@
 """Cayley extension machinery: defects, pairings, the parity-rule flip, round trips."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,8 +20,8 @@ from jlab.errors import (
 from jlab.examples import jacobi_imag
 from jlab.extension import (
     SINGULAR_FLOOR,
+    DefectData,
     PartialSymmetricOperator,
-    cayley_isometry,
     check_defect_j_invariance,
     extend,
     random_jimaginary_partial,
@@ -88,19 +89,36 @@ def test_verify_rejects_non_invariant_domain():
             verify_symmetric_jimaginary(huge, t)
 
 
+def _assert_cayley_geometry(t, defect):
+    """N_+- are orthonormal complements of ran(T -+ i), and the isometry maps
+    (T - i)f to (T + i)f, vanishes on N_+ and has initial projector onto
+    ran(T - i)."""
+    t_minus = t.action - 1j * t.domain_basis
+    t_plus = t.action + 1j * t.domain_basis
+    k = t.ambient - t.domain_dim
+    assert defect.defect_numbers == (k, k)
+    for frame, rng in ((defect.n_plus, t_minus), (defect.n_minus, t_plus)):
+        assert frame.shape == (t.ambient, k)
+        assert frobenius(frame.conj().T @ frame - np.eye(k)) < 1e-12
+        assert frobenius(frame.conj().T @ rng) < 1e-12
+    u = defect.isometry
+    assert frobenius(u @ t_minus - t_plus) < 1e-12
+    assert frobenius(u @ defect.n_plus) < 1e-12
+    proj = t_minus @ np.linalg.solve(t_minus.conj().T @ t_minus, t_minus.conj().T)
+    assert frobenius(u.conj().T @ u - proj) < 1e-12
+
+
 def test_ranges_defects_frozen_jacobi():
     j, t = jacobi_imag(3, 1)
     defect = ranges_defects(t)
     assert defect.defect_numbers == (2, 2)
-    # T - i = q_plus r_plus; N_+ is orthogonal to q_plus's span, N_- to T + i's
-    np.testing.assert_allclose(
-        defect.q_plus @ defect.r_plus, np.array([[-1j], [-1j], [0.0]]), rtol=0, atol=1e-15
-    )
-    np.testing.assert_allclose(defect.m_minus, np.array([[1j], [-1j], [0.0]]), atol=0)
-    for frame, rng_col in ((defect.n_plus, defect.q_plus), (defect.n_minus, defect.m_minus)):
-        assert frame.shape == (3, 2)
-        assert frobenius(frame.conj().T @ frame - np.eye(2)) < 1e-12
-        assert np.max(np.abs(frame.conj().T @ rng_col)) < 1e-12
+    # T - i = [-i, -i, 0] and T + i = [i, -i, 0] on the domain e_0
+    np.testing.assert_allclose(t.action - 1j * t.domain_basis, [[-1j], [-1j], [0.0]], atol=0)
+    np.testing.assert_allclose(t.action + 1j * t.domain_basis, [[1j], [-1j], [0.0]], atol=0)
+    _assert_cayley_geometry(t, defect)
+    # U maps (e_0 + e_1)/sqrt 2 to (-e_0 + e_1)/sqrt 2 and vanishes elsewhere
+    u = np.array([[-0.5, -0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]])
+    np.testing.assert_allclose(defect.isometry, u, rtol=0, atol=1e-15)
     rep = check_defect_j_invariance(j, defect)
     assert rep.passed
     with pytest.raises(DimensionMismatch):
@@ -109,13 +127,13 @@ def test_ranges_defects_frozen_jacobi():
 
 def test_cayley_isometry_of_the_zero_operator():
     t = PartialSymmetricOperator(2, np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
-    np.testing.assert_allclose(cayley_isometry(ranges_defects(t)), -np.eye(2), atol=1e-13)
+    np.testing.assert_allclose(ranges_defects(t).isometry, -np.eye(2), atol=1e-13)
 
 
 def test_cayley_isometry_spectral_mapping():
     a = np.array([[0.0, 1j], [-1j, 0.0]])
     t = PartialSymmetricOperator(2, np.eye(2, dtype=complex), a)
-    u = cayley_isometry(ranges_defects(t))
+    u = ranges_defects(t).isometry
     v_plus = np.array([1.0, -1j]) / math.sqrt(2.0)  # eigenvalue +1 of a
     v_minus = np.array([1.0, 1j]) / math.sqrt(2.0)  # eigenvalue -1 of a
     # lambda maps to (lambda + i) / (lambda - i)
@@ -127,8 +145,7 @@ def test_cayley_isometry_spectral_mapping():
 def test_extend_factors_each_range_once(monkeypatch):
     # ranges_defects factors T - i and T + i on its first call on T and
     # fixed_basis takes the defect frames as they are: two QRs per extend of a
-    # fresh T; a second ranges_defects returns T's kept data and
-    # cayley_isometry reuses T - i's frame
+    # fresh T; a second ranges_defects returns T's kept data, isometry included
     cases = []
     for n, d, seed in ((8, 3, 0), (5, 1, 1), (6, 5, 2)):
         j = random_conjugation(n, seed)
@@ -146,7 +163,7 @@ def test_extend_factors_each_range_once(monkeypatch):
         extend(j, t)
         assert len(calls) == 2, calls
         calls.clear()
-        cayley_isometry(ranges_defects(t))
+        assert ranges_defects(t).isometry.shape == (t.ambient, t.ambient)
         assert calls == []
 
 
@@ -155,9 +172,16 @@ def test_ranges_defects_is_kept_read_only_on_the_operator():
     t = random_jimaginary_partial(j, 2, 3)
     defect = ranges_defects(t)
     assert ranges_defects(t) is defect
-    for name in ("m_minus", "n_plus", "n_minus", "q_plus", "r_plus"):
+    assert [f.name for f in dataclasses.fields(DefectData)] == [
+        "n_plus",
+        "n_minus",
+        "defect_numbers",
+        "isometry",
+    ]
+    _assert_cayley_geometry(t, defect)
+    for arr in (defect.n_plus, defect.n_minus, defect.isometry, t.domain_basis, t.action):
         with pytest.raises(ValueError):
-            getattr(defect, name)[0, 0] = 1.0
+            arr[0, 0] = 1.0
     # repr (and equality) read the dataclass fields only
     assert repr(PartialSymmetricOperator(t.ambient, t.domain_basis, t.action)) == repr(t)
 
@@ -240,7 +264,7 @@ def test_extend_flips_by_the_kernel_parity_rule():
         # the unflipped V, and its kernel counted by numpy's SVD
         defect = ranges_defects(t)
         w = fixed_basis(j, defect.n_minus) @ fixed_basis(j, defect.n_plus).conj().T
-        v = cayley_isometry(defect) + w
+        v = defect.isometry + w
         svals = np.linalg.svd(v - np.eye(n), compute_uv=False)
         kernel_dim = int(np.sum(svals <= SINGULAR_FLOOR))
         assert attempts == (2 if kernel_dim else 1), tseed
@@ -447,3 +471,19 @@ def test_random_full_domain_extends_exactly():
     recon = res.a_tilde @ t.domain_basis
     assert frobenius(recon - t.action) / (1.0 + frobenius(t.action)) < 1e-11
     assert res.report.extras["defect_numbers"] == (0, 0)
+
+
+def test_extend_ignores_later_edits_to_the_callers_arrays():
+    # 2A is still J-imaginary symmetric on the same domain, so a T that read
+    # the caller's arrays would pass its gate and extend a stale DefectData
+    j = random_conjugation(6, 1)
+    src = random_jimaginary_partial(j, 3, 2)
+    q, a = src.domain_basis.copy(), src.action.copy()
+    t = PartialSymmetricOperator(6, q, a)
+    assert t.domain_basis is not q and t.action is not a
+    first = extend(j, t)
+    a *= 2.0
+    second = extend(j, t)
+    assert second.report.passed
+    for name in ("a_tilde", "v", "w"):
+        assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name

@@ -4,9 +4,11 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 
 from jlab import conjugation, extension, suites
 from jlab.conjugation import canonical
+from jlab.errors import OutOfRange
 from jlab.jclass import DEFAULT_TOL, classify, j_unitary_residual
 from jlab.numkernel import frobenius
 from jlab.report import worst_of
@@ -194,3 +196,10 @@ def test_bridge_gate_matches_the_classify_route(monkeypatch):
     r, _, _ = j_unitary_residual(canonical(3), inputs["just above tol"](3))
     assert DEFAULT_TOL < r < 2.0 * DEFAULT_TOL
     assert gate == {"singular": False, "complex orthogonal": True, "just above tol": False}
+
+
+@pytest.mark.parametrize("index", [8, -1, 100])
+def test_polar_corruption_must_name_a_trial(index):
+    # an index outside range(trials) would dent nothing and pass the self-test
+    with pytest.raises(OutOfRange, match="names none of 8 trials"):
+        suites.polar_trials(8, 4, 0, corrupt_index=index)

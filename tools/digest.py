@@ -1,4 +1,4 @@
-"""Print the two record digests and the source size that CHANGES.md
+"""Print the three record digests and the source size that CHANGES.md
 entries quote.
 
     python tools/digest.py
@@ -10,13 +10,16 @@ in, so running it in two checkouts compares their records and sizes.
   failures list, of the report items and of the report extras of
   ``run_verify_program(200, 16, 0)``;
 * unbounded: sha256 fed ``repr(growth_probe(L))`` then
-  ``repr(norm_growth(L))`` for each L in LEVELS, in order.
+  ``repr(norm_growth(L))`` for each L in LEVELS, in order;
+* extension: sha256 fed ``repr(extension_trials(1000, 12, 7_100_000))``
+  then ``repr(zero_defect_trials(500, 16, 7_200_000))``, which pins the
+  Cayley path on more trials than the verify program runs.
 
-Each digest is the first 16 hex digits.  The third line, ``src lines``,
-is the total line count of ``src/jlab/*.py``.  The fourth, ``blas``, names
+Each digest is the first 16 hex digits.  The fourth line, ``src lines``,
+is the total line count of ``src/jlab/*.py``.  The fifth, ``blas``, names
 numpy's BLAS library and the core its runtime dispatch picked (``unknown``
 when the library has no core-name call): matrix products follow that kernel
-in their last bits, so both digests are quoted for one core.  OpenBLAS takes
+in their last bits, so the digests are quoted for one core.  OpenBLAS takes
 the core from ``OPENBLAS_CORETYPE`` when it is set.
 """
 
@@ -31,7 +34,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
 from jlab.examples import growth_probe, norm_growth  # noqa: E402
-from jlab.suites import run_verify_program  # noqa: E402
+from jlab.suites import extension_trials, run_verify_program, zero_defect_trials  # noqa: E402
 
 LEVELS = (16, 24, 32, 48, 64, 96, 128, 181, 256)
 
@@ -51,6 +54,10 @@ def verify_digest():
 
 def unbounded_digest():
     return _digest(f(level) for level in LEVELS for f in (growth_probe, norm_growth))
+
+
+def extension_digest():
+    return _digest([extension_trials(1000, 12, 7_100_000), zero_defect_trials(500, 16, 7_200_000)])
 
 
 def blas_core():
@@ -83,5 +90,6 @@ def src_lines():
 if __name__ == "__main__":
     print(f"verify    {verify_digest()}")
     print(f"unbounded {unbounded_digest()}")
+    print(f"extension {extension_digest()}")
     print(f"src lines {src_lines()}")
     print(f"blas      {blas_core()}")
