@@ -191,10 +191,6 @@ def cmd_random(args):
 
 
 def cmd_verify_suite(args):
-    if args.trials < 0:
-        raise JLabError(f"--trials must be non-negative, got {args.trials}")
-    if args.maxdim < 1:
-        raise JLabError(f"--maxdim must be positive, got {args.maxdim}")
     outcome = suites.run_verify_program(
         args.trials, args.maxdim, args.seed, corrupt_index=args.corrupt_trial
     )

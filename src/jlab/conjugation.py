@@ -163,10 +163,10 @@ def fixed_basis(j, basis):
 
     basis is an n x k matrix with orthonormal columns spanning the subspace
     (k = 0 allowed, returning an n x 0 result), so its projector is B B*
-    and no QR is run.  Candidates are generated deterministically: v + Jv
-    for each input column v in order, then i(v - Jv), orthonormalized with
-    real coefficients (which preserves J-fixedness) and discarded when the
-    residual norm falls below FIXED_DISCARD_TOL.
+    and no QR is run.  J is applied once, to all of B.  Each column w of
+    [B + JB, i(B - JB)] in order, all J-fixed, is projected twice out of the
+    kept frame F, w -= F Re(F* w) (F* w is real to rounding; real coefficients
+    keep w J-fixed), and kept normalized if its norm exceeds FIXED_DISCARD_TOL.
 
     Raises DimensionMismatch on non-finite entries, BadShape when
     ||B* B - I||_F exceeds ORTHO_TOL (a scaled or dependent basis; a tiny
@@ -193,21 +193,17 @@ def fixed_basis(j, basis):
         raise NotInvariant(
             f"span is not conjugation-invariant: projector residual {inv_res:.3e}"
         )
-    cols = [b[:, i] / np.linalg.norm(b[:, i]) for i in range(k)]
-    pairs = [(v, j.apply(v)) for v in cols]
-    candidates = [v + jv for v, jv in pairs] + [1j * (v - jv) for v, jv in pairs]
-    out = []
-    for w in candidates:
-        for _ in range(2):  # one re-orthogonalization pass for stability
-            for g in out:
-                w = w - np.real(np.vdot(g, w)) * g
+    jb = j.apply(b)
+    out = np.empty((n, k), dtype=complex)
+    kept = 0
+    for w in np.hstack((b + jb, 1j * (b - jb))).T:
+        frame = out[:, :kept]
+        for _ in range(2):  # classical Gram-Schmidt, run twice for stability
+            w = w - frame @ (frame.conj().T @ w).real
         nrm = np.linalg.norm(w)
         if nrm > FIXED_DISCARD_TOL:
-            out.append(w / nrm)
-        if len(out) == k:
-            break
-    if len(out) < k:
-        raise RankLoss(
-            f"extracted {len(out)} fixed vectors from a {k}-dimensional invariant span"
-        )
-    return np.column_stack(out)
+            out[:, kept] = w / nrm
+            kept += 1
+            if kept == k:
+                return out
+    raise RankLoss(f"extracted {kept} fixed vectors from a {k}-dimensional invariant span")

@@ -37,7 +37,7 @@ def block_a0(beta):
     return np.array([[0.0, beta * 1j], [-beta * 1j, 0.0]], dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncationFamily:
     """Level-n truncation: n 2 x 2 blocks under the canonical conjugation."""
 

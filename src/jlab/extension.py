@@ -56,12 +56,12 @@ from .report import ResidualReport
 SINGULAR_FLOOR = 1e-5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartialSymmetricOperator:
     """Operator defined on a subspace: domain basis Q and image columns A Q.
     T keeps read-only copies of both arrays, so no later edit of the caller's
-    arrays reaches it or the DefectData that ``ranges_defects`` keeps on T;
-    eq and repr ignore the latter."""
+    arrays reaches it or the DefectData that ``ranges_defects`` keeps on T.
+    T compares by identity, and repr leaves out the kept DefectData."""
 
     ambient: int
     domain_basis: np.ndarray
@@ -98,7 +98,7 @@ class PartialSymmetricOperator:
         return self.domain_basis.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefectData:
     """T's Cayley geometry: orthonormal bases of the complements N_+- of
     ran(T -+ i), their dimensions, and the isometry (T - i)f -> (T + i)f,
@@ -110,7 +110,7 @@ class DefectData:
     isometry: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class ExtensionResult:
     """J-real unitary V, its inverse Cayley transform, and diagnostics."""
 

@@ -143,7 +143,7 @@ def _hermitian_part(a):
     return 0.5 * (a + adj), scales
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomp:
     """Eigendecomposition of a Hermitian matrix with eigenvalue clustering.
 

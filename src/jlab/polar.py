@@ -41,7 +41,7 @@ from .numkernel import (
 from .report import ResidualReport, worst_of
 
 
-@dataclass
+@dataclass(eq=False)
 class PolarParts:
     """Gated analysis of a J-unitary A: the gate's elimination inverse ainv,
     G = A* A, factors A = U B and their residuals (extras: B's smallest

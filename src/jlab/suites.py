@@ -118,7 +118,12 @@ def multivalued_fraction(records):
 def _trials(trials, seed, low, high, children):
     """The drivers' seed rule: trial i uses tseed = seed + i, whose generator
     rng draws the dimension from [low, high] first; yields (i, tseed, rng,
-    dim, children spawned from SeedSequence(tseed)) per trial."""
+    dim, children spawned from SeedSequence(tseed)) per trial; OutOfRange,
+    once iterated, for negative trials or an empty [low, high]."""
+    if int(trials) < 0:
+        raise OutOfRange(f"trials must be non-negative, got {trials}")
+    if int(low) > int(high):
+        raise OutOfRange(f"trial dimension range [{low}, {high}] is empty: maxdim < {low}")
     for i in range(int(trials)):
         tseed = int(seed) + i
         rng = np.random.default_rng(tseed)

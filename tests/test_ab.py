@@ -1,14 +1,16 @@
 """tools/ab.py: its cases run on both sides, its output comparison sees
-bytes that repr hides, its verdict follows the pair and quartile rule, and
-it refuses fewer than ten pairs."""
+bytes that repr hides, its record diff names what moved, its verdict
+follows the pair and quartile rule, and it refuses fewer than ten pairs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jlab.report import ResidualReport
+from jlab.suites import TrialRecord
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "ab.py"
 
@@ -61,6 +63,67 @@ def test_smallest_cases_report_equal_outputs_on_one_checkout(ab, monkeypatch, la
     assert set(case["minflt_per_call"]) == {"parent", "change"}
     assert case["parent"]["q1"] <= case["parent"]["median"] <= case["parent"]["q3"]
     assert case["verdict"] in {"faster", "slower", "unresolved"}
+
+
+def _rec(seed, notes=None, **residuals):
+    return TrialRecord(seed % 100, seed, 3, residuals, notes or {})
+
+
+THRESHOLDS = {"polar.gate": 0.5, "extension.v_unitary": 1e-8}
+BEFORE = {
+    "polar": [_rec(100, gate=0.0), _rec(101, gate=0.0)],
+    "extension": [
+        _rec(200, {"multivalued": False}, v_unitary=1e-12),
+        _rec(201, {"multivalued": False, "flipped_columns": [0]}, v_unitary=2e-9),
+        _rec(202, {"multivalued": False}, v_unitary=1e-12),
+    ],
+}
+
+
+def test_records_diff_names_crossings_and_changed_notes(ab):
+    after = {
+        "polar": BEFORE["polar"],
+        "extension": [
+            _rec(200, {"multivalued": False}, v_unitary=3e-12),
+            _rec(201, {"multivalued": False, "flipped_columns": [1]}, v_unitary=3e-8),
+            _rec(202, {"multivalued": True, "kernel_dim": 1}),
+        ],
+    }
+    diff = ab.records_diff(BEFORE, after, THRESHOLDS)
+    assert diff["keys"]["polar.gate"] == {
+        "before": 0.0, "after": 0.0, "max_delta_over_threshold": 0.0
+    }
+    moved = diff["keys"]["extension.v_unitary"]
+    assert (moved["before"], moved["after"]) == (2e-9, 3e-8)
+    assert moved["max_delta_over_threshold"] == pytest.approx(2.8)
+    # a residual across its threshold, and one no longer measured, change verdicts
+    assert diff["verdicts"] == [
+        {"suite": "extension", "seed": 201, "key": "v_unitary", "before": 2e-9, "after": 3e-8},
+        {"suite": "extension", "seed": 202, "key": "v_unitary", "before": 1e-12, "after": None},
+    ]
+    assert diff["notes"] == [
+        {"suite": "extension", "seed": 201, "note": "flipped_columns",
+         "before": [0], "after": [1]},
+        {"suite": "extension", "seed": 202, "note": "multivalued", "before": False, "after": True},
+        {"suite": "extension", "seed": 202, "note": "kernel_dim", "before": None, "after": 1},
+    ]
+
+
+def test_records_diff_of_equal_records_is_empty(ab):
+    diff = ab.records_diff(BEFORE, BEFORE, THRESHOLDS)
+    assert diff["verdicts"] == diff["notes"] == []
+    assert [key["max_delta_over_threshold"] for key in diff["keys"].values()] == [0.0, 0.0]
+
+
+def test_the_verify_program_case_carries_its_record_diff(ab, monkeypatch):
+    monkeypatch.setattr(ab, "SAMPLE_S", 1e-3)
+    side = ab.modules("jlab")
+    build = ab._suite("run_verify_program", 4, 3, 0)
+    records = ab.run_case({"parent": side, "change": side}, build, 2)["records"]
+    assert records["verdicts"] == records["notes"] == []
+    assert {"polar.reconstruct", "extension.v_unitary"} <= set(records["keys"])
+    assert all(key["max_delta_over_threshold"] == 0.0 for key in records["keys"].values())
+    json.dumps(records)
 
 
 PARENT = [1.0 + 0.01 * i for i in range(10)]  # median 1.045, q3 - q1 = 0.045

@@ -288,6 +288,12 @@ def test_verify_suite_bad_parameters():
     assert run(["verify-suite", "--trials", 4, "--maxdim", 0]) == 2
 
 
+def test_verify_suite_maxdim_below_the_extension_range(capsys):
+    # the extension suite draws n >= 2, so maxdim 1 leaves it no dimension
+    assert run(["verify-suite", "--trials", 4, "--maxdim", 1]) == 2
+    assert "trial dimension range [2, 1] is empty" in capsys.readouterr().err
+
+
 def test_verify_suite_corrupt_trial_must_name_a_trial(capsys):
     for index in (8, -1):
         assert run(["verify-suite", "--trials", 8, "--maxdim", 4, "--corrupt-trial", index]) == 2

@@ -4,7 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jlab import conjugation
 from jlab.conjugation import (
     INVARIANCE_TOL,
     Conjugation,
@@ -16,7 +19,7 @@ from jlab.conjugation import (
     random_unitary,
     verify,
 )
-from jlab.errors import BadShape, DimensionMismatch, NotConjugation, NotInvariant
+from jlab.errors import BadShape, DimensionMismatch, NotConjugation, NotInvariant, RankLoss
 from jlab.fileio import read_conjugation, write_conjugation
 from jlab.numkernel import frobenius, subspace_gap
 from jlab.polar import random_j_real_unitary
@@ -192,6 +195,54 @@ def test_fixed_basis_and_a_coefficient_frame_run_no_qr(monkeypatch):
         fixed_basis(j, j.fixed_frame()[:, ::-1])
         Conjugation(j.dim, j.coeff.copy()).fixed_frame()
     assert calls == []
+
+
+def test_fixed_basis_applies_j_once(monkeypatch):
+    calls = []
+    apply = Conjugation.apply
+
+    def spy(self, x):
+        calls.append(np.shape(x))
+        return apply(self, x)
+
+    monkeypatch.setattr(Conjugation, "apply", spy)
+    for dim, k in ((2, 2), (5, 3), (9, 9)):
+        j = random_conjugation(dim, k)
+        frame = j.fixed_frame()[:, :k]
+        calls.clear()
+        fixed_basis(j, 1j * frame)
+        assert calls == [(dim, k)]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 16),
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(("fixed", "imaginary", "mixed")), min_size=1, max_size=16),
+)
+def test_fixed_basis_on_mixed_invariant_frames(n, seed, kinds):
+    # J-fixed columns phi, columns i phi with J(i phi) = -i phi, whose v + Jv
+    # candidates vanish, and the rest mixed by a complex unitary
+    kinds = kinds[:n]
+    k = len(kinds)
+    j = random_conjugation(n, seed)
+    span = j.fixed_frame()[:, :k]
+    basis = span.copy()
+    basis[:, [c == "imaginary" for c in kinds]] *= 1j
+    mixed = [c == "mixed" for c in kinds]
+    basis[:, mixed] = basis[:, mixed] @ random_unitary(sum(mixed), np.random.default_rng(seed))
+    out = fixed_basis(j, basis)
+    assert out.shape == (n, k)
+    assert frobenius(out.conj().T @ out - np.eye(k)) <= 1e-12
+    assert frobenius(j.apply(out) - out) <= 1e-12
+    assert subspace_gap(out, span) <= 1e-12
+
+
+def test_fixed_basis_raises_rank_loss_when_every_candidate_is_discarded(monkeypatch):
+    monkeypatch.setattr(conjugation, "FIXED_DISCARD_TOL", np.inf)
+    j = random_conjugation(3, 0)
+    with pytest.raises(RankLoss, match="extracted 0 fixed vectors from a 2-dimensional"):
+        fixed_basis(j, j.fixed_frame()[:, :2])
 
 
 def test_fixed_basis_empty_input():

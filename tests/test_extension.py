@@ -17,7 +17,7 @@ from jlab.errors import (
     NotJImaginary,
     Singular,
 )
-from jlab.examples import jacobi_imag
+from jlab.examples import jacobi_imag, truncation_family
 from jlab.extension import (
     SINGULAR_FLOOR,
     DefectData,
@@ -29,6 +29,7 @@ from jlab.extension import (
     verify_symmetric_jimaginary,
 )
 from jlab.numkernel import frobenius, herm_eig, inverse
+from jlab.polar import random_j_unitary, refined_polar
 
 
 def test_partial_operator_shape_gates():
@@ -182,8 +183,23 @@ def test_ranges_defects_is_kept_read_only_on_the_operator():
     for arr in (defect.n_plus, defect.n_minus, defect.isometry, t.domain_basis, t.action):
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
-    # repr (and equality) read the dataclass fields only
+    # repr reads the dataclass fields only
     assert repr(PartialSymmetricOperator(t.ambient, t.domain_basis, t.action)) == repr(t)
+
+
+def test_array_holding_results_compare_by_identity():
+    # a generated __eq__ compares the arrays, and their truth value raises
+    j = random_conjugation(4, 2)
+    a = random_j_unitary(j, 3)
+
+    def build():
+        t = random_jimaginary_partial(j, 2, 5)
+        return (t, ranges_defects(t), extend(j, t), herm_eig(a.conj().T @ a),
+                refined_polar(j, a), truncation_family(3))
+
+    for x, y in zip(build(), build()):
+        assert x == x and not x != x
+        assert x != y and not x == y
 
 
 def test_extend_after_ranges_defects_runs_no_qr(monkeypatch):

@@ -12,7 +12,9 @@ garbage collection.  Per case the JSON holds the calls per sample, the paired
 per-call times in seconds, each side's median and quartiles, the median ratio
 change / parent, the pairs the change won, the ``verdict`` on the pairs, minor
 page faults per call and the path of the first difference between the outputs
-(None when equal).  The ``extend`` cases build a fresh operator in every call.
+(None when equal).  The verify program's case adds ``records``, how its
+records moved (``records_diff``).  The ``extend`` cases build a fresh
+operator in every call.
 """
 
 import argparse
@@ -38,8 +40,10 @@ from digest import blas_core  # noqa: E402  (puts this checkout's src on sys.pat
 from run import machine_facts  # noqa: E402
 
 from jlab.jclass import ORACLE_DIM_CAP  # noqa: E402
+from jlab.report import worst_of  # noqa: E402
 
 SAMPLE_S = 0.02
+NOTES = ("multivalued", "kernel_dim", "flipped_columns")
 MODULES = ("conjugation", "examples", "extension", "jclass", "numkernel", "polar", "suites")
 
 
@@ -173,6 +177,51 @@ def first_difference(a, b, path="output"):
     return next(filter(None, (first_difference(a[k], b[k], f"{path}[{k!r}]") for k in keys)), None)
 
 
+def records_diff(before, after, thresholds):
+    """What moved between two runs' records of the verify program.
+
+    before and after map each suite to its records, trial i of a suite
+    holding the same seed on both sides; thresholds map "suite.key" to the
+    key's bound.  "keys" gives each thresholded key its worst value on each
+    side and the largest |after - before| / threshold over the trials that
+    measure it on both.  "verdicts" lists each (suite, seed, key) whose
+    value <= threshold verdict changed, a key measured on one side only
+    included; "notes" each changed multivalued, kernel_dim or
+    flipped_columns note.  Equal inputs give zero deltas and empty lists.
+    """
+    out = {"keys": {}, "verdicts": [], "notes": []}
+    for name, thr in thresholds.items():
+        suite, key = name.split(".", 1)
+        pairs = list(zip(before[suite], after[suite]))
+        values = [tuple(rec.residuals.get(key) for rec in pair) for pair in pairs]
+        out["keys"][name] = {
+            "before": worst_of(old for old, _ in values if old is not None),
+            "after": worst_of(new for _, new in values if new is not None),
+            "max_delta_over_threshold": worst_of(
+                abs(new - old) / thr for old, new in values if None not in (old, new)
+            ),
+        }
+        for (rec, _), (old, new) in zip(pairs, values):
+            if (old is not None and old <= thr) != (new is not None and new <= thr):
+                out["verdicts"].append(
+                    {"suite": suite, "seed": rec.seed, "key": key, "before": old, "after": new}
+                )
+    for suite in before:
+        for old, new in zip(before[suite], after[suite]):
+            out["notes"] += [
+                {"suite": suite, "seed": old.seed, "note": note,
+                 "before": old.notes.get(note), "after": new.notes.get(note)}
+                for note in NOTES if old.notes.get(note) != new.notes.get(note)
+            ]
+    return out
+
+
+def verify_records_diff(parent, change):
+    """records_diff of two ``run_verify_program`` outputs, at the change's thresholds."""
+    thresholds = {it.name: it.threshold for it in change["report"].items if "." in it.name}
+    return records_diff(parent["records"], change["records"], thresholds)
+
+
 def _sample(fn, args, calls):
     gc.collect()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -206,7 +255,10 @@ def verdict(parent_s, change_s):
 
 def run_case(sides, build, pairs):
     calls = {side: build(m) for side, m in sides.items()}
-    diff = first_difference(*(fn(*args) for fn, args in calls.values()))
+    outputs = [fn(*args) for fn, args in calls.values()]
+    diff = first_difference(*outputs)
+    verify = isinstance(outputs[0], dict) and "records" in outputs[0]
+    records = {"records": verify_records_diff(*outputs)} if verify else {}
     count = 1
     while min(_sample(fn, args, count)[0] for fn, args in calls.values()) < SAMPLE_S:
         count *= 2
@@ -227,6 +279,7 @@ def run_case(sides, build, pairs):
         "minflt_per_call": {side: faults[side] / (pairs * count) for side in sides},
         "same_outputs": diff is None,
         "first_difference": diff,
+        **records,
     }
 
 
