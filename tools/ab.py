@@ -216,12 +216,6 @@ def records_diff(before, after, thresholds):
     return out
 
 
-def verify_records_diff(parent, change):
-    """records_diff of two ``run_verify_program`` outputs, at the change's thresholds."""
-    thresholds = {it.name: it.threshold for it in change["report"].items if "." in it.name}
-    return records_diff(parent["records"], change["records"], thresholds)
-
-
 def _sample(fn, args, calls):
     gc.collect()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -257,8 +251,11 @@ def run_case(sides, build, pairs):
     calls = {side: build(m) for side, m in sides.items()}
     outputs = [fn(*args) for fn, args in calls.values()]
     diff = first_difference(*outputs)
-    verify = isinstance(outputs[0], dict) and "records" in outputs[0]
-    records = {"records": verify_records_diff(*outputs)} if verify else {}
+    records = {}
+    if isinstance(outputs[0], dict) and "records" in outputs[0]:  # run_verify_program
+        parent, change = outputs
+        thresholds = {it.name: it.threshold for it in change["report"].items if "." in it.name}
+        records["records"] = records_diff(parent["records"], change["records"], thresholds)
     count = 1
     while min(_sample(fn, args, count)[0] for fn, args in calls.values()) < SAMPLE_S:
         count *= 2
