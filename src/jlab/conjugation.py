@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BadShape, DimensionMismatch, NotConjugation, NotInvariant, RankLoss
 from .numkernel import as_matrix, as_square, as_vector, frobenius
-from .report import ResidualReport
+from .report import ResidualReport, within
 
 AXIOM_TOL = 1e-10
 FIXED_DISCARD_TOL = 1e-10
@@ -186,10 +186,10 @@ def fixed_basis(j, basis):
         return np.zeros((n, 0), dtype=complex)
     b = as_matrix(b, "fixed_basis input")
     ortho_res = frobenius(b.conj().T @ b - np.eye(k))
-    if not ortho_res <= ORTHO_TOL:
+    if not within(ortho_res, ORTHO_TOL):
         raise BadShape(f"fixed_basis input columns are not orthonormal (residual {ortho_res:.3e})")
     inv_res = invariance_residual(j, b)
-    if not inv_res <= INVARIANCE_TOL:
+    if not within(inv_res, INVARIANCE_TOL):
         raise NotInvariant(
             f"span is not conjugation-invariant: projector residual {inv_res:.3e}"
         )

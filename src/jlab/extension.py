@@ -40,7 +40,7 @@ from .numkernel import (
     orthonormal_columns,
 )
 from .polar import random_j_real_unitary
-from .report import ResidualReport
+from .report import ResidualReport, within
 
 # smallest trusted singular value of V - I; the inverse-Cayley residuals
 # degrade like eps/sigma, so anything below 1e-5 would break the 1e-8
@@ -84,7 +84,7 @@ class PartialSymmetricOperator:
         if not 1 <= q.shape[1] <= n:
             raise BadShape(f"domain dimension {q.shape[1]} must lie in [1, {n}]")
         gram = q.conj().T @ q - np.eye(q.shape[1], dtype=complex)
-        if not frobenius(gram) <= ORTHO_TOL:
+        if not within(frobenius(gram), ORTHO_TOL):
             raise BadShape(
                 f"domain_basis columns are not orthonormal (residual {frobenius(gram):.3e})"
             )
@@ -132,7 +132,7 @@ def verify_symmetric_jimaginary(j, t, tol=DEFAULT_TOL):
     rep = ResidualReport(extras={"domain_dim": t.domain_dim})
     rep.add("symmetry", frobenius(s - s.conj().T) / (1.0 + frobenius(s)), tol)
     inv_res = invariance_residual(j, q)
-    if not inv_res <= tol:
+    if not within(inv_res, tol):
         raise DomainNotJInvariant(
             f"domain is not conjugation-invariant: projector residual {inv_res:.3e}"
         )

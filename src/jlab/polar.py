@@ -38,7 +38,7 @@ from .numkernel import (
     nonpositive_pivot,
     subspace_gap,
 )
-from .report import ResidualReport, worst_of
+from .report import ResidualReport, within, worst_of
 
 
 @dataclass(eq=False)
@@ -72,7 +72,7 @@ def refined_polar(j, a, tol=DEFAULT_TOL):
     """
     a = as_square(a, "operator")
     r, ainv, cond = j_unitary_residual(j, a)
-    if r is None or not r <= tol:
+    if not within(r, tol):
         detail = "operator is singular" if r is None else f"residual {r:.3e} > {tol:.1e}"
         raise NotJUnitary(f"J-unitary gate failed: {detail}")
     g = a.conj().T @ a
@@ -88,7 +88,7 @@ def refined_polar(j, a, tol=DEFAULT_TOL):
     for name, _, residual in _factor_conditions(j, u, b):
         rep.add(name, residual, tol)
     rep.add("b_j_unitary", frobenius(j.sandwich(b) - binv) / (1.0 + nb + nbinv), tol)
-    rep.add("b_positive", worst_of([-float(dec.eigenvalues[0])]), tol)
+    rep.add("b_positive", max(0.0, -float(dec.eigenvalues[0])), tol)
     return PolarParts(j, a, tol, ainv, g, dec, dec_cogram, dec_ginv, u, b, rep)
 
 
@@ -119,7 +119,7 @@ def synthesize(j, u, b):
             f"factors {u.shape} / {b.shape} do not match conjugation dimension {j.dim}"
         )
     for _, message, r in _factor_conditions(j, u, b):
-        if not r <= DEFAULT_TOL:
+        if not within(r, DEFAULT_TOL):
             raise BadFactor(f"{message}: residual {r:.3e}")
     bad = nonpositive_pivot(b)
     if bad is not None:
@@ -128,7 +128,7 @@ def synthesize(j, u, b):
             f"B is not positive definite: Cholesky pivot {pivot:.3e} at column {col}"
         )
     rb = j_unitary_residual(j, b)[0]
-    if rb is None or not rb <= DEFAULT_TOL:
+    if not within(rb, DEFAULT_TOL):
         raise BadFactor(
             "B is not J-unitary: "
             + ("singular" if rb is None else f"residual {rb:.3e}")

@@ -1,4 +1,5 @@
-"""Residual reports: named checks with thresholds and verdicts."""
+"""Residual reports: named checks with thresholds and verdicts, all by one
+rule, ``within``: a residual passes only if finite and in [0, threshold]."""
 
 from __future__ import annotations
 
@@ -6,13 +7,19 @@ import math
 from dataclasses import dataclass, field
 
 
+def within(value, bound):
+    """The verdict rule: None, NaN, +-inf and negative values fail; -0.0 passes."""
+    return value is not None and 0.0 <= value <= bound and math.isfinite(value)
+
+
 def worst_of(values):
-    """Largest of the values, 0.0 if none; a NaN, once seen, is the worst."""
+    """Largest of the values, 0.0 if none, or else the first that no bound passes
+    (None, NaN, +-inf or negative): within(worst_of(vs), b) iff all vs pass."""
     worst = 0.0
     for val in values:
-        val = float(val)
-        # NaN compares false: it replaces any worst value and is never replaced
-        worst = worst if val <= worst or math.isnan(worst) else val
+        if not within(val, math.inf):
+            return val if val is None else float(val)
+        worst = max(worst, float(val))
     return worst
 
 
@@ -36,11 +43,10 @@ class ResidualReport:
     extras: dict = field(default_factory=dict)
 
     def add(self, name, residual, threshold):
-        """Record residual <= threshold; None records an undefined, failed check."""
+        """Record the residual's ``within`` verdict; None is undefined and fails."""
         if residual is not None:
             residual = float(residual)
-        ok = residual is not None and math.isfinite(residual) and residual <= threshold
-        self.items.append(CheckItem(name, residual, float(threshold), ok))
+        self.items.append(CheckItem(name, residual, float(threshold), within(residual, threshold)))
         return self
 
     @property

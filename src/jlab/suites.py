@@ -32,7 +32,7 @@ from .polar import (
     refined_polar,
     synthesize,
 )
-from .report import CheckItem, ResidualReport, worst_of
+from .report import CheckItem, ResidualReport, within, worst_of
 
 POLAR_THRESHOLDS = {
     "gate": 0.5,
@@ -101,12 +101,12 @@ def worst_residuals(records):
 
 
 def suite_failures(records, thresholds):
-    """(record, key, value) triples not within their thresholds (NaN included)."""
+    """(record, key, value) triples whose value fails ``within`` its threshold."""
     bad = []
     for rec in records:
         for key, val in rec.residuals.items():
-            if not val <= thresholds.get(key, 0.0):
-                bad.append((rec, key, float(val)))
+            if not within(val, thresholds.get(key, 0.0)):
+                bad.append((rec, key, val if val is None else float(val)))
     return bad
 
 
@@ -278,9 +278,9 @@ def oracle_trials(trials, maxdim, seed):
             invertible, unitary = prof.extras["invertible"], prof.item("J-unitary").passed
         else:
             r, ainv, _ = j_unitary_residual(canonical(n), a)
-            invertible, unitary = ainv is not None, r is not None and r <= DEFAULT_TOL
-        eye = np.eye(n, dtype=complex)
-        direct = invertible and frobenius(a.T @ a - eye) / (1.0 + frobenius(a)) <= DEFAULT_TOL
+            invertible, unitary = ainv is not None, within(r, DEFAULT_TOL)
+        bridge_residual = frobenius(a.T @ a - np.eye(n)) / (1.0 + frobenius(a))
+        direct = invertible and within(bridge_residual, DEFAULT_TOL)
         bridge = 0.0 if direct == unitary else 1.0
         rec = TrialRecord(i, tseed, n, notes={"kind": kind})
         rec.residuals.update(

@@ -1,16 +1,20 @@
 """tools/ab.py: its cases run on both sides, its output comparison sees
-bytes that repr hides, its record diff names what moved, its verdict
-follows the pair and quartile rule, and it refuses fewer than ten pairs."""
+bytes that repr hides, its record diff names what moved and judges each
+value by the report's one verdict rule, as reports and suites do, its
+verdict follows the pair and quartile rule, and it refuses fewer than ten
+pairs."""
 
 import importlib.util
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jlab.report import ResidualReport
-from jlab.suites import TrialRecord
+from jlab.report import ResidualReport, worst_of
+from jlab.suites import TrialRecord, suite_failures
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "ab.py"
 
@@ -37,11 +41,18 @@ SMALLEST = [
 ]
 
 
+def _layer(label):
+    """The label with its stack size left out, which may differ with n."""
+    return re.sub(r"\d+ x ", "B x ", label)
+
+
 def test_every_layer_is_swept_at_every_size(ab):
-    labels = set(ab.cases())
+    labels = {_layer(label) for label in ab.cases()}
     for label in SMALLEST[:-1]:
         for n in (4, 8, 16, 32, 64):
-            assert label.replace("n=4", f"n={n}") in labels
+            assert _layer(label.replace("n=4", f"n={n}")) in labels
+    # a stack of 40 at n = 64 would take a third of a run
+    assert "herm_eig 4 x n=64" in ab.cases()
 
 
 def test_the_oracle_is_swept_within_its_dimension_cap(ab):
@@ -107,6 +118,41 @@ def test_records_diff_names_crossings_and_changed_notes(ab):
         {"suite": "extension", "seed": 202, "note": "multivalued", "before": False, "after": True},
         {"suite": "extension", "seed": 202, "note": "kernel_dim", "before": None, "after": 1},
     ]
+
+
+BOUND = 1e-8
+
+
+@pytest.mark.parametrize(
+    "value, passes",
+    [
+        (0.0, True),
+        (-0.0, True),
+        (BOUND, True),
+        (np.nextafter(BOUND, np.inf), False),
+        (-1e-300, False),
+        (-math.inf, False),
+        (math.inf, False),
+        (math.nan, False),
+        (None, False),
+    ],
+)
+def test_reports_suites_worst_values_and_record_diffs_share_one_verdict(ab, value, passes):
+    assert ResidualReport().add("k", value, BOUND).item("k").passed is passes
+    rec = _rec(300, k=value)
+    assert (suite_failures([rec], {"k": BOUND}) == []) is passes
+    worst = worst_of([BOUND / 2, value, BOUND / 2])
+    assert ResidualReport().add("k", worst, BOUND).passed is passes
+    diff = ab.records_diff({"s": [_rec(300, k=BOUND / 2)]}, {"s": [rec]}, {"s.k": BOUND})
+    assert (diff["verdicts"] == []) is passes
+
+
+def test_records_diff_names_a_residual_turned_negative(ab):
+    diff = ab.records_diff({"s": [_rec(300, k=1e-12)]}, {"s": [_rec(300, k=-1e-12)]}, {"s.k": BOUND})
+    assert diff["verdicts"] == [
+        {"suite": "s", "seed": 300, "key": "k", "before": 1e-12, "after": -1e-12}
+    ]
+    assert diff["keys"]["s.k"]["after"] == -1e-12
 
 
 def test_records_diff_of_equal_records_is_empty(ab):

@@ -376,6 +376,21 @@ def test_extend_singular_retry_runs_no_eigensolve(monkeypatch):
     assert calls == [(3, 3)]
 
 
+def test_a_perturbed_cayley_inverse_fails_atilde_j_imaginary(monkeypatch):
+    # (V - I)^-1 + 1e-3 i P, P the projector off T's domain, adds -2e-3 P to
+    # A~: still Hermitian, still T on the domain, but A~ + J A~ J gains
+    # -4e-3 P (J P J = P), which only the J-imaginary key measures
+    j = random_conjugation(6, 3)
+    t = random_jimaginary_partial(j, 2, 4)
+    assert extend(j, t).report.passed
+    ranges_defects(t)  # kept on T, so the patch reaches only (V - I)^-1
+    q = t.domain_basis
+    off = 1e-3j * (np.eye(6) - q @ q.conj().T)
+    monkeypatch.setattr(extension, "inverse", lambda m: inverse(m) + off)
+    rep = extend(j, t).report
+    assert [it.name for it in rep.items if not it.passed] == ["atilde_j_imaginary"]
+
+
 def _extension_trial_inputs(count, seed):
     """(J, T) of the first count trials of extension_trials(..., 12, seed)."""
     for tseed in range(seed, seed + count):

@@ -376,6 +376,22 @@ def test_checks_read_the_stacked_decompositions():
     assert [it.name for it in rep.items if not it.passed] == ["sqrt_inverse_commute"]
 
 
+def test_a_doubled_b_fails_sqrt_conjugation_by_its_stated_residual():
+    # B^-1 = J B J gives ||B||_F = ||B^-1||_F = x on valid input, so only a
+    # B off that identity shows the denominator 1 + ||B||_F + ||B^-1||_F.
+    # With 2B, J(2B)J - (2B)^-1 = 1.5 B^-1: the residual is
+    # 1.5x / (1 + 2x + x/2), where a sign slip in the denominator reads
+    # 1.5x / (1 + 1.5x) or a negative value
+    for n in (2, 5, 8):
+        j = random_conjugation(n, 40 + n)
+        parts = refined_polar(j, random_j_unitary(j, 50 + n))
+        assert check_reciprocity(parts).passed
+        rep = check_reciprocity(dataclasses.replace(parts, b=2.0 * parts.b))
+        x = frobenius(parts.b)
+        assert rep.item("sqrt_conjugation").residual == pytest.approx(1.5 * x / (1 + 2.5 * x))
+        assert not rep.item("sqrt_conjugation").passed
+
+
 def test_polar_program_decomposes_once_per_purpose(monkeypatch):
     # per gated trial: the generator's h and the one stack of G, A A* and
     # G^-1; the positivity gates take no eigensolve, and a subspace gap
