@@ -148,7 +148,8 @@ def test_reports_suites_worst_values_and_record_diffs_share_one_verdict(ab, valu
 
 
 def test_records_diff_names_a_residual_turned_negative(ab):
-    diff = ab.records_diff({"s": [_rec(300, k=1e-12)]}, {"s": [_rec(300, k=-1e-12)]}, {"s.k": BOUND})
+    before, after = {"s": [_rec(300, k=1e-12)]}, {"s": [_rec(300, k=-1e-12)]}
+    diff = ab.records_diff(before, after, {"s.k": BOUND})
     assert diff["verdicts"] == [
         {"suite": "s", "seed": 300, "key": "k", "before": 1e-12, "after": -1e-12}
     ]
