@@ -95,7 +95,8 @@ def _read_operator(args):
 def _print_report(report):
     for item in report.items:
         verdict = "pass" if item.passed else "FAIL"
-        print(f"{item.name:<28} {item.residual:12.3e}  (<= {item.threshold:.1e})  {verdict}")
+        value = "undefined" if item.residual is None else f"{item.residual:.3e}"
+        print(f"{item.name:<28} {value:>12}  (<= {item.threshold:.1e})  {verdict}")
     for key, val in report.extras.items():
         print(f"{key}: {val}")
 
@@ -197,7 +198,8 @@ def cmd_verify_suite(args):
     rep = outcome["report"]
     _print_report(rep)
     for suite_name, seed, key, val in outcome["failures"]:
-        print(f"FAIL {suite_name} trial seed {seed}: {key} = {val:.3e}")
+        val = "undefined" if val is None else f"{val:.3e}"
+        print(f"FAIL {suite_name} trial seed {seed}: {key} = {val}")
     _run_report(args, rep, [], seed=args.seed)
     return 0 if rep.passed else 1
 

@@ -23,7 +23,7 @@ import numpy as np
 from .conjugation import canonical
 from .errors import BadShape, OutOfRange
 from .extension import PartialSymmetricOperator
-from .numkernel import inverse, singular_extremes
+from .numkernel import inverse, singular_ends
 from .report import ResidualReport
 
 RESOLVENT_TOL = 1e-11
@@ -102,6 +102,13 @@ def resolvent_check(beta):
     return rep
 
 
+def _rows(computed, formula):
+    """Rows (k, computed, formula, rel_err) for k = 1.., as Python ints and
+    floats: each float operation is the per-k scalar one, so bit for bit."""
+    rel = np.abs(computed - formula) / formula
+    return list(zip(range(1, len(rel) + 1), computed.tolist(), formula.tolist(), rel.tolist()))
+
+
 def growth_probe(n):
     """Rows (k, computed, formula, rel_err) for the resolvent growth values.
 
@@ -111,11 +118,8 @@ def growth_probe(n):
     pivots inside each block and off the blocks only subtracts zeros.
     """
     inv = inverse(truncation_family(n).blocks + np.eye(2))
-    rows = []
-    for k, computed in enumerate(inv[:, 0, 0].real.tolist(), start=1):
-        formula = k * k / (2.0 * k - 1.0)
-        rows.append((k, computed, formula, abs(computed - formula) / formula))
-    return rows
+    k = np.arange(1, len(inv) + 1)
+    return _rows(inv[:, 0, 0].real, k * k / (2.0 * k - 1.0))
 
 
 def _cayley_blocks(n):
@@ -137,15 +141,11 @@ def cayley_v(n):
 def norm_growth(n):
     """Rows (k, computed, formula, rel_err) for per-block norms of V.
 
-    The k-th block of V has spectral norm 2k - 1; the n block norms come
-    from one stacked singular_extremes call on the blocks cayley_v places.
+    The k-th block of V has spectral norm 2k - 1; the n block norms are the
+    top ends of one stacked singular_ends call on the blocks cayley_v places.
     """
-    norms = singular_extremes(_cayley_blocks(n))
-    rows = []
-    for k, (_, computed) in enumerate(norms, start=1):
-        formula = 2.0 * k - 1.0
-        rows.append((k, computed, formula, abs(computed - formula) / formula))
-    return rows
+    norms = singular_ends(_cayley_blocks(n))[:, 1]
+    return _rows(norms, 2.0 * np.arange(1, len(norms) + 1) - 1.0)
 
 
 def jacobi_imag(n, d, alphas=None):

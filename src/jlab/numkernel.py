@@ -10,8 +10,8 @@ behaviour is pinned by this module rather than by a LAPACK build:
   It takes one matrix or a (B, n, n) stack.  Each round's disjoint rotations,
   and the gate, live test, sort and clustering, run per stack, while every
   matrix keeps its own scale, skip threshold, target and sweep count, so its
-  result is bit-identical to its own call's whatever its stack mates.  Its
-  sorted spectrum alone gives ``singular_extremes``, with no SpectralDecomp;
+  result is bit-identical to its own call's whatever its stack mates.  The
+  same sweeps without eigenvectors give ``singular_ends``/``singular_extremes``;
 * ``inverse`` - in-place Gauss-Jordan on a working copy, partial pivoting,
   relative pivot floor, with no matrix product: the classic column loop on
   a matrix, and the same steps on all members at once on a stack.
@@ -238,9 +238,10 @@ def _flat_rounds(n, count):
     return tuple(rounds), diag, eye
 
 
-def _sorted_spectrum(m):
+def _sorted_spectrum(m, vectors):
     """herm_eig's gate, Jacobi sweeps and one stable sort, without the
-    clustering: (vals (B, n) ascending, vecs (B, n, n) matching columns)."""
+    clustering: (vals (B, n) ascending, vecs (B, n, n) matching columns).
+    Only when vectors is set are the rotations accumulated; else vecs is None."""
     # symmetrize once so representational noise cannot bias the rotations
     a, scales = _hermitian_part(_as_stack(m, square=True))
     targets = JACOBI_REL_TOL * scales
@@ -249,8 +250,8 @@ def _sorted_spectrum(m):
     # entries already far below target cannot affect convergence this sweep
     skip = (targets / max(1, 2 * n)).repeat(n // 2)
     act = np.arange(count)
-    w, wv = a, eye.copy()
-    vals, vecs = np.empty((count, n)), np.empty_like(a)
+    w, wv = a, eye.copy() if vectors else None
+    vals, vecs = np.empty((count, n)), np.empty_like(a) if vectors else None
     sweeps = 0
     while True:
         # each matrix meets its own target; a converged one leaves the stack as it is
@@ -262,10 +263,12 @@ def _sorted_spectrum(m):
         if alive < len(act):
             dead = ~live
             out = act.compress(dead)
-            vals[out], vecs[out] = w.diagonal(0, 1, 2).real.compress(dead, 0), wv.compress(dead, 0)
+            vals[out] = w.diagonal(0, 1, 2).real.compress(dead, 0)
+            if vectors:
+                vecs[out], wv = wv.compress(dead, 0), wv.compress(live, 0)
             if not alive:
                 break
-            act, targets, w, wv = (x.compress(live, 0) for x in (act, targets, w, wv))
+            act, targets, w = (x.compress(live, 0) for x in (act, targets, w))
             skip = skip.reshape(len(live), -1).compress(live, 0).reshape(-1)
             rounds, diag, eye = _flat_rounds(n, len(act))
         if sweeps >= JACOBI_SWEEP_LIMIT:
@@ -300,15 +303,18 @@ def _sorted_spectrum(m):
             # exact zeros here by construction; keep diagonal real
             wf[idx[:2].reshape(-1)] = 0.0
             wf.imag[diag] = 0.0
-            wv, wv0 = wv @ rot, wv
+            wv, wv0 = (wv @ rot, wv) if vectors else (None, None)
             if cold is not None and np.count_nonzero(cold):
-                w[cold], wv[cold] = w0[cold], wv0[cold]
+                w[cold] = w0[cold]
+                if vectors:
+                    wv[cold] = wv0[cold]
         sweeps += 1
     # one stable sort for the whole stack
     order = vals.argsort(axis=1, kind="stable")
     rows = np.arange(count)[:, None]
     # indices either side of the slice put the gathered axis first: swap it back
-    return vals[rows, order], vecs[rows, :, order].swapaxes(1, 2).copy()
+    vecs = vecs[rows, :, order].swapaxes(1, 2).copy() if vectors else None
+    return vals[rows, order], vecs
 
 
 def herm_eig(m):
@@ -328,7 +334,7 @@ def herm_eig(m):
     OutOfRange if ||M||_F overflows, and NoConvergence if the sweep budget
     runs out; each names the stack index.
     """
-    vals, vecs = _sorted_spectrum(m)
+    vals, vecs = _sorted_spectrum(m, vectors=True)
     # one clustering pass for the whole stack
     prev = vals[:, :-1]
     joined = np.abs(vals[:, 1:] - prev) <= CLUSTER_REL_TOL * (1.0 + np.abs(prev))
@@ -503,17 +509,19 @@ def orthonormal_columns(b, *, name="frame"):
     return q, r[:k]
 
 
-def singular_extremes(m):
-    """(smallest, largest) singular value via the Hermitian spectrum of M*M.
-
-    Takes a matrix, or a (B, r, c) stack and returns a tuple of B pairs.  Both
-    ends of every member are read from the sorted spectrum of one stacked
-    _sorted_spectrum call (no SpectralDecomp), with one clip at 0 that keeps
-    a NaN NaN, and each pair is bit-identical to the matrix's own call.
-    """
+def singular_ends(m):
+    """singular_extremes as a (B, 2) array, B = 1 for a matrix: one stacked
+    _sorted_spectrum call that accumulates no eigenvectors, a clip at 0 keeping NaN."""
     a = _as_stack(m, square=False)
-    ends = _sorted_spectrum(a.conj().swapaxes(1, 2) @ a)[0][:, [0, -1]]
-    pairs = tuple(map(tuple, np.sqrt(np.clip(ends, 0.0, None)).tolist()))
+    ends = _sorted_spectrum(a.conj().swapaxes(1, 2) @ a, vectors=False)[0][:, [0, -1]]
+    return np.sqrt(np.clip(ends, 0.0, None))
+
+
+def singular_extremes(m):
+    """(smallest, largest) singular value via the Hermitian spectrum of M*M,
+    or a tuple of B pairs for a (B, r, c) stack: the rows of singular_ends,
+    with no SpectralDecomp, each bit-identical to the matrix's own call."""
+    pairs = tuple(map(tuple, singular_ends(m).tolist()))
     return pairs[0] if np.ndim(m) == 2 else pairs
 
 

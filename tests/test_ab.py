@@ -62,7 +62,9 @@ def test_the_oracle_is_swept_within_its_dimension_cap(ab):
     assert swept == {"definitional_oracle n=4", "definitional_oracle n=8"}
 
 
-@pytest.mark.parametrize("label", SMALLEST + ["definitional_oracle n=4", "extend jacobi_imag(8, 7)"])
+@pytest.mark.parametrize(
+    "label", SMALLEST + ["definitional_oracle n=4", "extend jacobi_imag(8, 7)", "norm_growth(256)"]
+)
 def test_smallest_cases_report_equal_outputs_on_one_checkout(ab, monkeypatch, label):
     monkeypatch.setattr(ab, "SAMPLE_S", 1e-3)
     side = ab.modules("jlab")

@@ -321,6 +321,26 @@ def test_verify_suite_multivalued_fraction_at_the_cap_fails(tmp_path, capsys, mo
     assert check["passed"] is False
 
 
+def test_verify_suite_prints_an_undefined_residual_as_a_failure(capsys, monkeypatch):
+    # worst_of and suite_failures hand an undefined (None) residual on as it
+    # is; the CLI must print it as undefined and fail, not raise TypeError
+    polar_trials, seeds = suites.polar_trials, []
+
+    def one_undefined(*args):
+        records = polar_trials(*args)
+        records[0].residuals["factor_u"] = None
+        seeds.append(records[0].seed)
+        return records
+
+    monkeypatch.setattr(suites, "polar_trials", one_undefined)
+    assert run(["verify-suite", "--trials", 8, "--maxdim", 4, "--seed", 0]) == 1
+    out = capsys.readouterr().out.splitlines()
+    (line,) = [ln for ln in out if ln.startswith("polar.factor_u ")]
+    assert line.split() == ["polar.factor_u", "undefined", "(<=", "1.0e-08)", "FAIL"]
+    assert f"FAIL polar trial seed {seeds[0]}: factor_u = undefined" in out
+    assert [ln for ln in out if ln.startswith("FAIL ")] == [out[-1]]
+
+
 def _strict_json(path):
     def reject(token):
         raise ValueError(f"non-finite number {token} in {path}")

@@ -99,6 +99,23 @@ def test_resolvent_frozen_half():
     np.testing.assert_allclose(got, expected, atol=1e-13)
 
 
+def _per_k_rows(computed, formula):
+    """Rows (k, computed, formula, rel_err) built one k at a time in Python
+    floats, as the probes built them before their rows were vectorized."""
+    rows = []
+    for k, value in enumerate(computed, start=1):
+        want = formula(k)
+        rows.append((k, value, want, abs(value - want) / want))
+    return rows
+
+
+def _assert_same_rows(rows, expected):
+    # equal values, equal reprs (so the demo CSV is byte-identical) and the
+    # row types (int, float, float, float)
+    assert rows == expected and repr(rows) == repr(expected)
+    assert all(list(map(type, row)) == [int, float, float, float] for row in rows)
+
+
 def test_growth_probe_frozen_rows():
     rows = growth_probe(4)
     expected = [1.0, 4.0 / 3.0, 9.0 / 5.0, 16.0 / 7.0]
@@ -108,6 +125,10 @@ def test_growth_probe_frozen_rows():
         assert rel <= 1e-12
     values = [row[1] for row in rows]
     assert all(b > a for a, b in zip(values, values[1:]))
+    for level in (1, 16, 181):
+        inv = inverse(truncation_family(level).blocks + np.eye(2))
+        expected = _per_k_rows(inv[:, 0, 0].real.tolist(), lambda k: k * k / (2.0 * k - 1.0))
+        _assert_same_rows(growth_probe(level), expected)
 
 
 def test_cayley_v_level_one_is_minus_identity():
@@ -138,6 +159,10 @@ def test_norm_growth_frozen():
     rows = norm_growth(3)
     assert [row[2] for row in rows] == [1.0, 3.0, 5.0]
     assert max(row[3] for row in rows) < 1e-11
+    for level in (1, 16, 181):
+        v = cayley_v(level)
+        tops = [singular_extremes(v[i : i + 2, i : i + 2])[1] for i in range(0, 2 * level, 2)]
+        _assert_same_rows(norm_growth(level), _per_k_rows(tops, lambda k: 2.0 * k - 1.0))
 
 
 def test_growth_and_norms_at_level_128():

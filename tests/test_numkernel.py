@@ -461,8 +461,8 @@ def test_stacked_herm_eig_errors_name_the_stack_index(monkeypatch):
 def test_nan_eigenvalue_propagates_to_the_singular_values(monkeypatch):
     original = numkernel._sorted_spectrum
 
-    def faulty(m):
-        vals, vecs = original(m)
+    def faulty(m, vectors):
+        vals, vecs = original(m, vectors)
         vals[:, -1] = np.nan
         return vals, vecs
 
@@ -482,14 +482,32 @@ def test_stacked_singular_extremes_match_one_call_each():
         assert pairs == tuple(singular_extremes(m) for m in stack)
 
 
-def test_singular_extremes_are_the_decomposition_route_bit_for_bit():
+def test_singular_extremes_are_the_decomposition_route_bit_for_bit(monkeypatch):
     # singular_extremes reads the sorted spectrum without building a
-    # SpectralDecomp; its ends must be herm_eig's eigenvalues, bit for bit
+    # SpectralDecomp or accumulating eigenvectors; its ends must be
+    # herm_eig's eigenvalues, bit for bit
     rng = np.random.default_rng(2721)
     blocks = _diagonal_blocks(cayley_v(256))
     stacks = [blocks]
     for shape in ((7, 2, 2), (3, 5, 2), (2, 2, 5), (1, 4, 4)):
         stacks.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    # members that leave the Jacobi at four different sweeps: a diagonal M*M
+    # at once, one rotated pair after one sweep, then two gaussians
+    diag = np.zeros((5, 4), dtype=complex)
+    diag[range(4), range(4)] = [1.0, 2.0, 3.0, 4.0]
+    pair = diag.copy()
+    pair[0, 1] = 0.5j
+    rng = np.random.default_rng(2723)
+    g = rng.standard_normal((2, 5, 4)) + 1j * rng.standard_normal((2, 5, 4))
+    g[1] = np.diag([1.0, 1e-3, 1e3, 1.0, 1.0]) @ g[1]
+    stacks.append(np.stack([g[0], diag, pair, g[1]]))
+    counts, flat_rounds = [], numkernel._flat_rounds
+    monkeypatch.setattr(
+        numkernel, "_flat_rounds", lambda n, count: counts.append(count) or flat_rounds(n, count)
+    )
+    singular_extremes(stacks[-1])
+    # the stack shrinks once per departing member
+    assert counts == [4, 3, 2, 1]
     for stack in stacks:
         decs = herm_eig(stack.conj().swapaxes(1, 2) @ stack)
         want = [np.sqrt(np.clip(dec.eigenvalues[[0, -1]], 0.0, None)) for dec in decs]

@@ -131,10 +131,12 @@ def _gram(m):
 
 def cases():
     """Label -> build(m) -> (fn, args): the suites, the per-layer sweep, an
-    ``extend`` whose unflipped V - I is singular, and the kernel shapes of
-    ``refined_polar``, ``norm_growth`` and ``growth_probe``."""
+    ``extend`` whose unflipped V - I is singular, the kernel shapes of
+    ``refined_polar``, ``norm_growth`` and ``growth_probe``, and both probes
+    at the ``unbounded`` workload's largest level."""
     out = {
         "run_verify_program(200, 16, 0)": _suite("run_verify_program", 200, 16, 0),
+        "polar_trials(200, 16, 0)": _suite("polar_trials", 200, 16, 0),
         "extension_trials(100, 12, 100_000)": _suite("extension_trials", 100, 12, 100_000),
         "zero_defect_trials(50, 16, 200_000)": _suite("zero_defect_trials", 50, 16, 200_000),
         "oracle_trials(200, 16, 300_000)": _suite("oracle_trials", 200, 16, 300_000),
@@ -152,6 +154,8 @@ def cases():
     for level in (24, 181, 256):
         out[f"inverse I+A L={level}"] = lambda m, level=level: (
             m.numkernel.inverse, (m.examples.truncation_family(level).blocks + np.eye(2),))
+    for probe in ("growth_probe", "norm_growth"):
+        out[f"{probe}(256)"] = lambda m, probe=probe: (getattr(m.examples, probe), (256,))
     return out
 
 
