@@ -101,7 +101,7 @@ def test_resolvent_frozen_half():
 
 def _per_k_rows(computed, formula):
     """Rows (k, computed, formula, rel_err) built one k at a time in Python
-    floats, as the probes built them before their rows were vectorized."""
+    floats: the reference the probes' array rows must match."""
     rows = []
     for k, value in enumerate(computed, start=1):
         want = formula(k)
